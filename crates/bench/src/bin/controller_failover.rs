@@ -137,18 +137,7 @@ impl TrialOut {
         self.dwell_max_s = self.dwell_max_s.max(other.dwell_max_s);
         self.pending_dwell_s += other.pending_dwell_s;
         self.latency_sum_s += other.latency_sum_s;
-        let (s, o) = (&mut self.stats, &other.stats);
-        s.controller_crashes += o.controller_crashes;
-        s.controller_restores += o.controller_restores;
-        s.elections += o.elections;
-        s.control_reports += o.control_reports;
-        s.recoveries_resumed += o.recoveries_resumed;
-        s.control_losses += o.control_losses;
-        s.control_retries += o.control_retries;
-        s.control_exhausted += o.control_exhausted;
-        s.control_delays += o.control_delays;
-        s.replacements += o.replacements;
-        s.fallbacks += o.fallbacks;
+        self.stats += other.stats;
     }
 
     fn availability(&self) -> f64 {
@@ -259,16 +248,14 @@ fn run_trial(k: usize, n: usize, seed: u64, cell: CellCfg, trial: usize) -> Tria
     }
     out.degraded_flows = world.tracker.degraded_count() as u64;
 
-    out.recovered = world.failover_log.len() as u64;
-    for done in &world.failover_log {
+    out.recovered = world.recoveries.len() as u64;
+    for done in &world.recoveries {
         let dwell = done.completed_at.since(done.reported_at).as_secs_f64();
         out.dwell_sum_s += dwell;
         out.dwell_max_s = out.dwell_max_s.max(dwell);
         out.latency_sum_s += done.recovery.latency.as_secs_f64();
     }
-    // lint:allow(unwrap) — this world was built with a plane above
-    let plane = world.failover.as_ref().expect("plane attached");
-    for pending in plane.pending() {
+    for pending in world.failover.pending() {
         let dwell = horizon.saturating_since(pending.reported_at).as_secs_f64();
         out.pending_end += 1;
         out.pending_dwell_s += dwell;
@@ -473,7 +460,7 @@ fn demo(args: &Args) {
 
         let completed = sim_out.flows.iter().filter(|f| f.completed.is_some()).count();
         let dwell = world
-            .failover_log
+            .recoveries
             .first()
             .map(|d| d.completed_at.since(d.reported_at))
             .unwrap_or(Duration::ZERO);
@@ -483,7 +470,7 @@ fn demo(args: &Args) {
             dwell,
             completed,
             flows.len(),
-            world.failover_log.len(),
+            world.recoveries.len(),
             world.controller.stats,
         )
     });

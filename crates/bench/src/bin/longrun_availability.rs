@@ -11,13 +11,15 @@
 //! failure-free network.
 
 use sharebackup_bench::{parallel_map_indexed, Args};
+use sharebackup_core::scenario::{map_chaos_schedule, sharebackup_timeline, ShareBackupWorld};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::total_usable_capacity;
+use sharebackup_flowsim::Environment;
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{
-    FatTree, FatTreeConfig, NodeKind, ShareBackup, ShareBackupConfig,
+    FatTree, FatTreeConfig, Network, NodeKind, ShareBackup, ShareBackupConfig,
 };
-use sharebackup_workload::{FailureInjector, FailureKind};
+use sharebackup_workload::{FailureEvent, FailureInjector};
 
 const WEEK: u64 = 7 * 24 * 3600;
 
@@ -30,13 +32,30 @@ struct Tally {
 }
 
 impl Tally {
+    fn new(net: &Network, failures: usize) -> Tally {
+        Tally {
+            capacity_integral: 0.0,
+            full_capacity: total_usable_capacity(net),
+            stranded_host_seconds: 0.0,
+            failures,
+            unmasked: 0,
+        }
+    }
+
+    /// Charge `net`'s current state over `[from, to)`.
+    fn integrate(&mut self, net: &Network, from: Time, to: Time) {
+        let dt = to.saturating_since(from).as_secs_f64();
+        self.capacity_integral += total_usable_capacity(net) * dt;
+        self.stranded_host_seconds += stranded_hosts(net) as f64 * dt;
+    }
+
     fn availability(&self) -> f64 {
         self.capacity_integral / (self.full_capacity * WEEK as f64)
     }
 }
 
 /// Hosts currently cut off (their edge switch or host link is down).
-fn stranded_hosts(net: &sharebackup_topo::Network) -> usize {
+fn stranded_hosts(net: &Network) -> usize {
     net.node_ids()
         .filter(|&h| net.node(h).kind == NodeKind::Host)
         .filter(|&h| {
@@ -48,37 +67,39 @@ fn stranded_hosts(net: &sharebackup_topo::Network) -> usize {
         .count()
 }
 
-fn run_fattree(k: usize, seed: u64, mtbf: Duration, outage: Duration) -> Tally {
-    let mut ft = FatTree::build(FatTreeConfig::new(k));
-    let injector = FailureInjector::new(&ft.net);
+/// The week of failures both systems replay: the same seed and process
+/// against the same fat-tree wiring.
+fn week_of_failures(
+    net: &Network,
+    seed: u64,
+    mtbf: Duration,
+    outage: Duration,
+) -> Vec<FailureEvent> {
     let mut rng = SimRng::seed_from_u64(seed);
-    let events = injector.poisson_process(
+    FailureInjector::new(net).poisson_process(
         &mut rng,
         Time::from_secs(WEEK),
         mtbf,
         outage,
         0.7, // mostly node failures
-    );
-    let full = total_usable_capacity(&ft.net);
+    )
+}
+
+fn run_fattree(k: usize, seed: u64, mtbf: Duration, outage: Duration) -> Tally {
+    let mut ft = FatTree::build(FatTreeConfig::new(k));
+    let events = week_of_failures(&ft.net, seed, mtbf, outage);
     // Build a merged chronological change list: (time, apply/revert).
-    let mut changes: Vec<(Time, FailureKind, bool)> = Vec::new();
+    let mut changes = Vec::new();
     for ev in &events {
         changes.push((ev.at, ev.kind, true));
         changes.push((ev.repaired_at().min(Time::from_secs(WEEK)), ev.kind, false));
     }
     changes.sort_by_key(|&(t, _, _)| t);
-    let mut tally = Tally {
-        capacity_integral: 0.0,
-        full_capacity: full,
-        stranded_host_seconds: 0.0,
-        failures: events.len(),
-        unmasked: events.len(), // every failure runs its full outage
-    };
+    let mut tally = Tally::new(&ft.net, events.len());
+    tally.unmasked = events.len(); // every failure runs its full outage
     let mut last = Time::ZERO;
     for (t, kind, apply) in changes {
-        let dt = t.saturating_since(last).as_secs_f64();
-        tally.capacity_integral += total_usable_capacity(&ft.net) * dt;
-        tally.stranded_host_seconds += stranded_hosts(&ft.net) as f64 * dt;
+        tally.integrate(&ft.net, last, t);
         if apply {
             FailureInjector::apply(&mut ft.net, kind);
         } else {
@@ -86,87 +107,44 @@ fn run_fattree(k: usize, seed: u64, mtbf: Duration, outage: Duration) -> Tally {
         }
         last = t;
     }
-    let dt = Time::from_secs(WEEK).saturating_since(last).as_secs_f64();
-    tally.capacity_integral += total_usable_capacity(&ft.net) * dt;
-    tally.stranded_host_seconds += stranded_hosts(&ft.net) as f64 * dt;
+    tally.integrate(&ft.net, last, Time::from_secs(WEEK));
     tally
 }
 
+/// Replay the week through a [`ShareBackupWorld`]: every failure takes its
+/// slot down until the world's `Recover` epoch swaps in a backup, so the
+/// recovery blip (and any pool-exhaustion window) lands in the capacity
+/// integral from the slot state alone. Failures name the *initial*
+/// occupants ([`map_chaos_schedule`]), so one that hits a switch since
+/// swapped out of its slot downs a spare and costs no capacity.
 fn run_sharebackup(k: usize, n: usize, seed: u64, mtbf: Duration, outage: Duration) -> Tally {
     let sb = ShareBackup::build(ShareBackupConfig::new(k, n));
     let cfg = ControllerConfig {
         switch_repair_time: outage, // same technician model as the baseline
         ..ControllerConfig::default()
     };
-    let mut ctl = Controller::new(sb, cfg);
-    // Same failure schedule as the baseline (same seed & process), applied
-    // to physical occupants of the same structural positions.
-    let probe_net = FatTree::build(FatTreeConfig::new(k));
-    let injector = FailureInjector::new(&probe_net.net);
-    let mut rng = SimRng::seed_from_u64(seed);
-    let events = injector.poisson_process(
-        &mut rng,
-        Time::from_secs(WEEK),
-        mtbf,
-        outage,
-        0.7,
-    );
-    let full = total_usable_capacity(&ctl.sb.slots.net);
-    let mut tally = Tally {
-        capacity_integral: 0.0,
-        full_capacity: full,
-        stranded_host_seconds: 0.0,
-        failures: 0,
-        unmasked: 0,
-    };
-    let blip = ctl
-        .cfg
-        .latency
-        .total(sharebackup_core::RecoveryScheme::ShareBackup(
-            ctl.sb.cfg.tech,
-        ))
-        .as_secs_f64();
+    let mut world = ShareBackupWorld::new(Controller::new(sb, cfg), vec![]);
+    // Same failure schedule as the baseline, phrased against the physical
+    // occupants of the same structural positions.
+    let probe = FatTree::build(FatTreeConfig::new(k));
+    let events = week_of_failures(&probe.net, seed, mtbf, outage);
+    let failures = map_chaos_schedule(&world.controller.sb, &probe.net, &events);
+    let (epochs, times) = sharebackup_timeline(&world, &failures);
+    world.events = epochs;
+    let end = Time::from_secs(WEEK);
+    let mut tally = Tally::new(&world.controller.sb.slots.net, failures.len());
     let mut last = Time::ZERO;
-    for ev in &events {
-        // Integrate the (healthy or degraded) capacity up to this failure.
-        let dt = ev.at.saturating_since(last).as_secs_f64();
-        tally.capacity_integral += total_usable_capacity(&ctl.sb.slots.net) * dt;
-        tally.stranded_host_seconds += stranded_hosts(&ctl.sb.slots.net) as f64 * dt;
-        last = ev.at;
-        ctl.poll_repairs(ev.at);
-        // Map the structural failure onto the occupant.
-        let FailureKind::Node(node) = ev.kind else {
-            // Link failure: break the corresponding occupant interface is
-            // equivalent for capacity purposes; treat as node-level blip on
-            // one link — approximate by skipping (links are a minority and
-            // cost one backup just like nodes).
-            continue;
-        };
-        let Some(slot) = ctl.sb.node_slot(node) else {
-            continue;
-        };
-        let victim = ctl.sb.occupant(slot);
-        if !ctl.sb.phys(victim).healthy {
-            continue;
-        }
-        tally.failures += 1;
-        ctl.sb.set_phys_healthy(victim, false);
-        let r = ctl.handle_node_failure(victim, ev.at);
-        if r.fully_recovered() {
-            // Cost: the blip. Charge the slot's share of capacity for it.
-            let k_links = ctl.sb.k() as f64;
-            tally.capacity_integral -=
-                full * (k_links / ctl.sb.slots.net.link_count() as f64) * blip;
-        } else {
-            tally.unmasked += 1;
-            // The slot stays down until a repair refills the pool; the
-            // capacity integral picks that up naturally via slot state.
-        }
+    for (i, &t) in times.iter().enumerate().take_while(|&(_, &t)| t <= end) {
+        tally.integrate(&world.controller.sb.slots.net, last, t);
+        world.on_epoch(i, t);
+        last = t;
     }
-    let dt = Time::from_secs(WEEK).saturating_since(last).as_secs_f64();
-    ctl.poll_repairs(Time::from_secs(WEEK));
-    tally.capacity_integral += total_usable_capacity(&ctl.sb.slots.net) * dt;
-    tally.stranded_host_seconds += stranded_hosts(&ctl.sb.slots.net) as f64 * dt;
+    tally.integrate(&world.controller.sb.slots.net, last, end);
+    tally.unmasked = world
+        .recoveries
+        .iter()
+        .filter(|done| !done.recovery.fully_recovered())
+        .count();
     tally
 }
 

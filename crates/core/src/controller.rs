@@ -31,6 +31,7 @@
 //! [`ControllerConfig::retry_exhausted_on_repair`]).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::AddAssign;
 
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_telemetry::Tracer;
@@ -196,6 +197,74 @@ impl ControllerStats {
             self.recoveries_resumed <= self.control_reports,
             "only journaled reports can be resumed, at most once each"
         );
+    }
+}
+
+/// Sum two counter blocks field by field (aggregating trials). The
+/// destructuring is exhaustive, so a new counter does not compile until it
+/// is summed here too.
+impl AddAssign for ControllerStats {
+    fn add_assign(&mut self, other: ControllerStats) {
+        let ControllerStats {
+            node_failures,
+            link_failures,
+            host_link_failures,
+            replacements,
+            fallbacks,
+            diagnoses,
+            exonerations,
+            convictions,
+            circuit_reconfigs,
+            escalations,
+            recovery_attempts,
+            doa_backups,
+            reconfig_retries,
+            reconfig_aborts,
+            pool_exhausted,
+            halted_fallbacks,
+            spurious_reports,
+            false_convictions,
+            false_exonerations,
+            degraded_flows,
+            controller_crashes,
+            controller_restores,
+            elections,
+            control_reports,
+            recoveries_resumed,
+            control_losses,
+            control_retries,
+            control_exhausted,
+            control_delays,
+        } = other;
+        self.node_failures += node_failures;
+        self.link_failures += link_failures;
+        self.host_link_failures += host_link_failures;
+        self.replacements += replacements;
+        self.fallbacks += fallbacks;
+        self.diagnoses += diagnoses;
+        self.exonerations += exonerations;
+        self.convictions += convictions;
+        self.circuit_reconfigs += circuit_reconfigs;
+        self.escalations += escalations;
+        self.recovery_attempts += recovery_attempts;
+        self.doa_backups += doa_backups;
+        self.reconfig_retries += reconfig_retries;
+        self.reconfig_aborts += reconfig_aborts;
+        self.pool_exhausted += pool_exhausted;
+        self.halted_fallbacks += halted_fallbacks;
+        self.spurious_reports += spurious_reports;
+        self.false_convictions += false_convictions;
+        self.false_exonerations += false_exonerations;
+        self.degraded_flows += degraded_flows;
+        self.controller_crashes += controller_crashes;
+        self.controller_restores += controller_restores;
+        self.elections += elections;
+        self.control_reports += control_reports;
+        self.recoveries_resumed += recoveries_resumed;
+        self.control_losses += control_losses;
+        self.control_retries += control_retries;
+        self.control_exhausted += control_exhausted;
+        self.control_delays += control_delays;
     }
 }
 
@@ -963,6 +1032,43 @@ mod tests {
         let degraded: Vec<SlotId> = c.degraded_slots().collect();
         assert_eq!(degraded.len(), 2);
         assert!(degraded.contains(&slot) && degraded.contains(&slot3));
+    }
+
+    #[test]
+    fn summed_consistent_stats_stay_consistent() {
+        use crate::failover::{FailoverConfig, FailoverPlane, FailureReport, RecoveryPhase};
+
+        // Data-plane counters: one replacement, then an empty pool.
+        let mut c = controller(4, 1);
+        let g = GroupId::agg(0);
+        for slot in [g.slot(0), g.slot(1)] {
+            let victim = c.sb.occupant(slot);
+            c.sb.set_phys_healthy(victim, false);
+            c.handle_node_failure(victim, Time::ZERO);
+        }
+        let a = c.stats;
+        a.assert_consistent();
+        assert_eq!(a.fallbacks, 1);
+
+        // Control-plane counters: the primary crashes mid-recovery and a
+        // successor resumes the journaled report.
+        let mut c = controller(4, 1);
+        let mut plane = FailoverPlane::new(FailoverConfig::default());
+        plane.force_crash_at(RecoveryPhase::Diagnosed);
+        let victim = c.sb.occupant(GroupId::edge(1).slot(0));
+        c.sb.set_phys_healthy(victim, false);
+        plane.submit(&mut c, FailureReport::Node(victim), Time::ZERO);
+        plane.poll(&mut c, Time::from_secs(1));
+        let b = c.stats;
+        b.assert_consistent();
+        assert_eq!((b.recoveries_resumed, b.elections), (1, 1));
+
+        let mut sum = a;
+        sum += b;
+        sum.assert_consistent();
+        assert_eq!(sum.recovery_attempts, a.recovery_attempts + b.recovery_attempts);
+        assert_eq!(sum.control_reports, b.control_reports);
+        assert_eq!(sum.pool_exhausted, a.pool_exhausted);
     }
 
     #[test]

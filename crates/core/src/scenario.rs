@@ -25,8 +25,8 @@ use sharebackup_topo::{
 };
 use sharebackup_workload::{FailureEvent, FailureKind};
 
-use crate::controller::{Controller, Recovery};
-use crate::failover::{CompletedRecovery, FailoverPlane, FailureReport};
+use crate::controller::Controller;
+use crate::failover::{CompletedRecovery, FailoverConfig, FailoverPlane, FailureReport};
 
 /// How a fat-tree world reacts to failures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -220,12 +220,11 @@ pub enum SbEvent {
     Recover,
     /// Complete due repairs.
     PollRepairs,
-    /// A controller replica crashes (only meaningful for worlds carrying a
-    /// [`FailoverPlane`]; a no-op otherwise). Crashing the primary opens a
-    /// blackout during which submitted failures stay journaled and the
-    /// data plane rides [`DegradedMode`].
+    /// A controller replica crashes. Crashing the primary opens a blackout
+    /// during which submitted failures stay journaled in the world's
+    /// [`FailoverPlane`] and the data plane rides [`DegradedMode`].
     ControllerCrash(usize),
-    /// A crashed controller replica comes back (plane worlds only).
+    /// A crashed controller replica comes back.
     ControllerRestore(usize),
 }
 
@@ -235,9 +234,11 @@ pub struct ShareBackupWorld {
     pub controller: Controller,
     /// Event applied at epoch `i`.
     pub events: Vec<SbEvent>,
-    pending: Vec<SbEvent>,
-    /// Recoveries performed, for inspection by the harness.
-    pub recoveries: Vec<Recovery>,
+    /// Reports injected since the last `Recover` epoch.
+    pending: Vec<FailureReport>,
+    /// Recoveries completed by the control plane, in completion order,
+    /// with report/completion timestamps, for inspection by the harness.
+    pub recoveries: Vec<CompletedRecovery>,
     /// Policy for flows whose static path crosses an unrecovered slot:
     /// stall (the paper's behavior, default) or fall back to global
     /// rerouting with per-flow accounting.
@@ -246,23 +247,20 @@ pub struct ShareBackupWorld {
     /// only). Call [`DegradedTracker::finalize`] with the simulation end
     /// time before reading totals.
     pub tracker: DegradedTracker,
-    /// Optional replicated control plane. When present, failure reports
-    /// travel through [`FailoverPlane::submit`] — the primary can crash
-    /// mid-recovery and an elected successor re-drives the journaled work —
-    /// instead of invoking the controller handlers directly. When `None`
-    /// the world behaves exactly as before the control plane existed.
-    pub failover: Option<FailoverPlane>,
-    /// Recoveries completed through the plane, with report/completion
-    /// timestamps (plane worlds only; direct-path recoveries land in
-    /// [`ShareBackupWorld::recoveries`] without timing).
-    pub failover_log: Vec<CompletedRecovery>,
+    /// The replicated control plane every failure report travels through
+    /// ([`FailoverPlane::submit`]): the primary can crash mid-recovery and
+    /// an elected successor re-drives the journaled work. The default plane
+    /// is chaos-free and never crashes on its own, so reports complete the
+    /// instant they are submitted.
+    pub failover: FailoverPlane,
     now: Time,
 }
 
 impl ShareBackupWorld {
-    /// A world driven by `controller` with the given epoch events. The
-    /// degraded mode defaults to [`DegradedMode::Stall`] — exactly the
-    /// pre-chaos behavior.
+    /// A world driven by `controller` with the given epoch events, behind
+    /// an inert [`FailoverPlane`] (default config, no chaos stream: zero
+    /// RNG draws). The degraded mode defaults to [`DegradedMode::Stall`] —
+    /// exactly the pre-chaos behavior.
     pub fn new(controller: Controller, events: Vec<SbEvent>) -> ShareBackupWorld {
         ShareBackupWorld {
             controller,
@@ -271,8 +269,7 @@ impl ShareBackupWorld {
             recoveries: Vec::new(),
             degraded_mode: DegradedMode::Stall,
             tracker: DegradedTracker::new(),
-            failover: None,
-            failover_log: Vec::new(),
+            failover: FailoverPlane::new(FailoverConfig::default()),
             now: Time::ZERO,
         }
     }
@@ -283,25 +280,18 @@ impl ShareBackupWorld {
         self
     }
 
-    /// Route failure reports through a replicated control plane (builder
-    /// style). See [`FailoverPlane`].
+    /// Replace the control plane (builder style). See [`FailoverPlane`].
     pub fn with_failover(mut self, plane: FailoverPlane) -> ShareBackupWorld {
-        self.failover = Some(plane);
+        self.failover = plane;
         self
     }
 
-    /// Poll the plane (if any) for journaled work that became driveable —
-    /// the controller returned from a blackout, or a deferred retry came
-    /// due — and collect completions. Cheap no-op when the journal is
-    /// empty or no plane is attached.
+    /// Poll the plane for journaled work that became driveable — the
+    /// controller returned from a blackout, or a deferred retry came due —
+    /// and collect completions. Cheap no-op when the journal is empty.
     fn drive_failover(&mut self, now: Time) {
-        if let Some(plane) = self.failover.as_mut() {
-            plane.poll(&mut self.controller, now);
-            for done in plane.take_completed() {
-                self.recoveries.push(done.recovery.clone());
-                self.failover_log.push(done);
-            }
-        }
+        self.failover.poll(&mut self.controller, now);
+        self.recoveries.extend(self.failover.take_completed());
     }
 
     /// The deterministic recovery latency of this deployment — scenario
@@ -367,11 +357,11 @@ impl Environment for ShareBackupWorld {
         match self.events[index] {
             SbEvent::NodeFail(p) => {
                 self.controller.sb.set_phys_healthy(p, false);
-                self.pending.push(SbEvent::NodeFail(p));
+                self.pending.push(FailureReport::Node(p));
             }
             SbEvent::LinkFail { faulty, other } => {
                 self.controller.sb.set_iface_broken(faulty.0, faulty.1, true);
-                self.pending.push(SbEvent::LinkFail { faulty, other });
+                self.pending.push(FailureReport::Link { faulty, other });
             }
             SbEvent::HostLinkFail { host, switch_side } => {
                 if switch_side {
@@ -393,79 +383,38 @@ impl Environment for ShareBackupWorld {
                 } else {
                     self.controller.sb.set_host_nic_broken(host, true);
                 }
-                self.pending.push(SbEvent::HostLinkFail { host, switch_side });
+                self.pending.push(FailureReport::HostLink(host));
             }
             SbEvent::SpuriousReport(p) => {
                 // No ground-truth change: the switch is fine, the report
                 // isn't.
-                self.pending.push(SbEvent::SpuriousReport(p));
+                self.pending.push(FailureReport::Node(p));
             }
             SbEvent::Recover => {
-                let pending = std::mem::take(&mut self.pending);
-                if self.failover.is_some() {
-                    // Control-plane path: reports enter the journal and
-                    // complete when the (possibly crashed / lossy) plane
-                    // gets them through.
-                    for ev in pending {
-                        let report = match ev {
-                            SbEvent::NodeFail(p) | SbEvent::SpuriousReport(p) => {
-                                FailureReport::Node(p)
-                            }
-                            SbEvent::LinkFail { faulty, other } => {
-                                FailureReport::Link { faulty, other }
-                            }
-                            SbEvent::HostLinkFail { host, .. } => {
-                                FailureReport::HostLink(host)
-                            }
-                            _ => continue,
-                        };
-                        // lint:allow(unwrap) — plane checked `is_some` above
-                        let plane = self.failover.as_mut().expect("plane present");
-                        plane.submit(&mut self.controller, report, now);
-                    }
-                    self.drive_failover(now);
-                } else {
-                    for ev in pending {
-                        let r = match ev {
-                            SbEvent::NodeFail(p) | SbEvent::SpuriousReport(p) => {
-                                self.controller.handle_node_failure(p, now)
-                            }
-                            SbEvent::LinkFail { faulty, other } => {
-                                self.controller.handle_link_failure(faulty, other, now)
-                            }
-                            SbEvent::HostLinkFail { host, .. } => {
-                                self.controller.handle_host_link_failure(host, now)
-                            }
-                            SbEvent::Recover
-                            | SbEvent::PollRepairs
-                            | SbEvent::ControllerCrash(_)
-                            | SbEvent::ControllerRestore(_) => continue,
-                        };
-                        self.recoveries.push(r);
-                    }
+                // Reports enter the plane's journal and complete when the
+                // (possibly crashed / lossy) plane gets them through.
+                for report in std::mem::take(&mut self.pending) {
+                    self.failover.submit(&mut self.controller, report, now);
                 }
+                self.drive_failover(now);
             }
             SbEvent::PollRepairs => {
                 self.controller.poll_repairs(now);
                 self.drive_failover(now);
             }
             SbEvent::ControllerCrash(id) => {
-                if let Some(plane) = self.failover.as_mut() {
-                    // Out-of-range ids are a schedule bug, not a data-plane
-                    // event — surface them loudly.
-                    plane
-                        .crash_replica(&mut self.controller, id, now)
-                        // lint:allow(unwrap) — scenario schedules name real replicas
-                        .expect("crash event names a real replica");
-                }
+                // Out-of-range ids are a schedule bug, not a data-plane
+                // event — surface them loudly.
+                self.failover
+                    .crash_replica(&mut self.controller, id, now)
+                    // lint:allow(unwrap) — scenario schedules name real replicas
+                    .expect("crash event names a real replica");
             }
             SbEvent::ControllerRestore(id) => {
-                if let Some(plane) = self.failover.as_mut() {
-                    plane
-                        .restore_replica(&mut self.controller, id, now)
-                        // lint:allow(unwrap) — scenario schedules name real replicas
-                        .expect("restore event names a real replica");
-                }
+                self.failover
+                    .restore_replica(&mut self.controller, id, now)
+                    // lint:allow(unwrap) — scenario schedules name real replicas
+                    .expect("restore event names a real replica");
                 self.drive_failover(now);
             }
         }
@@ -563,6 +512,7 @@ pub fn sharebackup_timeline(
 ) -> (Vec<SbEvent>, Vec<Time>) {
     let lat = world.recovery_latency();
     let cfg = &world.controller.cfg;
+    let plane = &world.failover.cfg;
     let mut pairs: Vec<(Time, SbEvent)> = Vec::with_capacity(failures.len() * 4);
     let eps = Duration::from_millis(1);
     for &(t, ev) in failures {
@@ -573,15 +523,11 @@ pub fn sharebackup_timeline(
             // journaled recoveries resume even in flowless runs (where no
             // `on_advance` ticks past the blackout).
             SbEvent::ControllerCrash(_) => {
-                if let Some(plane) = &world.failover {
-                    pairs.push((t + plane.cfg.blackout() + eps, SbEvent::PollRepairs));
-                }
+                pairs.push((t + plane.blackout() + eps, SbEvent::PollRepairs));
                 continue;
             }
             SbEvent::ControllerRestore(_) => {
-                if let Some(plane) = &world.failover {
-                    pairs.push((t + plane.cfg.election_time + eps, SbEvent::PollRepairs));
-                }
+                pairs.push((t + plane.election_time + eps, SbEvent::PollRepairs));
                 continue;
             }
             _ => {}
@@ -699,7 +645,7 @@ mod tests {
         let after = world.route(&flow).expect("route after recovery");
         assert_eq!(after, original, "no path change after recovery");
         assert_eq!(world.recoveries.len(), 1);
-        assert!(world.recoveries[0].fully_recovered());
+        assert!(world.recoveries[0].recovery.fully_recovered());
         // The stall cost ~2ms on a 100ms transfer: completion within 5% of
         // the no-failure time (0.1s at 10G... 1Gbit at 10G = 0.1s).
         let t = out.flows[0].completed.expect("done");
@@ -781,18 +727,18 @@ mod tests {
         };
         let exhaust = |world: &mut ShareBackupWorld| {
             let g = GroupId::agg(0);
-            let v0 = world.controller.sb.occupant(g.slot(0));
-            world.controller.sb.set_phys_healthy(v0, false);
-            assert!(world
-                .controller
-                .handle_node_failure(v0, Time::from_millis(10))
-                .fully_recovered());
-            let v1 = world.controller.sb.occupant(g.slot(1));
-            world.controller.sb.set_phys_healthy(v1, false);
-            let r = world
-                .controller
-                .handle_node_failure(v1, Time::from_millis(20));
-            assert!(!r.fully_recovered(), "pool exhausted");
+            let (v0, v1) = (world.sb().occupant(g.slot(0)), world.sb().occupant(g.slot(1)));
+            world.events = vec![
+                SbEvent::NodeFail(v0),
+                SbEvent::Recover,
+                SbEvent::NodeFail(v1),
+                SbEvent::Recover,
+            ];
+            for (i, ms) in [10, 10, 20, 20].into_iter().enumerate() {
+                world.on_epoch(i, Time::from_millis(ms));
+            }
+            assert!(world.recoveries[0].recovery.fully_recovered());
+            assert!(!world.recoveries[1].recovery.fully_recovered(), "pool exhausted");
             g.slot(1)
         };
 
@@ -871,46 +817,54 @@ mod tests {
     }
 
     #[test]
-    fn inert_failover_plane_leaves_the_scenario_unchanged() {
-        // The control plane is opt-in: a healthy, chaos-free plane must
-        // reproduce the direct-dispatch world exactly — same recoveries,
-        // same flow completion instants.
-        use crate::failover::{FailoverConfig, FailoverPlane};
+    fn default_plane_completes_every_report_instantly_and_for_free() {
+        // Every world carries a plane; the default one is chaos-free, so
+        // each report completes the instant it is submitted, at exactly the
+        // §5.3 latency, and no control-plane counter moves.
+        let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
+        let controller = Controller::new(sb, ControllerConfig::default());
+        let mut world = ShareBackupWorld::new(controller, vec![]);
+        let agg = world.sb().occupant(GroupId::agg(0).slot(0));
+        // Edge(1,0) up-port 0 ↔ agg(1,0) down-port 0 (k=4 → iface 2).
+        let (edge, agg1) = (
+            world.sb().occupant(GroupId::edge(1).slot(0)),
+            world.sb().occupant(GroupId::agg(1).slot(0)),
+        );
+        let core = world.sb().occupant(GroupId::core(0).slot(0));
+        let host = world.sb().slots.host(HostAddr { pod: 3, edge: 0, host: 1 });
+        let failures = vec![
+            (Time::from_millis(10), SbEvent::NodeFail(agg)),
+            (Time::from_millis(20), SbEvent::LinkFail { faulty: (edge, 2), other: (agg1, 0) }),
+            (Time::from_millis(30), SbEvent::HostLinkFail { host, switch_side: false }),
+            (Time::from_millis(40), SbEvent::SpuriousReport(core)),
+        ];
+        let (events, times) = sharebackup_timeline(&world, &failures);
+        world.events = events;
+        let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
+        let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
+        let flows = vec![FlowSpec {
+            key: FlowKey::new(src, dst, 7),
+            bytes: 125_000_000,
+            arrival: Time::ZERO,
+        }];
+        let out = FlowSim::new().run(&mut world, &flows, &times);
+        assert!(out.flows[0].completed.is_some());
 
-        let run = |with_plane: bool| {
-            let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
-            let controller = Controller::new(sb, ControllerConfig::default());
-            let mut world = ShareBackupWorld::new(controller, vec![]);
-            if with_plane {
-                world = world.with_failover(FailoverPlane::new(FailoverConfig::default()));
-            }
-            let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-            let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
-            let flow = FlowKey::new(src, dst, 7);
-            let original = world.route(&flow).expect("healthy route");
-            let victim = world
-                .sb()
-                .occupant(world.sb().node_slot(original[2]).expect("agg slot"));
-            let failures = vec![(Time::from_millis(10), SbEvent::NodeFail(victim))];
-            let (events, times) = sharebackup_timeline(&world, &failures);
-            world.events = events;
-            let flows = vec![FlowSpec {
-                key: flow,
-                bytes: 125_000_000,
-                arrival: Time::ZERO,
-            }];
-            let out = FlowSim::new().run(&mut world, &flows, &times);
-            (out.flows[0].completed, world.recoveries.clone())
-        };
-
-        let (direct_done, direct_rec) = run(false);
-        let (plane_done, plane_rec) = run(true);
-        assert_eq!(direct_done, plane_done, "completion instants must match");
-        assert_eq!(direct_rec.len(), plane_rec.len());
-        for (a, b) in direct_rec.iter().zip(&plane_rec) {
-            assert_eq!(a.latency, b.latency, "inert plane adds no latency");
-            assert_eq!(a.fully_recovered(), b.fully_recovered());
+        assert_eq!(world.recoveries.len(), failures.len());
+        for done in &world.recoveries {
+            assert_eq!(done.completed_at, done.reported_at, "no control-plane dwell");
+            assert_eq!(done.recovery.penalty, Duration::ZERO);
+            assert_eq!(done.recovery.latency, world.recovery_latency());
         }
+        let s = &world.controller.stats;
+        assert_eq!(s.control_reports, failures.len() as u64);
+        assert_eq!(s.control_losses, 0);
+        assert_eq!(s.control_retries, 0);
+        assert_eq!(s.controller_crashes, 0);
+        assert_eq!(s.elections, 0);
+        assert_eq!(s.recoveries_resumed, 0);
+        assert_eq!(world.failover.pending_count(), 0);
+        s.assert_consistent();
     }
 
     #[test]
@@ -956,8 +910,8 @@ mod tests {
         // plus the ~53 ms outage minus the 10 ms served before the crash.
         assert!(t > Time::ZERO + blackout, "{t:?}");
 
-        assert_eq!(world.failover_log.len(), 1, "recovery resumed exactly once");
-        let done = &world.failover_log[0];
+        assert_eq!(world.recoveries.len(), 1, "recovery resumed exactly once");
+        let done = &world.recoveries[0];
         assert!(done.recovery.fully_recovered());
         assert!(
             done.completed_at >= crash_at + blackout,

@@ -106,7 +106,7 @@ fn main() {
     println!(
         "  controller: {} replacement(s), recovery latency {}",
         world.controller.stats.replacements,
-        world.recoveries[0].latency
+        world.recoveries[0].recovery.latency
     );
 
     // Sanity: a flow that crossed the failed switch kept its exact path.
