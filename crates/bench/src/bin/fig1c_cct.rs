@@ -12,10 +12,13 @@
 //!
 //! Expected shape (paper §2.2): both rerouting baselines suffer CCT
 //! slowdowns of orders of magnitude for the affected tail (a single
-//! failure can slow a coflow by several hundred times); F10 is *worse*
-//! than fat-tree because its detours are longer and congest; ShareBackup
-//! stays at ≈1× because the failed switch is replaced within milliseconds
-//! and flows keep their original paths.
+//! failure can slow a coflow by several hundred times); ShareBackup stays
+//! at ≈1× because the failed switch is replaced within milliseconds and
+//! flows keep their original paths. The paper also expects F10's tail to
+//! be worse than fat-tree's, because its local detours are longer and
+//! congest; this reproduction does not assume it — the closing line names
+//! whichever system measured worse at p99.9 and on the >1.5× count (at
+//! k=16, seed 42 it is fat-tree on both; see EXPERIMENTS.md).
 
 use sharebackup_bench::fig1::{run_fig1c_trial_traced, AbstractFailure, Fig1Setup};
 use sharebackup_bench::{parallel_map_indexed, write_trace_files, Args};
@@ -150,6 +153,25 @@ fn main() {
         );
     }
     println!();
-    println!("expected shape: ShareBackup ≈ 1x everywhere; fat-tree's affected tail");
-    println!("reaches orders of magnitude; F10's tail is worse than fat-tree's.");
+    println!("expected shape: ShareBackup ≈ 1x everywhere; the rerouting baselines'");
+    println!("affected tails reach orders of magnitude.");
+    // The paper expects F10's tail to be the worse one; report what this
+    // run measured instead of asserting it.
+    let (ft, f10) = (&results[0], &results[1]);
+    let p999 = |r: &minijson::Value| r["slowdown_quantiles"][3][1].as_f64().expect("q");
+    let over = |r: &minijson::Value| r["degraded_over_1p5x"].as_f64().expect("count");
+    let worse = |f10: f64, ft: f64| match f10.total_cmp(&ft) {
+        std::cmp::Ordering::Greater => "F10 worse",
+        std::cmp::Ordering::Less => "fat-tree worse",
+        std::cmp::Ordering::Equal => "tied",
+    };
+    println!(
+        "measured F10 vs fat-tree tail: p99.9 {:.2}x vs {:.2}x ({}); >1.5x {} vs {} ({}).",
+        p999(f10),
+        p999(ft),
+        worse(p999(f10), p999(ft)),
+        over(f10),
+        over(ft),
+        worse(over(f10), over(ft)),
+    );
 }
