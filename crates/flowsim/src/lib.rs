@@ -8,10 +8,12 @@
 //! fluid (flow-level) limit: every flow drains at its max-min fair share of
 //! the bottleneck capacity along its path. This crate implements:
 //!
-//! * [`maxmin`] — progressive-filling max-min fair allocation, with the
-//!   dense reusable [`WaterFiller`] scratch state the simulator threads
-//!   through its event loop (and [`maxmin_reference`], the tree-based
-//!   original kept as perf baseline and differential oracle);
+//! * [`maxmin`] — progressive-filling max-min fair allocation in level
+//!   form: a min-heap yields links in saturation order and each one freezes
+//!   only its own flows. The dense reusable [`WaterFiller`] scratch state is
+//!   threaded through the simulator's event loop ([`maxmin_reference`], the
+//!   tree-based round-by-round original, is kept as perf baseline and
+//!   differential oracle);
 //! * [`sim`] — the event-driven flow-progress simulation over an
 //!   [`sim::Environment`] (topology + routing policy), with *epochs* at which
 //!   the environment may mutate (failures, recoveries) and flows re-route;

@@ -8,6 +8,18 @@
 //! and the fluid limit the paper's packet-level final-state measurements
 //! correspond to.
 //!
+//! The solver runs the *level form* of progressive filling (Bertsekas &
+//! Gallager, *Data Networks* §6.5). All unfrozen flows sit at one water
+//! level `t`. Link `l` saturates at level `t_l = headroom_l / live_l`,
+//! where `headroom_l` is its capacity minus the rates already frozen on it
+//! and `live_l` counts its unfrozen flows. Freezing a flow at the current
+//! level never lowers any `t_l`, so a lazily updated min-heap of levels
+//! yields the links in saturation order. Each pop freezes only the flows
+//! on the saturating links, at exactly the popped level; the rest of the
+//! fabric is not touched. A solve costs
+//! O((links + active · path length) · log links), where filling round by
+//! round costs that much per round.
+//!
 //! Two entry points:
 //!
 //! * [`max_min_rates`] — one-shot convenience over link-id lists;
@@ -17,13 +29,15 @@
 //!   membership counts are maintained incrementally as flows arrive, stall,
 //!   re-route, and complete, and a solve only re-seeds links that currently
 //!   carry flows — no per-event allocation and no tree lookups in the hot
-//!   rounds.
+//!   loop.
 //!
-//! The slower, allocation-heavy original lives on in
+//! The slower, allocation-heavy round-by-round original lives on in
 //! [`crate::maxmin_reference`] as the perf baseline and differential
 //! oracle.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use sharebackup_topo::LinkId;
 
@@ -33,10 +47,14 @@ use sharebackup_topo::LinkId;
 /// increment: repeatedly draining a ~1e10 bits/s link leaves float residue
 /// around `count · ulp(capacity)` ≈ 1e-6, so once round increments get
 /// small an increment-scaled epsilon (the old `delta.max(1.0) * 1e-9`)
-/// misses the saturation, no flow freezes, and the defensive freeze-all
-/// branch silently pins *every* flow at the lowest bottleneck share — a
-/// non-max-min allocation that starved unrelated flows by four orders of
-/// magnitude at Gb/s scale (see `gbps_scale_asymmetric_bottlenecks`).
+/// misses the saturation, no flow freezes, and the round-by-round solver's
+/// freeze-all safety net silently pins *every* flow at the lowest
+/// bottleneck share — a non-max-min allocation that starved unrelated
+/// flows by four orders of magnitude at Gb/s scale (see
+/// `gbps_scale_asymmetric_bottlenecks`). The level-form solver keeps the
+/// same test: at level `t*`, link `l` counts as saturated when its
+/// remaining headroom `live_l · (t_l − t*)` is at most
+/// `EPS_FRACTION · cap_l`.
 const EPS_FRACTION: f64 = 1e-9;
 
 /// Counters describing the most recent [`WaterFiller::solve`] call, for
@@ -49,7 +67,8 @@ pub struct SolveStats {
     /// Flows that entered the water-filling loop unfrozen (running, with a
     /// non-empty path).
     pub active_flows: u64,
-    /// Filling rounds until every flow froze.
+    /// Saturation batches until every flow froze: each batch is one water
+    /// level at which one or more links saturate together.
     pub rounds: u64,
     /// Links carrying at least one running flow.
     pub links_used: u64,
@@ -67,6 +86,61 @@ struct FlowEntry {
     running: bool,
     /// Slot occupied; `false` once removed (the slot is then recycled).
     alive: bool,
+}
+
+/// A heap entry: the water level at which `link` saturates, as of the push.
+/// The heap holds at most one entry per link; its key may lag below the
+/// link's level now (see [`settle`]).
+#[derive(Clone, Copy, Debug)]
+struct Level {
+    t: f64,
+    link: u32,
+}
+
+impl Ord for Level {
+    /// By level alone, reversed, so `BinaryHeap` (a max-heap) pops the
+    /// lowest level first. Links tied at one level saturate in one batch,
+    /// so the order among them does not matter.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.t.total_cmp(&self.t)
+    }
+}
+
+impl PartialOrd for Level {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Level {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Level {}
+
+/// Check a popped entry against its link's level now. Keys only ever lag
+/// below the true level (freezing a flow never lowers a link's level), so
+/// the heap is updated lazily: an entry whose link has since risen goes
+/// back at the new level, one whose link has no unfrozen flows left is
+/// dropped, and only an entry still at its link's level is returned.
+fn settle(
+    e: Level,
+    headroom: &[f64],
+    live: &[u32],
+    heap: &mut BinaryHeap<Level>,
+) -> Option<f64> {
+    let l = e.link as usize;
+    if live[l] == 0 {
+        return None;
+    }
+    let t = headroom[l] / f64::from(live[l]);
+    if t.to_bits() == e.t.to_bits() {
+        return Some(t);
+    }
+    heap.push(Level { t, link: e.link });
+    None
 }
 
 /// Dense, reusable scratch state for repeated max-min solves over an
@@ -93,24 +167,29 @@ pub struct WaterFiller {
     in_used: Vec<bool>,
     /// Links with at least one running flow; compacted lazily in `solve`.
     used: Vec<u32>,
-    /// Scratch: remaining headroom per link during a solve.
+    /// Scratch: capacity minus the rates frozen on the link so far.
     headroom: Vec<f64>,
     /// Scratch: unfrozen-flow count per link during a solve.
     live: Vec<u32>,
-    /// Scratch: saturation flag per link during a solve.
-    saturated: Vec<bool>,
+    /// Scratch: per-link member lists, one CSR over `used` rebuilt by each
+    /// solve's re-seed pass. Link `l`'s running flows, in flow-id order, are
+    /// `members[member_end[l] - count[l]..member_end[l]]`.
+    members: Vec<usize>,
+    /// Scratch: end offset of each used link's slice of `members` (seeded
+    /// with the start offset, then advanced by the fill).
+    member_end: Vec<usize>,
+    /// Scratch: min-heap of per-link saturation levels, updated lazily.
+    heap: BinaryHeap<Level>,
+    /// Scratch: links saturating together at the current level.
+    batch: Vec<u32>,
+    /// Scratch: entries popped while gathering a batch that did not join it.
+    deferred: Vec<Level>,
     /// Flow registry, indexed by the ids `add_flow` hands out.
     flows: Vec<FlowEntry>,
     /// Recycled flow ids.
     free: Vec<usize>,
-    /// Scratch: ids of still-unfrozen flows during a solve.
-    active: Vec<usize>,
-    /// Scratch: links still constraining some unfrozen flow during a
-    /// solve. Seeded from `used`, then compacted every freezing round so
-    /// the per-round delta/saturation scans skip dead links — `used`
-    /// itself must survive the solve untouched (it is the cross-solve
-    /// membership list that `gain_all` keeps incrementally).
-    cand: Vec<u32>,
+    /// Scratch: per flow id, whether the current solve has frozen it.
+    frozen: Vec<bool>,
     /// Rates per flow id, written by `solve`.
     rate: Vec<f64>,
     /// Mutations since the last solve (rolled into `last_stats`).
@@ -143,7 +222,7 @@ impl WaterFiller {
         self.in_used.push(false);
         self.headroom.push(0.0);
         self.live.push(0);
-        self.saturated.push(false);
+        self.member_end.push(0);
         i
     }
 
@@ -166,6 +245,7 @@ impl WaterFiller {
             None => {
                 self.flows.push(FlowEntry::default());
                 self.rate.push(0.0);
+                self.frozen.push(false);
                 self.flows.len() - 1
             }
         };
@@ -268,10 +348,10 @@ impl WaterFiller {
     /// Compute max-min fair rates for the current flow set into the
     /// per-flow [`WaterFiller::rate`] slots.
     ///
-    /// Allocation-free: all per-link and per-flow state is reused scratch,
-    /// and the re-seed touches only links carrying at least one running
-    /// flow (membership counts are already up to date from the incremental
-    /// bookkeeping, so nothing is rebuilt).
+    /// Allocation-free once warm: all per-link and per-flow state, the
+    /// member lists and the heap are reused scratch, and the re-seed
+    /// touches only links carrying at least one running flow (membership
+    /// counts are already up to date from the incremental bookkeeping).
     pub fn solve(&mut self) {
         let Self {
             capacity,
@@ -280,15 +360,21 @@ impl WaterFiller {
             used,
             headroom,
             live,
-            saturated,
+            members,
+            member_end,
+            heap,
+            batch,
+            deferred,
             flows,
-            active,
+            frozen,
             rate,
-            cand,
             ..
         } = self;
 
-        // Re-seed links that still carry flows; compact out the rest.
+        // Re-seed links that still carry flows, compact out the rest, and
+        // lay out one member-list slice per link.
+        let mut members_len = 0;
+        let mut cap_max = 0.0_f64;
         used.retain(|&li| {
             let l = li as usize;
             if count[l] == 0 {
@@ -297,11 +383,14 @@ impl WaterFiller {
             }
             headroom[l] = capacity[l];
             live[l] = count[l];
-            saturated[l] = false;
+            member_end[l] = members_len;
+            members_len += count[l] as usize;
+            cap_max = cap_max.max(capacity[l]);
             true
         });
+        members.resize(members_len, 0);
 
-        active.clear();
+        let mut active_flows = 0u64;
         for (fid, fe) in flows.iter().enumerate() {
             if !fe.alive {
                 continue;
@@ -311,96 +400,128 @@ impl WaterFiller {
             } else if fe.links.is_empty() {
                 f64::INFINITY
             } else {
-                active.push(fid);
+                active_flows += 1;
+                frozen[fid] = false;
+                for &li in &fe.links {
+                    let l = li as usize;
+                    members[member_end[l]] = fid;
+                    member_end[l] += 1;
+                }
                 0.0
             };
         }
 
-        let active_at_start = u64::try_from(active.len()).unwrap_or(u64::MAX);
-        let links_used = u64::try_from(used.len()).unwrap_or(u64::MAX);
+        heap.clear();
+        heap.extend(used.iter().map(|&li| Level {
+            t: capacity[li as usize] / f64::from(count[li as usize]),
+            link: li,
+        }));
+
         let mut rounds = 0u64;
-
-        // Per-solve working set: once a link saturates, every flow crossing
-        // it freezes and its live count stays zero for the rest of the
-        // solve, so it can never constrain `delta` again. Scanning `cand`
-        // instead of `used` lets each freezing round shed dead links and
-        // keeps late rounds proportional to what is still filling.
-        cand.clear();
-        cand.extend_from_slice(used);
-
-        while !active.is_empty() {
+        let mut level = 0.0_f64;
+        // Once every flow froze, whatever the heap still holds is dead.
+        let mut unfrozen = active_flows;
+        while unfrozen > 0 {
+            let Some(top) = heap.pop() else { break };
+            let Some(t) = settle(top, headroom, live, heap) else {
+                continue;
+            };
             rounds += 1;
-            // Smallest equal increment any unfrozen flow can absorb.
-            let mut delta = f64::INFINITY;
-            for &li in cand.iter() {
+            // Levels never fall; the max only absorbs float residue.
+            level = level.max(t);
+            batch.push(top.link);
+
+            // Gather every further link whose remaining headroom at this
+            // level is within epsilon of zero. Its level lies at most
+            // EPS_FRACTION · cap / live above, so nothing past
+            // EPS_FRACTION · cap_max can qualify.
+            let reach = level + EPS_FRACTION * cap_max;
+            while let Some(next) = heap.peek_mut() {
+                if next.t > reach {
+                    break;
+                }
+                let e = PeekMut::pop(next);
+                let l = e.link as usize;
+                if live[l] == 0 {
+                    continue;
+                }
+                let t = headroom[l] / f64::from(live[l]);
+                if f64::from(live[l]) * (t - level) <= EPS_FRACTION * capacity[l] {
+                    batch.push(e.link);
+                } else {
+                    deferred.push(Level { t, link: e.link });
+                }
+            }
+            heap.extend(deferred.drain(..));
+
+            // Freeze the batch's flows at this level. The other links they
+            // cross keep their old, lower heap keys until they surface.
+            for li in batch.drain(..) {
                 let l = li as usize;
-                if live[l] > 0 {
-                    let share = headroom[l] / f64::from(live[l]);
-                    if share < delta {
-                        delta = share;
+                for &fid in &members[member_end[l] - count[l] as usize..member_end[l]] {
+                    if frozen[fid] {
+                        continue;
+                    }
+                    frozen[fid] = true;
+                    unfrozen -= 1;
+                    rate[fid] = level;
+                    for &mi in &flows[fid].links {
+                        let m = mi as usize;
+                        headroom[m] -= level;
+                        live[m] -= 1;
                     }
                 }
-            }
-            if !delta.is_finite() {
-                break; // defensive: no constraining links left
-            }
-
-            // Raise every unfrozen flow by delta and drain its links.
-            for &fid in active.iter() {
-                rate[fid] += delta;
-                for &li in &flows[fid].links {
-                    headroom[li as usize] -= delta;
-                }
-            }
-
-            // Mark saturated links. Capacity-relative epsilon: the link
-            // that set `delta` always lands within float residue of zero
-            // headroom, which is far below EPS_FRACTION · capacity, so at
-            // least one link registers every round.
-            let mut frozen_any = false;
-            for &li in cand.iter() {
-                let l = li as usize;
-                if live[l] > 0 && headroom[l] <= EPS_FRACTION * capacity[l] {
-                    saturated[l] = true;
-                    frozen_any = true;
-                }
-            }
-
-            if frozen_any {
-                // Freeze flows crossing a saturated link, in place.
-                let mut keep = 0;
-                for r in 0..active.len() {
-                    let fid = active[r];
-                    if flows[fid]
-                        .links
-                        .iter()
-                        .any(|&li| saturated[li as usize])
-                    {
-                        for &li in &flows[fid].links {
-                            live[li as usize] -= 1;
-                        }
-                    } else {
-                        active[keep] = fid;
-                        keep += 1;
-                    }
-                }
-                active.truncate(keep);
-                cand.retain(|&li| live[li as usize] > 0);
-            } else {
-                // Numerical safety net: freeze everything rather than spin.
-                // Unreachable with the capacity-relative epsilon (see
-                // above); kept as a hard termination guarantee.
-                active.clear();
             }
         }
 
         self.last_stats = SolveStats {
-            active_flows: active_at_start,
+            active_flows,
             rounds,
-            links_used,
+            links_used: u64::try_from(self.used.len()).unwrap_or(u64::MAX),
             flows_touched: self.touched,
         };
         self.touched = 0;
+        #[cfg(feature = "strict-invariants")]
+        self.check_allocation();
+    }
+
+    /// Re-check the allocation the last solve produced, from the rates
+    /// alone: no link carries more than its capacity, and every running
+    /// flow with links crosses a saturated link (otherwise its rate could
+    /// still rise). Tolerances are relative to capacity, 1e-6 either way.
+    #[cfg(feature = "strict-invariants")]
+    fn check_allocation(&self) {
+        let mut load = vec![0.0_f64; self.link_of.len()];
+        let running = || {
+            self.flows
+                .iter()
+                .enumerate()
+                .filter(|(_, fe)| fe.alive && fe.running && !fe.links.is_empty())
+        };
+        for (fid, fe) in running() {
+            for &li in &fe.links {
+                load[li as usize] += self.rate[fid];
+            }
+        }
+        for &li in &self.used {
+            let l = li as usize;
+            assert!(
+                load[l] <= self.capacity[l] * (1.0 + 1e-6),
+                "max-min: link {:?} carries {} over capacity {}",
+                self.link_of[l],
+                load[l],
+                self.capacity[l]
+            );
+        }
+        for (fid, fe) in running() {
+            assert!(
+                fe.links
+                    .iter()
+                    .any(|&li| load[li as usize] >= self.capacity[li as usize] * (1.0 - 1e-6)),
+                "max-min: flow {fid} at rate {} crosses no saturated link",
+                self.rate[fid]
+            );
+        }
     }
 }
 
@@ -463,6 +584,17 @@ mod tests {
         assert!((rates[0] - 0.5).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 0.5).abs() < 1e-9, "{rates:?}");
         assert!((rates[2] - 1.5).abs() < 1e-9, "{rates:?}");
+
+        // Two saturation batches: link 0 at level 0.5, then link 1 at 1.5.
+        let mut wf = WaterFiller::new();
+        let a = wf.link_index(l(0), 1.0);
+        let b = wf.link_index(l(1), 2.0);
+        for links in [vec![a, b], vec![a], vec![b]] {
+            wf.add_flow(links);
+        }
+        wf.solve();
+        assert_eq!(wf.last_solve_stats().rounds, 2);
+        assert_eq!(wf.rate(2), 1.5, "frozen exactly at its level");
     }
 
     #[test]
@@ -645,6 +777,71 @@ mod tests {
         wf.remove_flow(f2);
         wf.solve();
         assert_eq!(wf.last_solve_stats().flows_touched, 3);
+
+        // A round is one saturation batch: links saturating at one level
+        // within epsilon count once. One solo flow per link here, so link i
+        // saturates at its capacity.
+        let rounds_for = |caps: &[f64]| {
+            let mut wf = WaterFiller::new();
+            for (i, &cap) in (0u32..).zip(caps) {
+                let li = wf.link_index(l(i), cap);
+                wf.add_flow(vec![li]);
+            }
+            wf.solve();
+            wf.last_solve_stats().rounds
+        };
+        // Exact tie, and a tie within EPS_FRACTION of capacity: one batch.
+        assert_eq!(rounds_for(&[1.0, 1.0]), 1);
+        assert_eq!(rounds_for(&[1.0, 1.0 + 1e-10]), 1);
+        // Apart by more than epsilon: two batches.
+        assert_eq!(rounds_for(&[1.0, 1.0 + 1e-6]), 2);
+        // The 1e4 link widens the gather window to 1e-5 above level 1, so
+        // the 1 + 1e-6 link is popped with the first batch but fails its
+        // own epsilon: it must go back and saturate in a round of its own.
+        assert_eq!(rounds_for(&[1.0, 1.0 + 1e-6, 1e4]), 3);
+    }
+
+    #[test]
+    fn repeated_solves_reuse_scratch() {
+        // After one warm-up solve, solving the same flow set again must not
+        // grow any scratch buffer: the solve allocates nothing.
+        let mut wf = WaterFiller::new();
+        let links: Vec<u32> = (0..24)
+            .map(|i| wf.link_index(l(i), 1.0 + f64::from(i % 5)))
+            .collect();
+        for i in 0..60usize {
+            wf.add_flow(vec![
+                links[i % 24],
+                links[(i * 7 + 3) % 24],
+                links[(i * 5 + 11) % 24],
+            ]);
+        }
+        wf.add_flow(Vec::new());
+        let stalled = wf.add_flow(vec![links[0]]);
+        wf.set_stalled(stalled, true);
+        let capacities = |wf: &WaterFiller| {
+            [
+                wf.used.capacity(),
+                wf.headroom.capacity(),
+                wf.live.capacity(),
+                wf.members.capacity(),
+                wf.member_end.capacity(),
+                wf.heap.capacity(),
+                wf.batch.capacity(),
+                wf.deferred.capacity(),
+                wf.frozen.capacity(),
+                wf.rate.capacity(),
+            ]
+        };
+        wf.solve();
+        let warm = capacities(&wf);
+        let rates: Vec<f64> = (0..62).map(|fid| wf.rate(fid)).collect();
+        for _ in 0..5 {
+            wf.solve();
+            assert_eq!(capacities(&wf), warm);
+        }
+        let again: Vec<f64> = (0..62).map(|fid| wf.rate(fid)).collect();
+        assert_eq!(again, rates, "re-solving an unchanged set is idempotent");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property-based tests of the max-min fair allocator: feasibility,
 //! saturation witness, and the max-min dominance property on random
-//! instances.
+//! instances, plus a differential check of the incremental
+//! [`WaterFiller`] lifecycle against the reference solver.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sharebackup_flowsim::{max_min_rates, max_min_rates_reference};
+use sharebackup_flowsim::{max_min_rates, max_min_rates_reference, WaterFiller};
 use sharebackup_topo::LinkId;
 
 /// Random instance: up to 40 flows over up to 12 links, 1-4 links each.
@@ -206,6 +207,145 @@ proptest! {
                 );
                 return Ok(()); // strictly better at first difference: done
             }
+        }
+    }
+}
+
+/// One mutation of a [`WaterFiller`]'s flow set or link capacities.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Register a flow over these links (possibly none).
+    Add(Vec<u32>),
+    /// Remove the `n`-th live flow (modulo the live count).
+    Remove(usize),
+    /// Stall or resume the `n`-th live flow.
+    Stall(usize, bool),
+    /// Re-route the `n`-th live flow onto these links.
+    SetLinks(usize, Vec<u32>),
+    /// Re-intern a link with a new capacity (as a unit-scale value).
+    Capacity(u32, f64),
+}
+
+/// Random mutation sequences over 12 links, weighted towards arrivals so
+/// the flow set grows to a few dozen flows.
+fn lifecycles() -> impl Strategy<Value = (Vec<Op>, f64)> {
+    let op = (
+        0u32..8,
+        0u32..64,
+        prop::collection::btree_set(0u32..12, 0..=4),
+        any::<bool>(),
+        1.0f64..100.0,
+    )
+        .prop_map(|(kind, n, links, flag, cap)| {
+            let links: Vec<u32> = links.into_iter().collect();
+            match kind {
+                0..=2 => Op::Add(links),
+                3 => Op::Remove(n as usize),
+                4 => Op::Stall(n as usize, flag),
+                5 => Op::SetLinks(n as usize, links),
+                _ => Op::Capacity(n % 12, cap),
+            }
+        });
+    (
+        prop::collection::vec(op, 1..60),
+        prop::sample::select(vec![1.0f64, 1e10]),
+    )
+}
+
+/// The test's own record of a flow: its links and whether it is stalled.
+struct ModelFlow {
+    links: Vec<LinkId>,
+    stalled: bool,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn incremental_lifecycle_matches_reference((ops, scale) in lifecycles()) {
+        // One WaterFiller lives through the whole sequence: arrivals,
+        // removals with id recycling, stalls, re-routes and capacity
+        // refreshes. After every solve its rates must match the reference
+        // solver run from scratch on the current running set.
+        let mut caps: Vec<f64> = (0..12).map(|l| (1.0 + f64::from(l)) * scale).collect();
+        let mut wf = WaterFiller::new();
+        let mut model: BTreeMap<usize, ModelFlow> = BTreeMap::new();
+        let nth = |model: &BTreeMap<usize, ModelFlow>, n: usize| {
+            model.keys().nth(n % model.len().max(1)).copied()
+        };
+        for op in ops {
+            match op {
+                Op::Add(links) => {
+                    let dense = links
+                        .iter()
+                        .map(|&l| wf.link_index(LinkId(l), caps[l as usize]))
+                        .collect();
+                    let fid = wf.add_flow(dense);
+                    prop_assert!(!model.contains_key(&fid), "id {fid} handed out twice");
+                    let links = links.into_iter().map(LinkId).collect();
+                    model.insert(fid, ModelFlow { links, stalled: false });
+                }
+                Op::Remove(n) => {
+                    if let Some(fid) = nth(&model, n) {
+                        wf.remove_flow(fid);
+                        model.remove(&fid);
+                    }
+                }
+                Op::Stall(n, stalled) => {
+                    if let Some(fid) = nth(&model, n) {
+                        wf.set_stalled(fid, stalled);
+                        if let Some(f) = model.get_mut(&fid) {
+                            f.stalled = stalled;
+                        }
+                    }
+                }
+                Op::SetLinks(n, links) => {
+                    if let Some(fid) = nth(&model, n) {
+                        let dense = links
+                            .iter()
+                            .map(|&l| wf.link_index(LinkId(l), caps[l as usize]))
+                            .collect();
+                        wf.set_links(fid, dense);
+                        if let Some(f) = model.get_mut(&fid) {
+                            f.links = links.into_iter().map(LinkId).collect();
+                        }
+                    }
+                }
+                Op::Capacity(l, cap) => {
+                    caps[l as usize] = cap * scale;
+                    wf.link_index(LinkId(l), caps[l as usize]);
+                }
+            }
+            wf.solve();
+
+            let running: Vec<usize> = model
+                .iter()
+                .filter(|(_, f)| !f.stalled)
+                .map(|(&fid, _)| fid)
+                .collect();
+            let flows: Vec<Vec<LinkId>> =
+                running.iter().map(|fid| model[fid].links.clone()).collect();
+            let want = max_min_rates_reference(&flows, |l| caps[l.0 as usize]);
+            for (fid, f) in &model {
+                if f.stalled {
+                    prop_assert_eq!(wf.rate(*fid), 0.0, "stalled flow {} has a rate", fid);
+                }
+            }
+            let mut got = Vec::with_capacity(running.len());
+            for (fid, want) in running.iter().zip(&want) {
+                let rate = wf.rate(*fid);
+                prop_assert!(
+                    rate == *want || (rate - want).abs() <= 1e-9 * want.abs(),
+                    "flow {fid}: incremental {rate} vs reference {want}"
+                );
+                got.push(rate);
+            }
+            let (flows, got): (Vec<_>, Vec<_>) = flows
+                .into_iter()
+                .zip(got)
+                .filter(|(links, _)| !links.is_empty())
+                .unzip();
+            assert_genuinely_max_min(&flows, &caps, &got)?;
         }
     }
 }
