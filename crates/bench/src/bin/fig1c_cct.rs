@@ -8,7 +8,11 @@
 //! (flowsim solve spans + the controller's recovery span tree) into a
 //! per-trial buffer; the buffers are collected in trial order and written
 //! as one chrome-trace JSON (track = trial) plus a `<path>.digest` text
-//! rendition — both byte-identical at any `--jobs` value.
+//! rendition — both byte-identical at any `--jobs` value. It also writes
+//! `<path>.trials`: one line per trial with every system's slowdowns in
+//! `{:?}` form, which prints the shortest decimal that parses back to the
+//! same `f64`, so two runs' files match iff their results are bit-identical
+//! (CI diffs it at `--jobs 1` vs `--jobs 2`).
 //!
 //! Expected shape (paper §2.2): both rerouting baselines suffer CCT
 //! slowdowns of orders of magnitude for the affected tail (a single
@@ -70,6 +74,22 @@ fn main() {
             })
             .collect();
         write_trace_files(path, &buffers);
+        let digest: String = trials
+            .iter()
+            .enumerate()
+            .map(|(trial, t)| {
+                format!(
+                    "trial {trial}: ft={:?}/{} f10={:?}/{} sb={:?}/{}\n",
+                    t.ft.0, t.ft.1, t.f10.0, t.f10.1, t.sb.0, t.sb.1
+                )
+            })
+            .collect();
+        let digest_path = format!("{path}.trials");
+        if let Err(e) = std::fs::write(&digest_path, digest) {
+            eprintln!("cannot write trial digest {digest_path}: {e}");
+            std::process::exit(2);
+        }
+        eprintln!("trials: {digest_path}");
     }
 
     let mut sd_ft: Vec<f64> = Vec::new();

@@ -10,10 +10,12 @@
 //!
 //! * [`maxmin`] — progressive-filling max-min fair allocation in level
 //!   form: a min-heap yields links in saturation order and each one freezes
-//!   only its own flows. The dense reusable [`WaterFiller`] scratch state is
-//!   threaded through the simulator's event loop ([`maxmin_reference`], the
-//!   tree-based round-by-round original, is kept as perf baseline and
-//!   differential oracle);
+//!   only its own flows. The dense reusable [`WaterFiller`] is threaded
+//!   through the simulator's event loop and restarts each solve warm: it
+//!   keeps the previous solve's freeze log below the first level the
+//!   mutations since can reach, and re-fills only the rest
+//!   ([`maxmin_reference`], the tree-based round-by-round original, is kept
+//!   as differential oracle);
 //! * [`sim`] — the event-driven flow-progress simulation over an
 //!   [`sim::Environment`] (topology + routing policy), with *epochs* at which
 //!   the environment may mutate (failures, recoveries) and flows re-route;

@@ -16,9 +16,38 @@
 //! level never lowers any `t_l`, so a lazily updated min-heap of levels
 //! yields the links in saturation order. Each pop freezes only the flows
 //! on the saturating links, at exactly the popped level; the rest of the
-//! fabric is not touched. A solve costs
-//! O((links + active · path length) · log links), where filling round by
-//! round costs that much per round.
+//! fabric is not touched.
+//!
+//! # Warm restart
+//!
+//! A [`WaterFiller`] keeps its last solve: a *freeze log* of saturation
+//! batches in level order (each batch's level, the flows it froze), and a
+//! *trail* of `(link, headroom before)` pairs, one per headroom
+//! subtraction. Per-link member lists are kept up to date on every
+//! mutation. A mutation can only change the filling from some level up
+//! (Ros-Giralt et al., "On the Bottleneck Structure of
+//! Congestion-Controlled Networks", SIGMETRICS 2020), so each one lowers a
+//! *cut*:
+//!
+//! * a flow that leaves a link set (removal, stall, re-route) cuts at its
+//!   old rate — the batch that froze it, and every later one, may change;
+//! * a flow that joins a link set (arrival, resume, re-route) cuts at the
+//!   first level `L` where one of its links would now saturate:
+//!   `cap = Σ_{logged flows on the link} min(r_f, L) + k · L`, with `k`
+//!   the link's flows that are not in the log.
+//!
+//! The next solve keeps every batch whose level lies below the cut minus a
+//! margin of `2 · EPS_FRACTION · cap_max` (a new saturation within the
+//! gather epsilon of a kept level would have joined its batch). It pops
+//! the trail back to the last kept batch, restoring each headroom to the
+//! exact float it held, and resumes the heap over only the links that the
+//! undone and added flows cross — every link with an unfrozen flow. Kept
+//! batches are bit-identical to the ones a solve from scratch would
+//! produce: below the cut the same links saturate at the same levels, and
+//! a link's headroom is its capacity minus the same sequence of
+//! subtractions (within one batch every subtraction is the same level, so
+//! their order does not matter). A first solve, or one after a capacity
+//! change, is the same path with an empty prefix.
 //!
 //! Two entry points:
 //!
@@ -26,14 +55,13 @@
 //! * [`WaterFiller`] — dense, index-mapped link state for callers that
 //!   solve repeatedly over an evolving flow set (the [`crate::FlowSim`]
 //!   event loop). Links are interned into dense indices once, per-link
-//!   membership counts are maintained incrementally as flows arrive, stall,
-//!   re-route, and complete, and a solve only re-seeds links that currently
-//!   carry flows — no per-event allocation and no tree lookups in the hot
-//!   loop.
+//!   member lists are maintained incrementally as flows arrive, stall,
+//!   re-route, and complete, and a solve re-fills only what the mutations
+//!   since the last one can reach — no per-event allocation and no tree
+//!   lookups in the hot loop.
 //!
 //! The slower, allocation-heavy round-by-round original lives on in
-//! [`crate::maxmin_reference`] as the perf baseline and differential
-//! oracle.
+//! [`crate::maxmin_reference`] as the differential oracle.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -64,17 +92,21 @@ const EPS_FRACTION: f64 = 1e-9;
 /// [`WaterFiller::last_solve_stats`] after each solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Flows that entered the water-filling loop unfrozen (running, with a
-    /// non-empty path).
+    /// Running flows with a non-empty path: the flows the allocation
+    /// freezes.
     pub active_flows: u64,
     /// Saturation batches until every flow froze: each batch is one water
-    /// level at which one or more links saturate together.
+    /// level at which one or more links saturate together. Kept batches
+    /// count too, so this matches a solve from scratch.
     pub rounds: u64,
     /// Links carrying at least one running flow.
     pub links_used: u64,
     /// Incremental mutations (add/remove/stall/re-route) applied since the
     /// previous solve — the "flows touched per incremental update" signal.
     pub flows_touched: u64,
+    /// Flow freezes kept from the previous solve's log instead of
+    /// recomputed (`0` on a solve from scratch).
+    pub replayed: u64,
 }
 
 /// A flow slot in the [`WaterFiller`] registry.
@@ -82,10 +114,20 @@ pub struct SolveStats {
 struct FlowEntry {
     /// Dense indices of the links the flow traverses.
     links: Vec<u32>,
-    /// Contributing demand right now (alive and not stalled).
+    /// Contributing demand right now: registered and not stalled (a
+    /// removed flow's slot is reset to not running until recycled).
     running: bool,
-    /// Slot occupied; `false` once removed (the slot is then recycled).
-    alive: bool,
+}
+
+/// One saturation batch of the freeze log.
+#[derive(Clone, Copy, Debug)]
+struct Batch {
+    /// The water level the batch froze its flows at.
+    level: f64,
+    /// End of the batch's flows in `WaterFiller::order`.
+    flows_end: usize,
+    /// End of the batch's subtractions in `WaterFiller::trail`.
+    trail_end: usize,
 }
 
 /// A heap entry: the water level at which `link` saturates, as of the push.
@@ -128,7 +170,7 @@ impl Eq for Level {}
 fn settle(
     e: Level,
     headroom: &[f64],
-    live: &[u32],
+    live: &[i32],
     heap: &mut BinaryHeap<Level>,
 ) -> Option<f64> {
     let l = e.link as usize;
@@ -143,16 +185,43 @@ fn settle(
     None
 }
 
-/// Dense, reusable scratch state for repeated max-min solves over an
-/// evolving flow set.
+/// The first water level at which a link saturates once its flows outside
+/// the log join it: the least `L` with `Σ_{logged} min(r_f, L) + k · L ≥
+/// cap`, where the logged flows are the `frozen` members and `k ≥ 1` the
+/// rest. `shares` is scratch.
+fn join_level(
+    members: &[usize],
+    frozen: &[bool],
+    rate: &[f64],
+    cap: f64,
+    shares: &mut Vec<f64>,
+) -> f64 {
+    shares.clear();
+    shares.extend(members.iter().filter(|&&g| frozen[g]).map(|&g| rate[g]));
+    shares.sort_unstable_by(f64::total_cmp);
+    let mut room = cap;
+    let mut n = members.len();
+    for &r in shares.iter() {
+        let level = room / n as f64;
+        if level <= r {
+            return level;
+        }
+        room -= r;
+        n -= 1;
+    }
+    room / n as f64
+}
+
+/// Dense, reusable state for repeated max-min solves over an evolving flow
+/// set.
 ///
 /// Intern links with [`WaterFiller::link_index`], register flows with
 /// [`WaterFiller::add_flow`], then call [`WaterFiller::solve`] and read
 /// rates back with [`WaterFiller::rate`]. Between solves, mutate the flow
 /// set incrementally ([`WaterFiller::set_links`],
-/// [`WaterFiller::set_stalled`], [`WaterFiller::remove_flow`]); per-link
-/// flow counts are maintained as deltas, so a solve touches only the links
-/// that carry at least one running flow and allocates nothing.
+/// [`WaterFiller::set_stalled`], [`WaterFiller::remove_flow`]); each
+/// solve keeps the part of the previous one those mutations cannot reach
+/// (see the module docs) and allocates nothing once warm.
 #[derive(Debug, Default)]
 pub struct WaterFiller {
     /// `LinkId` → dense index; persistent across solves.
@@ -161,23 +230,36 @@ pub struct WaterFiller {
     link_of: Vec<LinkId>,
     /// Dense index → capacity in bits/s (refreshed on `link_index`).
     capacity: Vec<f64>,
-    /// Dense index → running flows crossing the link (kept incrementally).
-    count: Vec<u32>,
-    /// Dense index → member of `used` right now.
-    in_used: Vec<bool>,
-    /// Links with at least one running flow; compacted lazily in `solve`.
-    used: Vec<u32>,
-    /// Scratch: capacity minus the rates frozen on the link so far.
+    /// The largest capacity ever interned: bounds the batch gather window
+    /// and the cut margin.
+    cap_max: f64,
+    /// Dense index → the running flows crossing the link, in no order.
+    members: Vec<Vec<usize>>,
+    /// Links whose member list is non-empty.
+    links_used: u64,
+    /// Capacity minus the rates the log's batches froze on the link.
     headroom: Vec<f64>,
-    /// Scratch: unfrozen-flow count per link during a solve.
-    live: Vec<u32>,
-    /// Scratch: per-link member lists, one CSR over `used` rebuilt by each
-    /// solve's re-seed pass. Link `l`'s running flows, in flow-id order, are
-    /// `members[member_end[l] - count[l]..member_end[l]]`.
-    members: Vec<usize>,
-    /// Scratch: end offset of each used link's slice of `members` (seeded
-    /// with the start offset, then advanced by the fill).
-    member_end: Vec<usize>,
+    /// Running flows on the link minus the log's freezes on it: the
+    /// unfrozen-flow count once the log is cut back. Transiently negative
+    /// after a frozen flow leaves, until the solve undoes its freeze.
+    live: Vec<i32>,
+    /// The freeze log: the last solve's batches, in level order.
+    log: Vec<Batch>,
+    /// Flow ids in the order the log froze them.
+    order: Vec<usize>,
+    /// `(link, headroom before)` per headroom subtraction, in log order.
+    trail: Vec<(u32, f64)>,
+    /// Lowest old rate of a frozen flow that left since the last solve.
+    cut: f64,
+    /// Flows that joined a link set since the last solve (may repeat or be
+    /// stale; the solve filters them).
+    fresh: Vec<usize>,
+    /// Scratch: links to put in the heap when the solve resumes.
+    seed: Vec<u32>,
+    /// Scratch: per link, whether it is in `seed`.
+    seeded: Vec<bool>,
+    /// Scratch: logged rates on one link, for the join cut.
+    shares: Vec<f64>,
     /// Scratch: min-heap of per-link saturation levels, updated lazily.
     heap: BinaryHeap<Level>,
     /// Scratch: links saturating together at the current level.
@@ -188,10 +270,12 @@ pub struct WaterFiller {
     flows: Vec<FlowEntry>,
     /// Recycled flow ids.
     free: Vec<usize>,
-    /// Scratch: per flow id, whether the current solve has frozen it.
+    /// Per flow id, whether the log froze it and it has not left since.
     frozen: Vec<bool>,
-    /// Rates per flow id, written by `solve`.
+    /// Rates per flow id: frozen flows get their batch's level.
     rate: Vec<f64>,
+    /// Running flows with a non-empty path.
+    active: u64,
     /// Mutations since the last solve (rolled into `last_stats`).
     touched: u64,
     /// Counters from the most recent solve.
@@ -201,15 +285,25 @@ pub struct WaterFiller {
 impl WaterFiller {
     /// An empty filler.
     pub fn new() -> WaterFiller {
-        WaterFiller::default()
+        WaterFiller {
+            cut: f64::INFINITY,
+            ..WaterFiller::default()
+        }
     }
 
     /// Intern `link`, returning its dense index. The capacity is recorded,
     /// and refreshed on every call — callers re-intern a link whenever the
-    /// environment may have changed it.
+    /// environment may have changed it. A changed capacity moves every
+    /// level, so the next solve starts from scratch.
     pub fn link_index(&mut self, link: LinkId, capacity_bps: f64) -> u32 {
+        self.cap_max = self.cap_max.max(capacity_bps);
         if let Some(&i) = self.index_of.get(&link) {
-            self.capacity[i as usize] = capacity_bps;
+            let l = i as usize;
+            if self.capacity[l].to_bits() != capacity_bps.to_bits() {
+                self.rewind(0);
+                self.capacity[l] = capacity_bps;
+                self.headroom[l] = capacity_bps;
+            }
             return i;
         }
         // Bounded by the number of distinct links ever interned.
@@ -218,11 +312,10 @@ impl WaterFiller {
         self.index_of.insert(link, i);
         self.link_of.push(link);
         self.capacity.push(capacity_bps);
-        self.count.push(0);
-        self.in_used.push(false);
-        self.headroom.push(0.0);
+        self.members.push(Vec::new());
+        self.headroom.push(capacity_bps);
         self.live.push(0);
-        self.member_end.push(0);
+        self.seeded.push(false);
         i
     }
 
@@ -252,17 +345,16 @@ impl WaterFiller {
         self.flows[fid] = FlowEntry {
             links,
             running: true,
-            alive: true,
         };
         self.touched += 1;
-        self.gain_all(fid);
+        self.join(fid);
         fid
     }
 
     /// Deregister a completed flow; its id may be recycled.
     pub fn remove_flow(&mut self, fid: usize) {
         if self.flows[fid].running {
-            self.drop_all(fid);
+            self.leave(fid);
         }
         self.flows[fid] = FlowEntry::default();
         self.rate[fid] = 0.0;
@@ -280,21 +372,24 @@ impl WaterFiller {
         self.touched += 1;
         if want_running {
             self.flows[fid].running = true;
-            self.gain_all(fid);
+            self.join(fid);
         } else {
-            self.drop_all(fid);
+            self.leave(fid);
             self.flows[fid].running = false;
+            self.rate[fid] = 0.0;
         }
     }
 
-    /// Replace a flow's path. Counts adjust incrementally; only links
-    /// entering or leaving the flow's set see their tallies move.
+    /// Replace a flow's path. Only a changed path moves anything.
     pub fn set_links(&mut self, fid: usize, links: Vec<u32>) {
         self.touched += 1;
+        if self.flows[fid].links == links {
+            return;
+        }
         if self.flows[fid].running {
-            self.drop_all(fid);
+            self.leave(fid);
             self.flows[fid].links = links;
-            self.gain_all(fid);
+            self.join(fid);
         } else {
             self.flows[fid].links = links;
         }
@@ -317,51 +412,157 @@ impl WaterFiller {
         self.last_stats
     }
 
-    /// Bump the membership count of every link of flow `fid`.
-    fn gain_all(&mut self, fid: usize) {
+    /// Running flow `fid` joins the member list of every link on its path.
+    fn join(&mut self, fid: usize) {
         let Self {
             flows,
-            count,
-            in_used,
-            used,
+            members,
+            links_used,
+            live,
+            fresh,
+            active,
+            rate,
             ..
         } = self;
-        for &li in &flows[fid].links {
+        let links = &flows[fid].links;
+        if links.is_empty() {
+            rate[fid] = f64::INFINITY;
+            return;
+        }
+        *active += 1;
+        fresh.push(fid);
+        for &li in links {
             let l = li as usize;
-            count[l] += 1;
-            if !in_used[l] {
-                in_used[l] = true;
-                used.push(li);
+            members[l].push(fid);
+            if members[l].len() == 1 {
+                *links_used += 1;
             }
+            live[l] += 1;
         }
     }
 
-    /// Drop the membership count of every link of flow `fid`. Links that
-    /// reach zero stay in `used` until the next solve compacts them.
-    fn drop_all(&mut self, fid: usize) {
-        let Self { flows, count, .. } = self;
-        for &li in &flows[fid].links {
-            count[li as usize] -= 1;
+    /// Running flow `fid` leaves the member list of every link on its
+    /// path. If the log froze it, the cut drops to its rate.
+    fn leave(&mut self, fid: usize) {
+        let Self {
+            flows,
+            members,
+            links_used,
+            live,
+            frozen,
+            rate,
+            cut,
+            active,
+            ..
+        } = self;
+        let links = &flows[fid].links;
+        if links.is_empty() {
+            return;
+        }
+        *active -= 1;
+        if frozen[fid] {
+            frozen[fid] = false;
+            *cut = cut.min(rate[fid]);
+        }
+        for &li in links {
+            let l = li as usize;
+            let m = &mut members[l];
+            // lint:allow(unwrap) — a running flow is on its links' lists
+            let pos = m.iter().position(|&g| g == fid).expect("flow on its link's list");
+            m.swap_remove(pos);
+            if m.is_empty() {
+                *links_used -= 1;
+            }
+            live[l] -= 1;
+        }
+    }
+
+    /// Cut the log back to its first `keep` batches: pop the trail,
+    /// restoring each headroom it lowered, unfreeze the undone flows, and
+    /// queue the links they cross for the heap.
+    fn rewind(&mut self, keep: usize) {
+        let Self {
+            log,
+            order,
+            trail,
+            frozen,
+            headroom,
+            live,
+            seed,
+            seeded,
+            ..
+        } = self;
+        let (flows_end, trail_end) = keep
+            .checked_sub(1)
+            .map_or((0, 0), |last| (log[last].flows_end, log[last].trail_end));
+        log.truncate(keep);
+        for fid in order.drain(flows_end..) {
+            frozen[fid] = false;
+        }
+        for (li, before) in trail.drain(trail_end..).rev() {
+            let l = li as usize;
+            headroom[l] = before;
+            live[l] += 1;
+            if !seeded[l] {
+                seeded[l] = true;
+                seed.push(li);
+            }
         }
     }
 
     /// Compute max-min fair rates for the current flow set into the
     /// per-flow [`WaterFiller::rate`] slots.
     ///
-    /// Allocation-free once warm: all per-link and per-flow state, the
-    /// member lists and the heap are reused scratch, and the re-seed
-    /// touches only links carrying at least one running flow (membership
-    /// counts are already up to date from the incremental bookkeeping).
+    /// Keeps the previous solve's batches below the cut the mutations
+    /// since then imply, undoes the rest, and resumes progressive filling
+    /// from there. Allocation-free once warm: the log, the trail, the
+    /// member lists and the heap are all reused.
     pub fn solve(&mut self) {
+        // Lower the cut to the first level a joining flow can reach. A
+        // link already seeded by a capacity change's full rewind needs no
+        // level: the log is empty.
+        let Self {
+            flows,
+            fresh,
+            seed,
+            seeded,
+            members,
+            frozen,
+            rate,
+            capacity,
+            shares,
+            ..
+        } = self;
+        let mut cut = std::mem::replace(&mut self.cut, f64::INFINITY);
+        for fid in fresh.drain(..) {
+            let fe = &flows[fid];
+            if !fe.running {
+                continue;
+            }
+            for &li in &fe.links {
+                let l = li as usize;
+                if !seeded[l] {
+                    seeded[l] = true;
+                    seed.push(li);
+                    cut = cut.min(join_level(&members[l], frozen, rate, capacity[l], shares));
+                }
+            }
+        }
+        let bound = cut - 2.0 * EPS_FRACTION * self.cap_max;
+        let keep = self.log.partition_point(|b| b.level < bound);
+        self.rewind(keep);
+
         let Self {
             capacity,
-            count,
-            in_used,
-            used,
+            cap_max,
+            members,
             headroom,
             live,
-            members,
-            member_end,
+            log,
+            order,
+            trail,
+            seed,
+            seeded,
             heap,
             batch,
             deferred,
@@ -371,62 +572,27 @@ impl WaterFiller {
             ..
         } = self;
 
-        // Re-seed links that still carry flows, compact out the rest, and
-        // lay out one member-list slice per link.
-        let mut members_len = 0;
-        let mut cap_max = 0.0_f64;
-        used.retain(|&li| {
+        heap.clear();
+        for li in seed.drain(..) {
             let l = li as usize;
-            if count[l] == 0 {
-                in_used[l] = false;
-                return false;
+            seeded[l] = false;
+            if live[l] > 0 {
+                heap.push(Level {
+                    t: headroom[l] / f64::from(live[l]),
+                    link: li,
+                });
             }
-            headroom[l] = capacity[l];
-            live[l] = count[l];
-            member_end[l] = members_len;
-            members_len += count[l] as usize;
-            cap_max = cap_max.max(capacity[l]);
-            true
-        });
-        members.resize(members_len, 0);
-
-        let mut active_flows = 0u64;
-        for (fid, fe) in flows.iter().enumerate() {
-            if !fe.alive {
-                continue;
-            }
-            rate[fid] = if !fe.running {
-                0.0
-            } else if fe.links.is_empty() {
-                f64::INFINITY
-            } else {
-                active_flows += 1;
-                frozen[fid] = false;
-                for &li in &fe.links {
-                    let l = li as usize;
-                    members[member_end[l]] = fid;
-                    member_end[l] += 1;
-                }
-                0.0
-            };
         }
 
-        heap.clear();
-        heap.extend(used.iter().map(|&li| Level {
-            t: capacity[li as usize] / f64::from(count[li as usize]),
-            link: li,
-        }));
-
-        let mut rounds = 0u64;
-        let mut level = 0.0_f64;
+        let replayed = u64::try_from(order.len()).unwrap_or(u64::MAX);
+        let mut level = log.last().map_or(0.0, |b| b.level);
         // Once every flow froze, whatever the heap still holds is dead.
-        let mut unfrozen = active_flows;
+        let mut unfrozen = self.active - replayed;
         while unfrozen > 0 {
             let Some(top) = heap.pop() else { break };
             let Some(t) = settle(top, headroom, live, heap) else {
                 continue;
             };
-            rounds += 1;
             // Levels never fall; the max only absorbs float residue.
             level = level.max(t);
             batch.push(top.link);
@@ -435,7 +601,7 @@ impl WaterFiller {
             // level is within epsilon of zero. Its level lies at most
             // EPS_FRACTION · cap / live above, so nothing past
             // EPS_FRACTION · cap_max can qualify.
-            let reach = level + EPS_FRACTION * cap_max;
+            let reach = level + EPS_FRACTION * *cap_max;
             while let Some(next) = heap.peek_mut() {
                 if next.t > reach {
                     break;
@@ -454,31 +620,39 @@ impl WaterFiller {
             }
             heap.extend(deferred.drain(..));
 
-            // Freeze the batch's flows at this level. The other links they
-            // cross keep their old, lower heap keys until they surface.
+            // Freeze the batch's flows at this level, logging each
+            // subtraction. The other links they cross keep their old,
+            // lower heap keys until they surface.
             for li in batch.drain(..) {
-                let l = li as usize;
-                for &fid in &members[member_end[l] - count[l] as usize..member_end[l]] {
+                for &fid in &members[li as usize] {
                     if frozen[fid] {
                         continue;
                     }
                     frozen[fid] = true;
                     unfrozen -= 1;
                     rate[fid] = level;
+                    order.push(fid);
                     for &mi in &flows[fid].links {
                         let m = mi as usize;
+                        trail.push((mi, headroom[m]));
                         headroom[m] -= level;
                         live[m] -= 1;
                     }
                 }
             }
+            log.push(Batch {
+                level,
+                flows_end: order.len(),
+                trail_end: trail.len(),
+            });
         }
 
         self.last_stats = SolveStats {
-            active_flows,
-            rounds,
-            links_used: u64::try_from(self.used.len()).unwrap_or(u64::MAX),
+            active_flows: self.active,
+            rounds: u64::try_from(self.log.len()).unwrap_or(u64::MAX),
+            links_used: self.links_used,
             flows_touched: self.touched,
+            replayed,
         };
         self.touched = 0;
         #[cfg(feature = "strict-invariants")]
@@ -489,6 +663,7 @@ impl WaterFiller {
     /// alone: no link carries more than its capacity, and every running
     /// flow with links crosses a saturated link (otherwise its rate could
     /// still rise). Tolerances are relative to capacity, 1e-6 either way.
+    /// Also checks the log is complete: every link's flows are frozen.
     #[cfg(feature = "strict-invariants")]
     fn check_allocation(&self) {
         let mut load = vec![0.0_f64; self.link_of.len()];
@@ -496,15 +671,16 @@ impl WaterFiller {
             self.flows
                 .iter()
                 .enumerate()
-                .filter(|(_, fe)| fe.alive && fe.running && !fe.links.is_empty())
+                .filter(|(_, fe)| fe.running && !fe.links.is_empty())
         };
         for (fid, fe) in running() {
+            assert!(self.frozen[fid], "max-min: running flow {fid} left unfrozen");
             for &li in &fe.links {
                 load[li as usize] += self.rate[fid];
             }
         }
-        for &li in &self.used {
-            let l = li as usize;
+        for (l, &live) in self.live.iter().enumerate() {
+            assert_eq!(live, 0, "max-min: link {:?} has unfrozen flows", self.link_of[l]);
             assert!(
                 load[l] <= self.capacity[l] * (1.0 + 1e-6),
                 "max-min: link {:?} carries {} over capacity {}",
@@ -752,6 +928,36 @@ mod tests {
     }
 
     #[test]
+    fn capacity_change_on_an_unused_link_takes_effect() {
+        // A link that carries no flow when its capacity changes has nothing
+        // in the log to undo, yet the next flow to cross it must see the
+        // new capacity, not the headroom the link was left with.
+        let mut wf = WaterFiller::new();
+        let a = wf.link_index(l(0), 4.0);
+        let b = wf.link_index(l(1), 10.0);
+        let f0 = wf.add_flow(vec![a, b]);
+        let f1 = wf.add_flow(vec![b]);
+        wf.solve();
+        assert_eq!((wf.rate(f0), wf.rate(f1)), (4.0, 6.0));
+
+        // Link a empties, then changes capacity while unused.
+        wf.remove_flow(f0);
+        wf.solve();
+        assert_eq!(wf.link_index(l(0), 2.0), a);
+        wf.solve();
+        let f2 = wf.add_flow(vec![a]);
+        wf.solve();
+        assert_eq!(wf.rate(f2), 2.0);
+
+        // The same for a link no flow has crossed yet.
+        let c = wf.link_index(l(2), 7.0);
+        assert_eq!(wf.link_index(l(2), 3.0), c);
+        let f3 = wf.add_flow(vec![c, b]);
+        wf.solve();
+        assert_eq!((wf.rate(f3), wf.rate(f1)), (3.0, 7.0));
+    }
+
+    #[test]
     fn solve_stats_count_rounds_and_touches() {
         let mut wf = WaterFiller::new();
         let a = wf.link_index(l(0), 1.0);
@@ -803,40 +1009,61 @@ mod tests {
 
     #[test]
     fn repeated_solves_reuse_scratch() {
-        // After one warm-up solve, solving the same flow set again must not
-        // grow any scratch buffer: the solve allocates nothing.
+        // After one warm-up solve, solving the same flow set again — as is,
+        // or after a flow leaves and an identical one takes its recycled
+        // id — must not grow any buffer: the log, the trail, the member
+        // lists and the heap are reused, and the solve allocates nothing.
         let mut wf = WaterFiller::new();
         let links: Vec<u32> = (0..24)
             .map(|i| wf.link_index(l(i), 1.0 + f64::from(i % 5)))
             .collect();
-        for i in 0..60usize {
-            wf.add_flow(vec![
+        let path = |i: usize| {
+            vec![
                 links[i % 24],
                 links[(i * 7 + 3) % 24],
                 links[(i * 5 + 11) % 24],
-            ]);
+            ]
+        };
+        for i in 0..60usize {
+            wf.add_flow(path(i));
         }
         wf.add_flow(Vec::new());
         let stalled = wf.add_flow(vec![links[0]]);
         wf.set_stalled(stalled, true);
         let capacities = |wf: &WaterFiller| {
-            [
-                wf.used.capacity(),
+            let mut caps = vec![
                 wf.headroom.capacity(),
                 wf.live.capacity(),
                 wf.members.capacity(),
-                wf.member_end.capacity(),
+                wf.log.capacity(),
+                wf.order.capacity(),
+                wf.trail.capacity(),
+                wf.fresh.capacity(),
+                wf.seed.capacity(),
+                wf.seeded.capacity(),
+                wf.shares.capacity(),
                 wf.heap.capacity(),
                 wf.batch.capacity(),
                 wf.deferred.capacity(),
                 wf.frozen.capacity(),
                 wf.rate.capacity(),
-            ]
+            ];
+            caps.extend(wf.members.iter().map(Vec::capacity));
+            caps
         };
         wf.solve();
-        let warm = capacities(&wf);
         let rates: Vec<f64> = (0..62).map(|fid| wf.rate(fid)).collect();
+        // One churn round to warm the join path's scratch.
+        wf.remove_flow(7);
+        assert_eq!(wf.add_flow(path(7)), 7);
+        wf.solve();
+        let warm = capacities(&wf);
         for _ in 0..5 {
+            wf.solve();
+            assert_eq!(capacities(&wf), warm);
+            assert_eq!(wf.last_solve_stats().replayed, 60, "nothing changed");
+            wf.remove_flow(7);
+            assert_eq!(wf.add_flow(path(7)), 7);
             wf.solve();
             assert_eq!(capacities(&wf), warm);
         }

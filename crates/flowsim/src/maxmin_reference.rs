@@ -2,15 +2,11 @@
 //! filling, retained after the dense [`crate::WaterFiller`] replaced it in
 //! the hot path.
 //!
-//! It serves two purposes:
-//!
-//! * **Perf baseline** — `bench_baseline` times the dense solver against
-//!   this implementation and records the ratio in `BENCH_flowsim.json`, so
-//!   the speedup claim stays measurable instead of anecdotal.
-//! * **Differential oracle** — the property suite cross-checks the two
-//!   independent implementations on random instances at both unit and
-//!   Gb/s capacity scales; agreement between a tree-based and a dense
-//!   solver is strong evidence neither has an indexing bug.
+//! It is the **differential oracle**: the property suite cross-checks the
+//! two independent implementations on random instances at both unit and
+//! Gb/s capacity scales, and after every mutation of a long-lived
+//! [`crate::WaterFiller`]; agreement between a tree-based and a dense
+//! solver is strong evidence neither has an indexing bug.
 //!
 //! The saturation epsilon here is the *fixed*, capacity-relative one (the
 //! increment-scaled epsilon this module's ancestor shipped with was a bug;

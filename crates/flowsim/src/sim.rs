@@ -239,6 +239,7 @@ impl FlowSim {
                 tracer.record("flowsim.solve.rounds", st.rounds);
                 tracer.record("flowsim.solve.links_used", st.links_used);
                 tracer.record("flowsim.solve.flows_touched", st.flows_touched);
+                tracer.record("flowsim.solve.replayed", st.replayed);
             }
             if bits.len() < wf.link_count() {
                 bits.resize(wf.link_count(), 0.0);

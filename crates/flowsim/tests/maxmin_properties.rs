@@ -1,12 +1,13 @@
 //! Property-based tests of the max-min fair allocator: feasibility,
 //! saturation witness, and the max-min dominance property on random
 //! instances, plus a differential check of the incremental
-//! [`WaterFiller`] lifecycle against the reference solver.
+//! [`WaterFiller`] lifecycle against the reference solver and, bit for bit,
+//! against a fresh filler's first solve.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sharebackup_flowsim::{max_min_rates, max_min_rates_reference, WaterFiller};
+use sharebackup_flowsim::{max_min_rates, max_min_rates_reference, SolveStats, WaterFiller};
 use sharebackup_topo::LinkId;
 
 /// Random instance: up to 40 flows over up to 12 links, 1-4 links each.
@@ -224,13 +225,19 @@ enum Op {
     SetLinks(usize, Vec<u32>),
     /// Re-intern a link with a new capacity (as a unit-scale value).
     Capacity(u32, f64),
+    /// Nothing: the next solve sees no mutation at all.
+    Idle,
+    /// Stall every running flow on a link, solve with the link empty, then
+    /// resume them all so the link refills.
+    Refill(u32),
 }
 
 /// Random mutation sequences over 12 links, weighted towards arrivals so
-/// the flow set grows to a few dozen flows.
+/// the flow set grows to a few dozen flows. Half the capacity changes are
+/// whole numbers, so exact ties between levels keep turning up.
 fn lifecycles() -> impl Strategy<Value = (Vec<Op>, f64)> {
     let op = (
-        0u32..8,
+        0u32..10,
         0u32..64,
         prop::collection::btree_set(0u32..12, 0..=4),
         any::<bool>(),
@@ -239,11 +246,13 @@ fn lifecycles() -> impl Strategy<Value = (Vec<Op>, f64)> {
         .prop_map(|(kind, n, links, flag, cap)| {
             let links: Vec<u32> = links.into_iter().collect();
             match kind {
-                0..=2 => Op::Add(links),
-                3 => Op::Remove(n as usize),
-                4 => Op::Stall(n as usize, flag),
-                5 => Op::SetLinks(n as usize, links),
-                _ => Op::Capacity(n % 12, cap),
+                0..=3 => Op::Add(links),
+                4 => Op::Remove(n as usize),
+                5 => Op::Stall(n as usize, flag),
+                6 => Op::SetLinks(n as usize, links),
+                7 => Op::Capacity(n % 12, if flag { cap.round() } else { cap }),
+                8 => Op::Idle,
+                _ => Op::Refill(n % 12),
             }
         });
     (
@@ -258,94 +267,177 @@ struct ModelFlow {
     stalled: bool,
 }
 
+/// One long-lived [`WaterFiller`] next to the test's model of its flows.
+struct Lifecycle {
+    /// Capacity unit: 1 or 1e10 bits/s.
+    scale: f64,
+    caps: Vec<f64>,
+    wf: WaterFiller,
+    model: BTreeMap<usize, ModelFlow>,
+}
+
+impl Lifecycle {
+    fn new(scale: f64) -> Lifecycle {
+        Lifecycle {
+            scale,
+            caps: (0..12).map(|l| (1.0 + f64::from(l)) * scale).collect(),
+            wf: WaterFiller::new(),
+            model: BTreeMap::new(),
+        }
+    }
+
+    /// The `n`-th flow of the model (modulo its size).
+    fn nth(&self, n: usize) -> Option<usize> {
+        self.model.keys().nth(n % self.model.len().max(1)).copied()
+    }
+
+    fn dense(&mut self, links: &[u32]) -> Vec<u32> {
+        links
+            .iter()
+            .map(|&l| self.wf.link_index(LinkId(l), self.caps[l as usize]))
+            .collect()
+    }
+
+    fn set_stalled(&mut self, fid: usize, stalled: bool) {
+        self.wf.set_stalled(fid, stalled);
+        if let Some(f) = self.model.get_mut(&fid) {
+            f.stalled = stalled;
+        }
+    }
+
+    /// Apply `op`, then solve and check.
+    fn step(&mut self, op: Op) -> Result<(), String> {
+        match op {
+            Op::Add(links) => {
+                let dense = self.dense(&links);
+                let fid = self.wf.add_flow(dense);
+                prop_assert!(!self.model.contains_key(&fid), "id {fid} handed out twice");
+                let links = links.into_iter().map(LinkId).collect();
+                self.model.insert(fid, ModelFlow { links, stalled: false });
+            }
+            Op::Remove(n) => {
+                if let Some(fid) = self.nth(n) {
+                    self.wf.remove_flow(fid);
+                    self.model.remove(&fid);
+                }
+            }
+            Op::Stall(n, stalled) => {
+                if let Some(fid) = self.nth(n) {
+                    self.set_stalled(fid, stalled);
+                }
+            }
+            Op::SetLinks(n, links) => {
+                if let Some(fid) = self.nth(n) {
+                    let dense = self.dense(&links);
+                    self.wf.set_links(fid, dense);
+                    if let Some(f) = self.model.get_mut(&fid) {
+                        f.links = links.into_iter().map(LinkId).collect();
+                    }
+                }
+            }
+            Op::Capacity(l, cap) => {
+                self.caps[l as usize] = cap * self.scale;
+                self.wf.link_index(LinkId(l), self.caps[l as usize]);
+            }
+            Op::Idle => {}
+            Op::Refill(l) => {
+                let on_link: Vec<usize> = self
+                    .model
+                    .iter()
+                    .filter(|(_, f)| !f.stalled && f.links.contains(&LinkId(l)))
+                    .map(|(&fid, _)| fid)
+                    .collect();
+                for &fid in &on_link {
+                    self.set_stalled(fid, true);
+                }
+                self.solve_and_check()?;
+                for &fid in &on_link {
+                    self.set_stalled(fid, false);
+                }
+            }
+        }
+        self.solve_and_check()
+    }
+
+    /// Solve, then hold the long-lived filler to the reference solver
+    /// (within 1e-9 relative, plus both max-min witnesses) and to a fresh
+    /// filler's first solve (bit for bit).
+    fn solve_and_check(&mut self) -> Result<(), String> {
+        let Lifecycle { caps, wf, model, .. } = self;
+        wf.solve();
+
+        let running: Vec<usize> = model
+            .iter()
+            .filter(|(_, f)| !f.stalled)
+            .map(|(&fid, _)| fid)
+            .collect();
+        let flows: Vec<Vec<LinkId>> =
+            running.iter().map(|fid| model[fid].links.clone()).collect();
+        let want = max_min_rates_reference(&flows, |l| caps[l.0 as usize]);
+        for (fid, f) in model.iter() {
+            if f.stalled {
+                prop_assert_eq!(wf.rate(*fid), 0.0, "stalled flow {} has a rate", fid);
+            }
+        }
+        let mut got = Vec::with_capacity(running.len());
+        for (fid, want) in running.iter().zip(&want) {
+            let rate = wf.rate(*fid);
+            prop_assert!(
+                rate == *want || (rate - want).abs() <= 1e-9 * want.abs(),
+                "flow {fid}: incremental {rate} vs reference {want}"
+            );
+            got.push(rate);
+        }
+
+        // Warm vs cold: a new filler over the same running flows, interned
+        // in a different order, has nothing to replay.
+        let mut cold = WaterFiller::new();
+        let cold_fids: Vec<usize> = flows
+            .iter()
+            .map(|links| {
+                let dense = links
+                    .iter()
+                    .map(|&l| cold.link_index(l, caps[l.0 as usize]))
+                    .collect();
+                cold.add_flow(dense)
+            })
+            .collect();
+        cold.solve();
+        for (fid, cold_fid) in running.iter().zip(cold_fids) {
+            let (warm, cold) = (wf.rate(*fid), cold.rate(cold_fid));
+            prop_assert_eq!(warm.to_bits(), cold.to_bits(), "flow {}: warm {} vs cold {}", fid, warm, cold);
+        }
+        let (warm, cold) = (wf.last_solve_stats(), cold.last_solve_stats());
+        prop_assert_eq!(cold.replayed, 0, "a first solve replays nothing");
+        let strip = |s: SolveStats| SolveStats {
+            flows_touched: 0,
+            replayed: 0,
+            ..s
+        };
+        prop_assert_eq!(strip(warm), strip(cold), "warm vs cold solve stats");
+
+        let (flows, got): (Vec<_>, Vec<_>) = flows
+            .into_iter()
+            .zip(got)
+            .filter(|(links, _)| !links.is_empty())
+            .unzip();
+        assert_genuinely_max_min(&flows, caps, &got)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn incremental_lifecycle_matches_reference((ops, scale) in lifecycles()) {
         // One WaterFiller lives through the whole sequence: arrivals,
-        // removals with id recycling, stalls, re-routes and capacity
-        // refreshes. After every solve its rates must match the reference
-        // solver run from scratch on the current running set.
-        let mut caps: Vec<f64> = (0..12).map(|l| (1.0 + f64::from(l)) * scale).collect();
-        let mut wf = WaterFiller::new();
-        let mut model: BTreeMap<usize, ModelFlow> = BTreeMap::new();
-        let nth = |model: &BTreeMap<usize, ModelFlow>, n: usize| {
-            model.keys().nth(n % model.len().max(1)).copied()
-        };
+        // removals with id recycling, stalls, re-routes, capacity refreshes,
+        // idle solves and links that empty and refill. After every solve its
+        // rates must match the reference solver run from scratch on the
+        // current running set, and equal a fresh filler's bit for bit.
+        let mut life = Lifecycle::new(scale);
         for op in ops {
-            match op {
-                Op::Add(links) => {
-                    let dense = links
-                        .iter()
-                        .map(|&l| wf.link_index(LinkId(l), caps[l as usize]))
-                        .collect();
-                    let fid = wf.add_flow(dense);
-                    prop_assert!(!model.contains_key(&fid), "id {fid} handed out twice");
-                    let links = links.into_iter().map(LinkId).collect();
-                    model.insert(fid, ModelFlow { links, stalled: false });
-                }
-                Op::Remove(n) => {
-                    if let Some(fid) = nth(&model, n) {
-                        wf.remove_flow(fid);
-                        model.remove(&fid);
-                    }
-                }
-                Op::Stall(n, stalled) => {
-                    if let Some(fid) = nth(&model, n) {
-                        wf.set_stalled(fid, stalled);
-                        if let Some(f) = model.get_mut(&fid) {
-                            f.stalled = stalled;
-                        }
-                    }
-                }
-                Op::SetLinks(n, links) => {
-                    if let Some(fid) = nth(&model, n) {
-                        let dense = links
-                            .iter()
-                            .map(|&l| wf.link_index(LinkId(l), caps[l as usize]))
-                            .collect();
-                        wf.set_links(fid, dense);
-                        if let Some(f) = model.get_mut(&fid) {
-                            f.links = links.into_iter().map(LinkId).collect();
-                        }
-                    }
-                }
-                Op::Capacity(l, cap) => {
-                    caps[l as usize] = cap * scale;
-                    wf.link_index(LinkId(l), caps[l as usize]);
-                }
-            }
-            wf.solve();
-
-            let running: Vec<usize> = model
-                .iter()
-                .filter(|(_, f)| !f.stalled)
-                .map(|(&fid, _)| fid)
-                .collect();
-            let flows: Vec<Vec<LinkId>> =
-                running.iter().map(|fid| model[fid].links.clone()).collect();
-            let want = max_min_rates_reference(&flows, |l| caps[l.0 as usize]);
-            for (fid, f) in &model {
-                if f.stalled {
-                    prop_assert_eq!(wf.rate(*fid), 0.0, "stalled flow {} has a rate", fid);
-                }
-            }
-            let mut got = Vec::with_capacity(running.len());
-            for (fid, want) in running.iter().zip(&want) {
-                let rate = wf.rate(*fid);
-                prop_assert!(
-                    rate == *want || (rate - want).abs() <= 1e-9 * want.abs(),
-                    "flow {fid}: incremental {rate} vs reference {want}"
-                );
-                got.push(rate);
-            }
-            let (flows, got): (Vec<_>, Vec<_>) = flows
-                .into_iter()
-                .zip(got)
-                .filter(|(links, _)| !links.is_empty())
-                .unzip();
-            assert_genuinely_max_min(&flows, &caps, &got)?;
+            life.step(op)?;
         }
     }
 }
