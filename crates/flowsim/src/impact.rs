@@ -94,7 +94,7 @@ mod tests {
             .map(|i| {
                 let src = ft.host(HostAddr { pod: 0, edge: (i / 2) % 2, host: i % 2 });
                 let dst = ft.host(HostAddr { pod: 1, edge: i % 2, host: (i / 2) % 2 });
-                ft.host_paths(src, dst)[i % 4].clone()
+                ft.host_path(src, dst, i % 4)
             })
             .collect();
         let coflows = vec![
@@ -134,10 +134,9 @@ mod tests {
         let mut ft = FatTree::build(FatTreeConfig::new(4));
         let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
         let dst = ft.host(HostAddr { pod: 2, edge: 0, host: 0 });
-        let all = ft.host_paths(src, dst);
-        let paths = [all[0].clone(), all[3].clone()];
+        let paths = [ft.host_path(src, dst, 0), ft.host_path(src, dst, 3)];
         // Cut a link on path 0 that path 3 does not use.
-        let l = ft.net.link_between(all[0][2], all[0][3]).expect("link");
+        let l = ft.net.link_between(paths[0][2], paths[0][3]).expect("link");
         ft.net.set_link_up(l, false);
         assert!(flow_affected(&ft.net, &paths[0]));
         assert!(!flow_affected(&ft.net, &paths[1]));

@@ -1,9 +1,9 @@
 //! Flow-hash ECMP over the equal-cost shortest paths.
 //!
 //! The paper's §2.2 simulations route with ECMP: each flow hashes onto one
-//! of the equal-cost shortest paths. This module selects among the paths
-//! enumerated by the topology crates; the choice is a pure function of the
-//! flow key, so it never flaps.
+//! of the equal-cost shortest paths. The choice is a pure function of the
+//! flow key, so it never flaps, and only the chosen path is built: the hash
+//! indexes the topology's path order ([`FatTree::host_path`]) directly.
 
 use sharebackup_topo::{F10Topology, FatTree, NodeId};
 
@@ -15,18 +15,14 @@ use crate::flow::FlowKey;
 /// fat-tree forwards along until a rerouting mechanism intervenes, and the
 /// route ShareBackup keeps using forever (its topology heals instead).
 pub fn ecmp_path(ft: &FatTree, flow: &FlowKey) -> Vec<NodeId> {
-    let paths = ft.host_paths(flow.src, flow.dst);
-    let pick = flow.pick(paths.len());
-    // lint:allow(unwrap) — `pick(n)` asserts n > 0 and returns hash % n < n
-    paths.into_iter().nth(pick).expect("pick is in range")
+    let pick = flow.pick(ft.host_path_count(flow.src, flow.dst));
+    ft.host_path(flow.src, flow.dst, pick)
 }
 
 /// The ECMP path of `flow` in a healthy F10 network.
 pub fn ecmp_path_f10(f10: &F10Topology, flow: &FlowKey) -> Vec<NodeId> {
-    let paths = f10.host_paths(flow.src, flow.dst);
-    let pick = flow.pick(paths.len());
-    // lint:allow(unwrap) — `pick(n)` asserts n > 0 and returns hash % n < n
-    paths.into_iter().nth(pick).expect("pick is in range")
+    let pick = flow.pick(f10.host_path_count(flow.src, flow.dst));
+    f10.host_path(flow.src, flow.dst, pick)
 }
 
 #[cfg(test)]

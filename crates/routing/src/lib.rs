@@ -7,7 +7,8 @@
 //! * [`twolevel`] — the Two-Level Routing tables of Al-Fares et al. that
 //!   fat-tree switches (and therefore ShareBackup slots) forward with.
 //! * [`ecmp`] — hash-based equal-cost multipath selection over the
-//!   enumerated shortest paths (how the paper's §2.2 simulations route).
+//!   shortest paths, building only the chosen one (how the paper's §2.2
+//!   simulations route).
 //! * [`reroute`] — fat-tree *global optimal rerouting*: path re-selection
 //!   over the surviving topology with load-aware assignment (baseline 1).
 //! * [`f10`] — F10's *local rerouting*: same-length parent re-selection for

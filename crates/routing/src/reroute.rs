@@ -16,8 +16,10 @@
 //! Either way, a flow whose endpoints are cut off (e.g. its edge switch
 //! died) gets `None` — those are the unrecoverable casualties rerouting
 //! cannot save, which the affected-flow metric counts.
-
-use std::collections::BTreeMap;
+//!
+//! Both modes scan the flow's shortest paths by index through one reused
+//! buffer ([`FatTree::host_path_into`]) and build a `Vec` only for the path
+//! they return.
 
 use sharebackup_topo::{FatTree, LinkId, NodeId};
 
@@ -28,14 +30,6 @@ use crate::flow::FlowKey;
 pub struct GlobalReroute;
 
 impl GlobalReroute {
-    /// The surviving equal-cost shortest paths of a flow.
-    pub fn surviving_paths(ft: &FatTree, flow: &FlowKey) -> Vec<Vec<NodeId>> {
-        ft.host_paths(flow.src, flow.dst)
-            .into_iter()
-            .filter(|p| ft.net.path_usable(p))
-            .collect()
-    }
-
     /// Hash-based rerouting: the flow's ECMP choice re-hashed over the
     /// surviving shortest paths. `None` if no shortest path survives.
     ///
@@ -44,12 +38,20 @@ impl GlobalReroute {
     /// would find; we extend the search with a BFS fallback so the baseline
     /// keeps connectivity whenever the graph allows it.
     pub fn route(ft: &FatTree, flow: &FlowKey) -> Option<Vec<NodeId>> {
-        let paths = Self::surviving_paths(ft, flow);
-        if paths.is_empty() {
+        let count = ft.host_path_count(flow.src, flow.dst);
+        let mut path = Vec::with_capacity(7);
+        let mut surviving = Vec::with_capacity(count);
+        for i in 0..count {
+            ft.host_path_into(flow.src, flow.dst, i, &mut path);
+            if ft.net.path_usable(&path) {
+                surviving.push(i);
+            }
+        }
+        if surviving.is_empty() {
             return ft.net.bfs_path(flow.src, flow.dst);
         }
-        let pick = flow.pick(paths.len());
-        paths.into_iter().nth(pick)
+        let i = surviving[flow.pick(surviving.len())];
+        Some(ft.host_path(flow.src, flow.dst, i))
     }
 
     /// Load-aware global assignment: route every flow, greedily minimizing
@@ -59,46 +61,43 @@ impl GlobalReroute {
     ///
     /// Deterministic: depends only on flow order and topology state.
     pub fn route_all(ft: &FatTree, flows: &[FlowKey]) -> Vec<Option<Vec<NodeId>>> {
-        let mut load: BTreeMap<LinkId, u64> = BTreeMap::new();
+        let link_of = |a: NodeId, b: NodeId| -> LinkId {
+            // lint:allow(unwrap) — paths come from the topology, so every hop is adjacent
+            ft.net.link_between(a, b).expect("path link")
+        };
+        let mut load = vec![0u64; ft.net.link_count()];
+        let mut path = Vec::with_capacity(7);
         let mut out = Vec::with_capacity(flows.len());
         for flow in flows {
-            let mut candidates = Self::surviving_paths(ft, flow);
-            if candidates.is_empty() {
-                if let Some(p) = ft.net.bfs_path(flow.src, flow.dst) {
-                    candidates = vec![p];
-                } else {
-                    out.push(None);
+            let mut best: Option<(u64, u64, usize)> = None;
+            for i in 0..ft.host_path_count(flow.src, flow.dst) {
+                ft.host_path_into(flow.src, flow.dst, i, &mut path);
+                if !ft.net.path_usable(&path) {
                     continue;
                 }
-            }
-            let links_of = |p: &[NodeId]| -> Vec<LinkId> {
-                p.windows(2)
-                    // lint:allow(unwrap) — paths come from the topology, so every hop is adjacent
-                    .map(|w| ft.net.link_between(w[0], w[1]).expect("path link"))
-                    .collect()
-            };
-            let mut best: Option<(u64, u64, usize)> = None;
-            for (i, p) in candidates.iter().enumerate() {
-                let links = links_of(p);
-                let max = links
-                    .iter()
-                    .map(|l| load.get(l).copied().unwrap_or(0) + 1)
-                    .max()
-                    .unwrap_or(0);
-                let sum: u64 = links
-                    .iter()
-                    .map(|l| load.get(l).copied().unwrap_or(0))
-                    .sum();
+                let (mut max, mut sum) = (0, 0);
+                for hop in path.windows(2) {
+                    let l = load[link_of(hop[0], hop[1]).index()];
+                    max = max.max(l + 1);
+                    sum += l;
+                }
                 let key = (max, sum, i);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
             }
-            // lint:allow(unwrap) — the empty-candidates case pushed None above
-            let (_, _, idx) = best.expect("candidates nonempty");
-            let chosen = candidates.swap_remove(idx);
-            for l in links_of(&chosen) {
-                *load.entry(l).or_insert(0) += 1;
+            let chosen = match best {
+                Some((_, _, i)) => ft.host_path(flow.src, flow.dst, i),
+                None => match ft.net.bfs_path(flow.src, flow.dst) {
+                    Some(p) => p,
+                    None => {
+                        out.push(None);
+                        continue;
+                    }
+                },
+            };
+            for hop in chosen.windows(2) {
+                load[link_of(hop[0], hop[1]).index()] += 1;
             }
             out.push(Some(chosen));
         }

@@ -16,7 +16,7 @@
 
 use crate::graph::{Network, NodeKind};
 use crate::ids::NodeId;
-use crate::fattree::{FatTreeConfig, HostAddr};
+use crate::fattree::{shortest_path_count, FatTreeConfig, HostAddr};
 
 /// The two striping types of F10 pods.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,11 +93,7 @@ impl F10Topology {
             }
             for a in 0..half {
                 for m in 0..half {
-                    let core_idx = match Self::pod_type_of(pod) {
-                        PodType::A => a * half + m,
-                        PodType::B => m * half + a,
-                    };
-                    net.add_link(aggs[pod][a], cores[core_idx], uplink);
+                    net.add_link(aggs[pod][a], cores[Self::core_of(k, pod, a, m)], uplink);
                 }
             }
         }
@@ -109,6 +105,15 @@ impl F10Topology {
             edges,
             aggs,
             cores,
+        }
+    }
+
+    /// Global index of the core on the `m`-th uplink of agg `a` in `pod`.
+    fn core_of(k: usize, pod: usize, a: usize, m: usize) -> usize {
+        let half = k / 2;
+        match Self::pod_type_of(pod) {
+            PodType::A => a * half + m,
+            PodType::B => m * half + a,
         }
     }
 
@@ -172,12 +177,8 @@ impl F10Topology {
 
     /// Global indices of the cores reachable from agg `a` of `pod`.
     pub fn cores_of_agg(&self, pod: usize, a: usize) -> Vec<usize> {
-        let half = self.cfg.k / 2;
-        (0..half)
-            .map(|m| match self.pod_type(pod) {
-                PodType::A => a * half + m,
-                PodType::B => m * half + a,
-            })
+        (0..self.cfg.k / 2)
+            .map(|m| Self::core_of(self.cfg.k, pod, a, m))
             .collect()
     }
 
@@ -191,39 +192,66 @@ impl F10Topology {
         }
     }
 
-    /// All equal-cost shortest paths between two hosts (see
-    /// [`crate::FatTree::host_paths`] for the path-shape conventions).
-    pub fn host_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
+    /// Number of equal-cost shortest paths between two hosts (see
+    /// [`crate::FatTree::host_path_count`]).
+    ///
+    /// # Panics
+    /// Panics if `src == dst` or either is not a host.
+    pub fn host_path_count(&self, src: NodeId, dst: NodeId) -> usize {
+        assert!(src != dst, "src == dst");
+        shortest_path_count(self.addr_of(src), self.addr_of(dst), self.cfg.k)
+    }
+
+    /// The `i`-th equal-cost shortest path between two hosts (see
+    /// [`crate::FatTree::host_path`] for the path-shape conventions).
+    ///
+    /// Across pods, path `i` climbs through agg `a = i / (k/2)` and that
+    /// agg's `m = i % (k/2)`-th core under the source pod's striping, then
+    /// descends through whichever agg that core reaches in the destination
+    /// pod.
+    ///
+    /// # Panics
+    /// Panics if `i >= host_path_count(src, dst)`.
+    pub fn host_path(&self, src: NodeId, dst: NodeId, i: usize) -> Vec<NodeId> {
+        let mut path = Vec::with_capacity(7);
+        self.host_path_into(src, dst, i, &mut path);
+        path
+    }
+
+    /// [`F10Topology::host_path`] written into `out` (cleared first).
+    pub fn host_path_into(&self, src: NodeId, dst: NodeId, i: usize, out: &mut Vec<NodeId>) {
         let half = self.cfg.k / 2;
         let s = self.addr_of(src);
         let d = self.addr_of(dst);
         assert!(src != dst, "src == dst");
-        let se = self.edges[s.pod][s.edge];
-        let de = self.edges[d.pod][d.edge];
-        if s.pod == d.pod && s.edge == d.edge {
-            return vec![vec![src, se, dst]];
+        assert!(
+            i < shortest_path_count(s, d, self.cfg.k),
+            "path index {i} out of range"
+        );
+        out.clear();
+        out.push(src);
+        out.push(self.edges[s.pod][s.edge]);
+        if s.pod != d.pod {
+            let a = i / half;
+            let c = Self::core_of(self.cfg.k, s.pod, a, i % half);
+            out.push(self.aggs[s.pod][a]);
+            out.push(self.cores[c]);
+            out.push(self.aggs[d.pod][self.agg_for_core(d.pod, c)]);
+        } else if s.edge != d.edge {
+            out.push(self.aggs[s.pod][i]);
         }
-        if s.pod == d.pod {
-            return (0..half)
-                .map(|a| vec![src, se, self.aggs[s.pod][a], de, dst])
-                .collect();
+        if (s.pod, s.edge) != (d.pod, d.edge) {
+            out.push(self.edges[d.pod][d.edge]);
         }
-        let mut paths = Vec::with_capacity(half * half);
-        for a in 0..half {
-            for c in self.cores_of_agg(s.pod, a) {
-                let da = self.agg_for_core(d.pod, c);
-                paths.push(vec![
-                    src,
-                    se,
-                    self.aggs[s.pod][a],
-                    self.cores[c],
-                    self.aggs[d.pod][da],
-                    de,
-                    dst,
-                ]);
-            }
-        }
-        paths
+        out.push(dst);
+    }
+
+    /// All equal-cost shortest paths between two hosts, in
+    /// [`F10Topology::host_path`] order.
+    pub fn host_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
+        (0..self.host_path_count(src, dst))
+            .map(|i| self.host_path(src, dst, i))
+            .collect()
     }
 }
 

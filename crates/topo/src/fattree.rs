@@ -240,44 +240,83 @@ impl FatTree {
         a * (self.cfg.k / 2) + m
     }
 
-    /// All equal-cost shortest paths between two hosts, as node sequences
-    /// including both endpoints (ignores failure state — callers filter with
-    /// [`Network::path_usable`]).
+    /// Number of equal-cost shortest paths between two hosts.
     ///
     /// * Same edge switch: 1 path of 2 hops.
     /// * Same pod, different edge: k/2 paths of 4 hops.
     /// * Different pods: (k/2)² paths of 6 hops.
-    pub fn host_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
+    ///
+    /// # Panics
+    /// Panics if `src == dst` or either is not a host.
+    pub fn host_path_count(&self, src: NodeId, dst: NodeId) -> usize {
+        assert!(src != dst, "src == dst");
+        shortest_path_count(self.addr_of(src), self.addr_of(dst), self.cfg.k)
+    }
+
+    /// The `i`-th equal-cost shortest path between two hosts, as a node
+    /// sequence including both endpoints (ignores failure state — callers
+    /// filter with [`Network::path_usable`]).
+    ///
+    /// Across pods, path `i` climbs through agg `a = i / (k/2)` and that
+    /// agg's `m = i % (k/2)`-th core; within a pod, path `i` turns at agg
+    /// `i`. This order is the contract flow hashes index into.
+    ///
+    /// # Panics
+    /// Panics if `i >= host_path_count(src, dst)`.
+    pub fn host_path(&self, src: NodeId, dst: NodeId, i: usize) -> Vec<NodeId> {
+        let mut path = Vec::with_capacity(7);
+        self.host_path_into(src, dst, i, &mut path);
+        path
+    }
+
+    /// [`FatTree::host_path`] written into `out` (cleared first), so a
+    /// caller scanning many paths reuses one buffer.
+    pub fn host_path_into(&self, src: NodeId, dst: NodeId, i: usize, out: &mut Vec<NodeId>) {
         let half = self.cfg.k / 2;
         let s = self.addr_of(src);
         let d = self.addr_of(dst);
         assert!(src != dst, "src == dst");
-        let se = self.edges[s.pod][s.edge];
-        let de = self.edges[d.pod][d.edge];
-        if s.pod == d.pod && s.edge == d.edge {
-            return vec![vec![src, se, dst]];
+        assert!(
+            i < shortest_path_count(s, d, self.cfg.k),
+            "path index {i} out of range"
+        );
+        out.clear();
+        out.push(src);
+        out.push(self.edges[s.pod][s.edge]);
+        if s.pod != d.pod {
+            let (a, m) = (i / half, i % half);
+            out.push(self.aggs[s.pod][a]);
+            out.push(self.cores[self.core_index(a, m)]);
+            out.push(self.aggs[d.pod][a]);
+        } else if s.edge != d.edge {
+            out.push(self.aggs[s.pod][i]);
         }
-        if s.pod == d.pod {
-            return (0..half)
-                .map(|a| vec![src, se, self.aggs[s.pod][a], de, dst])
-                .collect();
+        if (s.pod, s.edge) != (d.pod, d.edge) {
+            out.push(self.edges[d.pod][d.edge]);
         }
-        let mut paths = Vec::with_capacity(half * half);
-        for a in 0..half {
-            for m in 0..half {
-                let core = self.cores[self.core_index(a, m)];
-                paths.push(vec![
-                    src,
-                    se,
-                    self.aggs[s.pod][a],
-                    core,
-                    self.aggs[d.pod][a],
-                    de,
-                    dst,
-                ]);
-            }
-        }
-        paths
+        out.push(dst);
+    }
+
+    /// All equal-cost shortest paths between two hosts, in
+    /// [`FatTree::host_path`] order.
+    pub fn host_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
+        (0..self.host_path_count(src, dst))
+            .map(|i| self.host_path(src, dst, i))
+            .collect()
+    }
+}
+
+/// Equal-cost shortest paths between hosts at `s` and `d` in any k-ary
+/// fat-tree wiring: 1 under one edge switch, k/2 within a pod, (k/2)²
+/// across pods.
+pub(crate) fn shortest_path_count(s: HostAddr, d: HostAddr, k: usize) -> usize {
+    let half = k / 2;
+    if s.pod != d.pod {
+        half * half
+    } else if s.edge != d.edge {
+        half
+    } else {
+        1
     }
 }
 

@@ -203,11 +203,15 @@ impl Network {
     /// Returns the node sequence including both endpoints, or `None` if
     /// disconnected. Deterministic: neighbors are explored in link-insertion
     /// order.
+    ///
+    /// An endpoint with no usable incident link (down itself, or a host whose
+    /// only link or edge switch is down) answers `None` at once, without the
+    /// whole-fabric search that could only fail.
     pub fn bfs_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         if src == dst {
             return Some(vec![src]);
         }
-        if !self.node(src).up || !self.node(dst).up {
+        if self.up_neighbors(src).next().is_none() || self.up_neighbors(dst).next().is_none() {
             return None;
         }
         let mut prev: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
