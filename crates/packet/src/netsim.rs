@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use sharebackup_sim::{Duration, Engine, Time, World};
+use sharebackup_sim::{Duration, Engine, Slot, Time, World};
 use sharebackup_topo::{LinkId, Network, NodeId};
 
 use crate::transport::{Receiver, RenoFlow};
@@ -109,22 +109,78 @@ struct DirState {
     busy: bool,
 }
 
+/// A flow's path as the direction index of each hop: `fwd` carries data,
+/// `rev` (the path reversed) carries ACKs. A hop between nodes that share
+/// no link is `None`; a packet meeting it is dropped. Which links exist
+/// never changes during a run, so the indices are fixed per path.
+struct Route {
+    fwd: Vec<Option<usize>>,
+    rev: Vec<Option<usize>>,
+}
+
+impl Route {
+    fn new(net: &Network, path: &[NodeId]) -> Route {
+        Route {
+            fwd: path
+                .windows(2)
+                .map(|w| dir_index(net, w[0], w[1]))
+                .collect(),
+            rev: path
+                .windows(2)
+                .rev()
+                .map(|w| dir_index(net, w[1], w[0]))
+                .collect(),
+        }
+    }
+
+    fn hops(&self, ack: bool) -> &[Option<usize>] {
+        if ack {
+            &self.rev
+        } else {
+            &self.fwd
+        }
+    }
+}
+
+/// Index of the `from → to` direction of the link between them.
+fn dir_index(net: &Network, from: NodeId, to: NodeId) -> Option<usize> {
+    let l = net.link_between(from, to)?;
+    let d = if net.link(l).a == from { 0 } else { 1 };
+    Some((l.0 as usize) * 2 + d)
+}
+
 struct FlowState {
-    path: Option<Vec<NodeId>>,
-    rev: Option<Vec<NodeId>>,
+    route: Option<Route>,
     sender: RenoFlow,
     receiver: Receiver,
     completed: Option<Time>,
-    armed_gen: Option<u64>,
+    /// The RTO armed for a sender generation, due at the slot a timer
+    /// scheduled at arming time would have taken.
+    armed: Option<(u64, Slot)>,
+    /// The flow's live `Ev::Rto` entry, due at or before the armed slot.
+    queued: Option<Slot>,
     ver: u32,
-    started: bool,
+}
+
+impl FlowState {
+    /// Queue flow `flow`'s live RTO entry (this state) under `slot`.
+    fn queue_rto(&mut self, engine: &mut Engine<Ev>, flow: usize, slot: Slot) {
+        self.queued = Some(slot);
+        let token = slot.seq();
+        engine.schedule_slot(slot, Ev::Rto { flow, token });
+    }
 }
 
 enum Ev {
     Start(usize),
     TxDone(usize),
     Arrive(QPacket),
-    Rto { flow: usize, gen: u64 },
+    /// A flow's RTO entry, queued under the slot whose sequence number is
+    /// `token`.
+    Rto {
+        flow: usize,
+        token: u64,
+    },
     Topo(usize),
 }
 
@@ -141,6 +197,8 @@ struct NetWorld {
     flows: Vec<FlowState>,
     events: Vec<Option<PktEvent>>,
     drops: u64,
+    /// Reused buffer for one pump's sends.
+    sends: Vec<(u64, u32)>,
 }
 
 impl PacketSim {
@@ -173,18 +231,18 @@ impl PacketSim {
             flows: flows
                 .iter()
                 .map(|s| FlowState {
-                    path: Some(s.path.clone()),
-                    rev: Some(s.path.iter().rev().copied().collect()),
+                    route: Some(Route::new(net, &s.path)),
                     sender: RenoFlow::new(s.bytes, self.cfg.mss),
                     receiver: Receiver::new(),
                     completed: None,
-                    armed_gen: None,
+                    armed: None,
+                    queued: None,
                     ver: 0,
-                    started: false,
                 })
                 .collect(),
             events: events.iter().map(|(_, e)| Some(e.clone())).collect(),
             drops: 0,
+            sends: Vec::new(),
         };
         for (i, s) in flows.iter().enumerate() {
             engine.schedule(s.start, Ev::Start(i));
@@ -208,13 +266,6 @@ impl PacketSim {
 }
 
 impl NetWorld {
-    fn dir_index(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let l = self.net.link_between(from, to)?;
-        let link = self.net.link(l);
-        let d = if link.a == from { 0 } else { 1 };
-        Some((l.0 as usize) * 2 + d)
-    }
-
     fn link_of_dir(&self, dir: usize) -> LinkId {
         LinkId::from_index(dir / 2)
     }
@@ -232,13 +283,7 @@ impl NetWorld {
             self.drops += 1;
             return;
         }
-        let path = if pkt.ack { &flow.rev } else { &flow.path };
-        let Some(path) = path else {
-            self.drops += 1;
-            return;
-        };
-        let (from, to) = (path[pkt.hop], path[pkt.hop + 1]);
-        let Some(dir) = self.dir_index(from, to) else {
+        let Some(dir) = flow.route.as_ref().and_then(|r| r.hops(pkt.ack)[pkt.hop]) else {
             self.drops += 1;
             return;
         };
@@ -268,10 +313,12 @@ impl NetWorld {
     }
 
     /// Send whatever the window permits and (re)arm the RTO.
-    fn pump(&mut self, engine: &mut Engine<Ev>, flow: usize, now: Time) {
+    fn pump(&mut self, engine: &mut Engine<Ev>, flow: usize) {
         let ver = self.flows[flow].ver;
-        let sends = self.flows[flow].sender.take_sends();
-        for (seq, len) in sends {
+        let mut sends = std::mem::take(&mut self.sends);
+        sends.clear();
+        self.flows[flow].sender.sends_into(&mut sends);
+        for &(seq, len) in &sends {
             let wire = len + self.cfg.header_bytes;
             self.forward(
                 engine,
@@ -286,21 +333,30 @@ impl NetWorld {
                 },
             );
         }
-        self.arm_rto(engine, flow, now);
+        self.sends = sends;
+        self.arm_rto(engine, flow);
     }
 
-    fn arm_rto(&mut self, engine: &mut Engine<Ev>, flow: usize, _now: Time) {
+    /// Arm the RTO for the sender's current generation. The deadline takes
+    /// the engine slot a timer scheduled now would take, but an entry is
+    /// queued only if the flow has none due at or before it; a later
+    /// deadline is reached by re-queueing that entry when it pops.
+    fn arm_rto(&mut self, engine: &mut Engine<Ev>, flow: usize) {
         let f = &mut self.flows[flow];
         if f.sender.finished() {
             return;
         }
         let gen = f.sender.rto_generation();
-        if f.armed_gen == Some(gen) {
+        if f.armed.is_some_and(|(g, _)| g == gen) {
             return;
         }
-        f.armed_gen = Some(gen);
-        let rto = self.cfg.rto * f.sender.rto_multiplier() as u64;
-        engine.schedule_in(rto, Ev::Rto { flow, gen });
+        let slot = engine.reserve_in(self.cfg.rto * f.sender.rto_multiplier() as u64);
+        f.armed = Some((gen, slot));
+        // A deadline can move earlier (progress resets the backoff): queue
+        // a new entry; the superseded one is stale when it pops.
+        if f.queued.is_none_or(|q| q > slot) {
+            f.queue_rto(engine, flow, slot);
+        }
     }
 
     fn apply_topo(&mut self, ev: PktEvent) {
@@ -310,9 +366,9 @@ impl NetWorld {
             PktEvent::FailNode(n) => self.net.set_node_up(n, false),
             PktEvent::RepairNode(n) => self.net.set_node_up(n, true),
             PktEvent::SetPath { flow, path } => {
+                let route = path.map(|p| Route::new(&self.net, &p));
                 let f = &mut self.flows[flow];
-                f.rev = path.as_ref().map(|p| p.iter().rev().copied().collect());
-                f.path = path;
+                f.route = route;
                 f.ver += 1; // in-flight packets of the old path are lost
             }
         }
@@ -322,10 +378,7 @@ impl NetWorld {
 impl World<Ev> for NetWorld {
     fn handle(&mut self, engine: &mut Engine<Ev>, now: Time, ev: Ev) {
         match ev {
-            Ev::Start(i) => {
-                self.flows[i].started = true;
-                self.pump(engine, i, now);
-            }
+            Ev::Start(i) => self.pump(engine, i),
             Ev::TxDone(dir) => {
                 let pkt = self.dirs[dir]
                     .queue
@@ -352,31 +405,26 @@ impl World<Ev> for NetWorld {
                     self.drops += 1;
                     return;
                 }
-                let path_len = {
-                    let f = &self.flows[flow_idx];
-                    let p = if pkt.ack { &f.rev } else { &f.path };
-                    p.as_ref().map(|p| p.len()).unwrap_or(0)
-                };
-                if path_len == 0 {
+                let Some(route) = &self.flows[flow_idx].route else {
                     self.drops += 1;
                     return;
-                }
-                if pkt.hop + 1 < path_len {
+                };
+                if pkt.hop < route.hops(pkt.ack).len() {
                     // Transit node: forward along the path.
                     self.forward(engine, pkt);
                     return;
                 }
                 if pkt.ack {
-                    // ACK reached the sender.
-                    let fast_rtx = self.flows[flow_idx].sender.on_ack(pkt.seq);
+                    // ACK reached the sender; pump also sends any fast
+                    // retransmit it queued.
+                    self.flows[flow_idx].sender.on_ack(pkt.seq);
                     if self.flows[flow_idx].sender.finished() {
                         if self.flows[flow_idx].completed.is_none() {
                             self.flows[flow_idx].completed = Some(now);
                         }
                         return;
                     }
-                    let _ = fast_rtx; // rolled-back next_seq makes pump resend
-                    self.pump(engine, flow_idx, now);
+                    self.pump(engine, flow_idx);
                 } else {
                     // Data reached the receiver: emit a cumulative ACK.
                     let ackno = self.flows[flow_idx].receiver.on_segment(pkt.seq, pkt.len);
@@ -395,14 +443,30 @@ impl World<Ev> for NetWorld {
                     );
                 }
             }
-            Ev::Rto { flow, gen } => {
+            Ev::Rto { flow, token } => {
                 let f = &mut self.flows[flow];
-                if f.sender.finished() || f.sender.rto_generation() != gen {
+                let Some(due) = f.queued.filter(|q| q.seq() == token) else {
+                    return; // superseded by an earlier deadline
+                };
+                f.queued = None;
+                let Some((gen, slot)) = f.armed else {
+                    return;
+                };
+                if f.sender.finished() {
+                    return;
+                }
+                if slot > due {
+                    // Re-armed since this entry was queued: carry it to the
+                    // armed slot, where a timer scheduled then would pop.
+                    f.queue_rto(engine, flow, slot);
+                    return;
+                }
+                if slot != due || f.sender.rto_generation() != gen {
                     return;
                 }
                 f.sender.on_rto();
-                f.armed_gen = None;
-                self.pump(engine, flow, now);
+                f.armed = None;
+                self.pump(engine, flow);
             }
             Ev::Topo(i) => {
                 if let Some(ev) = self.events[i].take() {

@@ -101,6 +101,13 @@ impl RenoFlow {
     /// them into packets.
     pub fn take_sends(&mut self) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
+        self.sends_into(&mut out);
+        out
+    }
+
+    /// [`RenoFlow::take_sends`], appending to a caller-owned buffer so a
+    /// simulator can reuse one allocation for every send burst.
+    pub fn sends_into(&mut self, out: &mut Vec<(u64, u32)>) {
         out.append(&mut self.pending_rtx);
         while !self.finished()
             && self.next_seq < self.total_bytes
@@ -112,7 +119,6 @@ impl RenoFlow {
             out.push((self.next_seq, len));
             self.next_seq += len as u64;
         }
-        out
     }
 
     /// Process a cumulative ACK for byte `ack` (first unreceived byte at
@@ -203,27 +209,35 @@ impl Receiver {
     /// Out-of-order segments are buffered; duplicate ACKs signal the hole.
     pub fn on_segment(&mut self, seq: u64, len: u32) -> u64 {
         let end = seq + len as u64;
-        if end <= self.expected {
-            return self.expected; // wholly duplicate
+        if len == 0 || end <= self.expected {
+            return self.expected; // empty or wholly duplicate
         }
-        // Insert/merge the range into the buffer.
-        self.buffered.push((seq.max(self.expected), end));
-        self.buffered.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.buffered.len());
-        for &(s, e) in self.buffered.iter() {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
+        if seq <= self.expected && self.buffered.is_empty() {
+            self.expected = end; // in order, nothing to plug
+            return end;
         }
-        self.buffered = merged;
-        // Advance the cumulative point over any now-contiguous prefix.
-        while let Some(&(s, e)) = self.buffered.first() {
+        // Merge [start, end) with every buffered range it overlaps or
+        // touches: those from the first ending at or after `start` to the
+        // last starting at or before `end`.
+        let start = seq.max(self.expected);
+        let lo = self.buffered.partition_point(|&(_, e)| e < start);
+        let hi = lo + self.buffered[lo..].partition_point(|&(s, _)| s <= end);
+        if lo == hi {
+            self.buffered.insert(lo, (start, end));
+        } else {
+            let merged = (
+                start.min(self.buffered[lo].0),
+                end.max(self.buffered[hi - 1].1),
+            );
+            self.buffered[lo] = merged;
+            self.buffered.drain(lo + 1..hi);
+        }
+        // Ranges are disjoint and never touch, and every one but the new
+        // range starts past `expected`: at most the first becomes contiguous.
+        if let Some(&(s, e)) = self.buffered.first() {
             if s <= self.expected {
-                self.expected = self.expected.max(e);
+                self.expected = e;
                 self.buffered.remove(0);
-            } else {
-                break;
             }
         }
         self.expected

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use sharebackup_packet::transport::Receiver;
 use sharebackup_packet::{PacketNetConfig, PacketSim, PktEvent, PktFlowSpec};
 use sharebackup_sim::{Duration, Time};
 use sharebackup_topo::{Network, NodeId, NodeKind};
@@ -18,6 +19,68 @@ fn line(mid_bps: f64) -> (Network, Vec<NodeId>) {
     net.add_link(s0, s1, mid_bps);
     net.add_link(s1, h1, 1e9);
     (net, vec![h0, s0, s1, h1])
+}
+
+/// The receiver's original reassembly, kept verbatim as the oracle: push
+/// the range, sort, merge into a fresh `Vec`, then pop the contiguous prefix.
+#[derive(Default)]
+struct OracleReceiver {
+    expected: u64,
+    buffered: Vec<(u64, u64)>,
+}
+
+impl OracleReceiver {
+    fn on_segment(&mut self, seq: u64, len: u32) -> u64 {
+        let end = seq + len as u64;
+        if end <= self.expected {
+            return self.expected; // wholly duplicate
+        }
+        // Insert/merge the range into the buffer.
+        self.buffered.push((seq.max(self.expected), end));
+        self.buffered.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.buffered.len());
+        for &(s, e) in self.buffered.iter() {
+            match merged.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        self.buffered = merged;
+        // Advance the cumulative point over any now-contiguous prefix.
+        while let Some(&(s, e)) = self.buffered.first() {
+            if s <= self.expected {
+                self.expected = self.expected.max(e);
+                self.buffered.remove(0);
+            } else {
+                break;
+            }
+        }
+        self.expected
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The in-place receiver returns the oracle's cumulative ACK for every
+    /// segment of a random stream: reordered, duplicated, overlapping,
+    /// touching and empty segments alike. Starts on a coarse grid over a
+    /// small window keep holes, plugs and merges frequent.
+    #[test]
+    fn receiver_matches_allocating_merge(
+        segs in prop::collection::vec((0u64..16, 0u64..4, 0u32..6), 1..100),
+    ) {
+        let mut got = Receiver::new();
+        let mut want = OracleReceiver::default();
+        for &(slot, shift, units) in &segs {
+            // Everything sits on a 25-byte grid, so ranges often touch;
+            // lengths skew short (0..625 bytes, quadratic), so one long
+            // segment often spans several buffered ranges.
+            let (seq, len) = (slot * 100 + shift * 25, units * units * 25);
+            prop_assert_eq!(got.on_segment(seq, len), want.on_segment(seq, len));
+            prop_assert_eq!(got.expected(), want.expected);
+        }
+    }
 }
 
 proptest! {

@@ -26,19 +26,36 @@ impl<E, F: FnMut(&mut Engine<E>, Time, E)> World<E> for F {
     }
 }
 
-struct Entry<E> {
+/// A reserved position in the delivery order: an instant plus the FIFO
+/// sequence number that breaks ties at that instant.
+///
+/// [`Engine::reserve_in`] hands one out without queueing anything;
+/// [`Engine::schedule_slot`] later queues an event under it, and the event is
+/// delivered exactly where it would have been had it been scheduled at
+/// reservation time. Slots order as the engine delivers: by instant, then by
+/// sequence number.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Slot {
     at: Time,
     seq: u64,
+}
+
+impl Slot {
+    /// The sequence number reserved with it, unique within one engine.
+    pub fn seq(self) -> u64 {
+        self.seq
+    }
+}
+
+struct Entry<E> {
+    slot: Slot,
     event: E,
 }
 
 // BinaryHeap is a max-heap; invert ordering to pop the earliest event first.
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.slot.cmp(&self.slot)
     }
 }
 impl<E> PartialOrd for Entry<E> {
@@ -48,7 +65,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.slot == other.slot
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -113,19 +130,44 @@ impl<E> Engine<E> {
     /// Panics if `at` is before the current instant — scheduling into the past
     /// is always a simulation bug.
     pub fn schedule(&mut self, at: Time, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: {at:?} < {:?}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Entry { at, seq, event });
+        let slot = self.reserve(at);
+        self.schedule_slot(slot, event);
     }
 
     /// Schedule `event` to occur `delay` after the current instant.
     pub fn schedule_in(&mut self, delay: Duration, event: E) {
         self.schedule(self.now + delay, event);
+    }
+
+    /// Reserve the position an event scheduled `delay` from now would take —
+    /// the instant and the next FIFO sequence number — without queueing
+    /// anything. Queue an event there later with
+    /// [`schedule_slot`](Engine::schedule_slot), or never.
+    pub fn reserve_in(&mut self, delay: Duration) -> Slot {
+        self.reserve(self.now + delay)
+    }
+
+    /// Queue `event` under a slot reserved by
+    /// [`reserve_in`](Engine::reserve_in). It is delivered exactly where an
+    /// event scheduled at reservation time would have been: before every
+    /// later-reserved event due at the same instant.
+    ///
+    /// # Panics
+    /// Panics if the slot's instant is before the current instant.
+    pub fn schedule_slot(&mut self, slot: Slot, event: E) {
+        assert!(
+            slot.at >= self.now,
+            "event scheduled in the past: {:?} < {:?}",
+            slot.at,
+            self.now
+        );
+        self.queue.push(Entry { slot, event });
+    }
+
+    fn reserve(&mut self, at: Time) -> Slot {
+        let seq = self.seq;
+        self.seq += 1;
+        Slot { at, seq }
     }
 
     /// Remove and return the earliest pending event, advancing the clock.
@@ -135,7 +177,7 @@ impl<E> Engine<E> {
     pub fn pop(&mut self) -> Option<(Time, E)> {
         match self.queue.peek() {
             None => None,
-            Some(head) if head.at > self.horizon => {
+            Some(head) if head.slot.at > self.horizon => {
                 self.now = self.horizon;
                 None
             }
@@ -146,12 +188,12 @@ impl<E> Engine<E> {
                 // earlier than the current instant. A hard assert under
                 // `strict-invariants`, a debug assert otherwise.
                 #[cfg(feature = "strict-invariants")]
-                assert!(entry.at >= self.now, "queue yielded a past event");
+                assert!(entry.slot.at >= self.now, "queue yielded a past event");
                 #[cfg(not(feature = "strict-invariants"))]
-                debug_assert!(entry.at >= self.now, "queue yielded a past event");
-                self.now = entry.at;
+                debug_assert!(entry.slot.at >= self.now, "queue yielded a past event");
+                self.now = entry.slot.at;
                 self.processed += 1;
-                Some((entry.at, entry.event))
+                Some((entry.slot.at, entry.event))
             }
         }
     }
@@ -273,6 +315,46 @@ mod tests {
         engine.schedule(Time::from_secs(2), Ev::Stop);
         engine.run(&mut |e: &mut Engine<Ev>, _now, _ev: Ev| {
             e.schedule(Time::from_secs(1), Ev::Stop);
+        });
+    }
+
+    #[test]
+    fn reserved_slots_deliver_in_reservation_order() {
+        let mut engine: Engine<Ev> = Engine::new();
+        let a = engine.reserve_in(Duration::from_secs(1));
+        engine.schedule(Time::from_secs(1), Ev::A(1));
+        let c = engine.reserve_in(Duration::from_secs(1));
+        engine.schedule(Time::from_secs(1), Ev::A(3));
+        assert!(a < c && a.seq() < c.seq());
+        // Queued in the opposite order, and after the plain events.
+        engine.schedule_slot(c, Ev::A(2));
+        engine.schedule_slot(a, Ev::A(0));
+        let mut seen = Vec::new();
+        engine.run(&mut |_: &mut Engine<Ev>, _now, ev: Ev| {
+            if let Ev::A(n) = ev {
+                seen.push(n);
+            }
+        });
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn unqueued_reservation_leaves_no_event() {
+        let mut engine: Engine<Ev> = Engine::new();
+        let _ = engine.reserve_in(Duration::from_secs(1));
+        assert_eq!(engine.pending(), 0);
+        engine.run(&mut |_: &mut Engine<Ev>, _now, _ev: Ev| {});
+        assert_eq!(engine.events_processed(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn scheduling_a_slot_in_the_past_panics() {
+        let mut engine: Engine<Ev> = Engine::new();
+        let early = engine.reserve_in(Duration::from_secs(1));
+        engine.schedule(Time::from_secs(2), Ev::Stop);
+        engine.run(&mut |e: &mut Engine<Ev>, _now, _ev: Ev| {
+            e.schedule_slot(early, Ev::Stop);
         });
     }
 

@@ -49,7 +49,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, World};
+pub use engine::{Engine, Slot, World};
 pub use rng::SimRng;
 pub use stats::{Cdf, Histogram, Summary};
 pub use time::{Duration, Time};

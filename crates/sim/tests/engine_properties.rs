@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sharebackup_sim::{Cdf, Engine, Histogram, SimRng, Summary, Time};
+use sharebackup_sim::{Cdf, Duration, Engine, Histogram, SimRng, Summary, Time};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -27,6 +27,35 @@ proptest! {
             prop_assert!(w[0].1 < w[1].1 || (w[0].1 == w[1].1 && w[0].2 < w[1].2));
         }
         prop_assert_eq!(seen.len(), times.len());
+    }
+
+    /// Events queued under reserved slots, in any order, are delivered
+    /// exactly as if each had been scheduled when its slot was reserved.
+    #[test]
+    fn reserved_slots_match_scheduling_at_reservation(
+        ops in prop::collection::vec((0u64..50, any::<bool>(), any::<u64>()), 1..100),
+    ) {
+        let mut direct: Engine<usize> = Engine::new();
+        let mut slotted: Engine<usize> = Engine::new();
+        let mut reserved = Vec::new();
+        for (i, &(t, reserve, key)) in ops.iter().enumerate() {
+            direct.schedule_in(Duration::from_nanos(t), i);
+            if reserve {
+                reserved.push((key, slotted.reserve_in(Duration::from_nanos(t)), i));
+            } else {
+                slotted.schedule_in(Duration::from_nanos(t), i);
+            }
+        }
+        // Queue the reserved events in an order unrelated to reservation.
+        reserved.sort_unstable();
+        for (_, slot, i) in reserved {
+            slotted.schedule_slot(slot, i);
+        }
+        let mut want = Vec::new();
+        direct.run(&mut |_: &mut Engine<usize>, now: Time, i: usize| want.push((now, i)));
+        let mut got = Vec::new();
+        slotted.run(&mut |_: &mut Engine<usize>, now: Time, i: usize| got.push((now, i)));
+        prop_assert_eq!(got, want);
     }
 
     /// The horizon never lets a later event through and always advances the
