@@ -6,11 +6,15 @@
 //! (slot replacement = a handful of circuit reconfigurations).
 //!
 //! The harness is self-contained (`harness = false`): a warmup pass followed
-//! by timed batches, reporting mean and best ns/iteration. Wall-clock use is
-//! confined to this crate, as the determinism lint (`cargo xtask lint`)
-//! requires.
+//! by timed batches, reporting mean and best ns/iteration. This file is the
+//! workspace's only wall-clock reader: timing is its whole point, and no
+//! simulated result depends on it.
 
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark times real code with `Instant`; its timings never feed a simulation"
+)]
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -5,6 +5,11 @@
 //! Each binary regenerates one table or figure of the paper; see DESIGN.md
 //! for the experiment index and EXPERIMENTS.md for recorded results.
 
+// Unlike every other library crate, this one does not warn on
+// `clippy::expect_used`: in a benchmark harness, panicking on a malformed
+// CLI flag or an impossible topology position is the intended failure mode,
+// and its results never feed back into the simulation.
+
 pub mod args;
 pub mod fig1;
 pub mod parallel;

@@ -48,8 +48,8 @@ where
                     break;
                 }
                 let r = f(i);
-                // lint:allow(unwrap) — poisoning implies a worker already
-                // panicked, and that panic is what surfaces.
+                // Poisoning implies a worker already panicked, and that
+                // panic is what surfaces.
                 *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }

@@ -65,7 +65,7 @@ mod tests {
     fn salts_spread_over_hosts() {
         let ft = FatTree::build(FatTreeConfig::new(8));
         let map = RackMap::new(8);
-        let distinct: std::collections::HashSet<NodeId> =
+        let distinct: std::collections::BTreeSet<NodeId> =
             (0..16).map(|s| map.host(&ft, 3, s)).collect();
         assert_eq!(distinct.len(), 4);
     }

@@ -650,21 +650,24 @@ impl Controller {
             let l = net.incident(host)[0];
             net.link(l).other(host)
         };
+        #[expect(clippy::expect_used, reason = "hosts attach to edge slots by construction")]
         let slot = self
             .sb
             .node_slot(edge_node)
-            // lint:allow(unwrap) — hosts attach to edge slots by construction
             .expect("host connects to an edge slot");
         let suspect = self.sb.occupant(slot);
         self.try_replace(slot, now, &mut recovery);
         if !recovery.replaced.is_empty() {
             // Did replacing the switch fix the link?
+            #[expect(
+                clippy::expect_used,
+                reason = "the host link was found above via incident()"
+            )]
             let link = self
                 .sb
                 .slots
                 .net
                 .link_between(host, edge_node)
-                // lint:allow(unwrap) — the host link was found above via incident()
                 .expect("host link");
             if self.sb.slots.net.link_usable(link) {
                 // Switch was at fault: repair it.

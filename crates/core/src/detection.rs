@@ -138,9 +138,15 @@ pub fn simulate_detection(
         detected_at: None,
     };
     engine.run(&mut world);
-    // lint:allow(unwrap) — the engine runs both scheduled events before returning
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine runs both scheduled events before returning"
+    )]
     let died = world.died_at.expect("death event ran");
-    // lint:allow(unwrap) — the engine runs both scheduled events before returning
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine runs both scheduled events before returning"
+    )]
     let detected = world.detected_at.expect("detector always fires");
     detected.since(died)
 }

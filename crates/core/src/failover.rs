@@ -711,13 +711,19 @@ pub fn simulate_election(
     };
     engine.run(&mut world);
     ElectionTimeline {
-        // lint:allow(unwrap) — the crash event is scheduled up front and always runs
+        #[expect(
+            clippy::expect_used,
+            reason = "the crash event is scheduled up front and always runs"
+        )]
         crashed_at: world.crashed_at.expect("crash ran"),
-        // lint:allow(unwrap) — some follower's scan always observes the silence
+        #[expect(clippy::expect_used, reason = "some follower's scan always observes the silence")]
         detected_at: world.detected_at.expect("a follower detects"),
-        // lint:allow(unwrap) — the election is scheduled at detection and always runs
+        #[expect(
+            clippy::expect_used,
+            reason = "the election is scheduled at detection and always runs"
+        )]
         elected_at: world.elected_at.expect("election completes"),
-        // lint:allow(unwrap) — set together with detected_at
+        #[expect(clippy::expect_used, reason = "set together with detected_at")]
         detector: world.detector.expect("a follower detects"),
     }
 }

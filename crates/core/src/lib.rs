@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! # sharebackup-core
 //!
 //! The ShareBackup control plane — the paper's primary contribution (§4).

@@ -98,7 +98,7 @@ impl RollingUpgrade {
                 UpgradeStep::Waiting
             };
         };
-        // lint:allow(unwrap) — candidates are drawn from the occupancy map
+        #[expect(clippy::expect_used, reason = "candidates are drawn from the occupancy map")]
         let slot = ctl.sb.slot_of(victim).expect("candidate occupies");
         let spares = ctl.sb.spares(self.group);
         let Some(&backup) = spares.iter().find(|p| self.done.contains(p) || !self.in_shop.iter().any(|&(_, q)| q == **p)) else {

@@ -370,11 +370,14 @@ impl Environment for ShareBackupWorld {
                         let net = &self.controller.sb.slots.net;
                         let l = net.incident(host)[0];
                         let edge_node = net.link(l).other(host);
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "hosts attach to edge slots by construction"
+                        )]
                         let slot = self
                             .controller
                             .sb
                             .node_slot(edge_node)
-                            // lint:allow(unwrap) — hosts attach to edge slots by construction
                             .expect("host connects to an edge slot");
                         (slot, net.node(host).index % (self.controller.sb.k() / 2))
                     };
@@ -405,15 +408,15 @@ impl Environment for ShareBackupWorld {
             SbEvent::ControllerCrash(id) => {
                 // Out-of-range ids are a schedule bug, not a data-plane
                 // event — surface them loudly.
+                #[expect(clippy::expect_used, reason = "scenario schedules name real replicas")]
                 self.failover
                     .crash_replica(&mut self.controller, id, now)
-                    // lint:allow(unwrap) — scenario schedules name real replicas
                     .expect("crash event names a real replica");
             }
             SbEvent::ControllerRestore(id) => {
+                #[expect(clippy::expect_used, reason = "scenario schedules name real replicas")]
                 self.failover
                     .restore_replica(&mut self.controller, id, now)
-                    // lint:allow(unwrap) — scenario schedules name real replicas
                     .expect("restore event names a real replica");
                 self.drive_failover(now);
             }
@@ -450,7 +453,7 @@ pub fn link_sb_event(sb: &ShareBackup, net: &Network, l: LinkId) -> SbEvent {
             switch_side: true,
         },
         (NodeKind::Edge, NodeKind::Agg) => {
-            // lint:allow(unwrap) — every edge switch has a pod by construction
+            #[expect(clippy::expect_used, reason = "every edge switch has a pod by construction")]
             let pod = nlo.pod.expect("edge has a pod");
             let (j, agg) = (nlo.index, nhi.index);
             let m = (agg + half - j) % half;
@@ -460,7 +463,7 @@ pub fn link_sb_event(sb: &ShareBackup, net: &Network, l: LinkId) -> SbEvent {
             }
         }
         (NodeKind::Agg, NodeKind::Core) => {
-            // lint:allow(unwrap) — every agg switch has a pod by construction
+            #[expect(clippy::expect_used, reason = "every agg switch has a pod by construction")]
             let pod = nlo.pod.expect("agg has a pod");
             let (j, core) = (nlo.index, nhi.index);
             let u = core % half;

@@ -281,11 +281,14 @@ pub fn simulate_recovery_with_blackout(
     controller_available_at: Time,
     tracer: &Tracer,
 ) -> Timeline {
+    #[expect(
+        clippy::expect_used,
+        reason = "callers hand in a freshly built fabric with n ≥ 1 spares"
+    )]
     let backup = *ctl
         .sb
         .spares(slot.group)
         .first()
-        // lint:allow(unwrap) — callers hand in a freshly built fabric with n ≥ 1 spares
         .expect("a backup must be available");
     let cs_ids = circuit_switches_for(ctl, slot);
     let detection = DetectionConfig {
@@ -328,17 +331,20 @@ pub fn simulate_recovery_with_blackout(
     // Apply the replacement the timeline just orchestrated.
     let victim = ctl.sb.occupant(slot);
     ctl.sb.set_phys_healthy(victim, false);
-    // lint:allow(unwrap) — the engine runs to quiescence, so the recovery event fired
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine runs to quiescence, so the recovery event fired"
+    )]
     let recovery = ctl.handle_node_failure(victim, world.recovered_at.expect("recovered"));
     assert!(recovery.fully_recovered(), "backup was available");
 
     let tl = Timeline {
         events: world.events,
-        // lint:allow(unwrap) — same: all three milestones fired during the run
+        #[expect(clippy::expect_used, reason = "all three milestones fired during the run")]
         died_at: world.died_at.expect("died"),
-        // lint:allow(unwrap) — same: all three milestones fired during the run
+        #[expect(clippy::expect_used, reason = "all three milestones fired during the run")]
         detected_at: world.detected_at.expect("detected"),
-        // lint:allow(unwrap) — same: all three milestones fired during the run
+        #[expect(clippy::expect_used, reason = "all three milestones fired during the run")]
         recovered_at: world.recovered_at.expect("recovered"),
     };
     tl.record_spans(tracer);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! # sharebackup-cost
 //!
 //! The paper's cost and scalability analysis (§5.1–§5.3): Table 2's cost

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! # sharebackup-flowsim
 //!
 //! Flow-level network simulator for the ShareBackup reproduction.

@@ -467,7 +467,7 @@ impl WaterFiller {
         for &li in links {
             let l = li as usize;
             let m = &mut members[l];
-            // lint:allow(unwrap) — a running flow is on its links' lists
+            #[expect(clippy::expect_used, reason = "a running flow is on its links' lists")]
             let pos = m.iter().position(|&g| g == fid).expect("flow on its link's list");
             m.swap_remove(pos);
             if m.is_empty() {

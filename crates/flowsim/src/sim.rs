@@ -151,11 +151,11 @@ fn dense_links_of_path(
 ) -> Vec<u32> {
     path.windows(2)
         .map(|w| {
+            // A non-adjacent hop is a routing bug that must surface
+            // loudly, not a recoverable condition.
+            #[expect(clippy::expect_used, reason = "Environment contract violation")]
             let l = env
                 .link_between(w[0], w[1])
-                // A non-adjacent hop is a routing bug that must surface
-                // loudly, not a recoverable condition.
-                // lint:allow(unwrap) — Environment contract violation
                 .expect("route returned a non-adjacent hop");
             let cap = env.capacity(l);
             wf.link_index(l, cap)

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! A dependency-free JSON library: a [`Value`] tree, a [`json!`] construction
 //! macro, a serializer (compact and pretty), and a strict parser.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! # sharebackup-packet
 //!
 //! A packet-level network simulator, used to cross-validate the flow-level

@@ -302,10 +302,10 @@ impl NetWorld {
     }
 
     fn start_tx(&mut self, engine: &mut Engine<Ev>, dir: usize) {
+        #[expect(clippy::expect_used, reason = "callers check the queue before starting tx")]
         let wire = self.dirs[dir]
             .queue
             .front()
-            // lint:allow(unwrap) — callers check the queue before starting tx
             .expect("start_tx on empty queue")
             .wire;
         self.dirs[dir].busy = true;
@@ -380,10 +380,13 @@ impl World<Ev> for NetWorld {
         match ev {
             Ev::Start(i) => self.pump(engine, i),
             Ev::TxDone(dir) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a TxDone is scheduled only while a packet occupies the head"
+                )]
                 let pkt = self.dirs[dir]
                     .queue
                     .pop_front()
-                    // lint:allow(unwrap) — a TxDone is scheduled only while a packet occupies the head
                     .expect("TxDone with empty queue");
                 self.dirs[dir].busy = false;
                 // The packet survives only if the link is still up.

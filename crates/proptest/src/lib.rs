@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! A deterministic, dependency-free subset of the `proptest` API.
 //!
 //! The real `proptest` crate cannot be fetched in offline builds, so this
@@ -234,6 +235,10 @@ impl_range_value_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_range_value_int {
     ($($ty:ty => $uty:ty),*) => {$(
+        #[allow(
+            clippy::cast_possible_wrap,
+            reason = "two's-complement offset arithmetic: the unsigned draw wraps back into range"
+        )]
         impl RangeValue for $ty {
             fn half_open(rng: &mut TestRng, lo: Self, hi: Self) -> Self {
                 let span = (hi as $uty).wrapping_sub(lo as $uty);
@@ -331,7 +336,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

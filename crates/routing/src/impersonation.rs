@@ -105,11 +105,14 @@ impl EdgeGroupTable {
                     // Host-to-host under the same edge position.
                     return NextHop::HostPort(self.inbound[dst.host]);
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "build() populates every (vlan, suffix) pair"
+                )]
                 let e = self
                     .outbound
                     .iter()
                     .find(|e| e.vlan == v && e.suffix == dst.host)
-                    // lint:allow(unwrap) — build() populates every (vlan, suffix) pair
                     .expect("outbound entry exists for every (vlan, suffix)");
                 NextHop::Up(e.up)
             }

@@ -61,8 +61,11 @@ impl GlobalReroute {
     ///
     /// Deterministic: depends only on flow order and topology state.
     pub fn route_all(ft: &FatTree, flows: &[FlowKey]) -> Vec<Option<Vec<NodeId>>> {
+        #[expect(
+            clippy::expect_used,
+            reason = "paths come from the topology, so every hop is adjacent"
+        )]
         let link_of = |a: NodeId, b: NodeId| -> LinkId {
-            // lint:allow(unwrap) — paths come from the topology, so every hop is adjacent
             ft.net.link_between(a, b).expect("path link")
         };
         let mut load = vec![0u64; ft.net.link_count()];

@@ -234,12 +234,12 @@ impl TwoLevelTables {
             let node = ft.net.node(at);
             let next = match node.kind {
                 NodeKind::Edge => {
-                    // lint:allow(unwrap) — edge nodes are built with a pod
+                    #[expect(clippy::expect_used, reason = "edge nodes are built with a pod")]
                     let pod = node.pod.expect("edge has pod");
                     self.edge_next(pod, node.index, d)
                 }
                 NodeKind::Agg => {
-                    // lint:allow(unwrap) — agg nodes are built with a pod
+                    #[expect(clippy::expect_used, reason = "agg nodes are built with a pod")]
                     let pod = node.pod.expect("agg has pod");
                     self.agg_next(pod, d)
                 }
@@ -251,10 +251,10 @@ impl TwoLevelTables {
                     path.push(dst);
                     return path;
                 }
-                // lint:allow(unwrap) — only in-pod switches yield ToEdge/Up
+                #[expect(clippy::expect_used, reason = "only in-pod switches yield ToEdge/Up")]
                 NextHop::ToEdge(e) => ft.edge(node.pod.expect("in pod"), e),
                 NextHop::Up(m) => match node.kind {
-                    // lint:allow(unwrap) — only in-pod switches yield ToEdge/Up
+                    #[expect(clippy::expect_used, reason = "only in-pod switches yield ToEdge/Up")]
                     NodeKind::Edge => ft.agg(node.pod.expect("in pod"), m),
                     NodeKind::Agg => ft.core(node.index * half + m),
                     _ => unreachable!("only edge/agg go up"),

@@ -182,7 +182,7 @@ impl<E> Engine<E> {
                 None
             }
             Some(_) => {
-                // lint:allow(unwrap) — peek() just returned Some on this queue
+                #[expect(clippy::expect_used, reason = "peek() just returned Some on this queue")]
                 let entry = self.queue.pop().expect("peeked entry vanished");
                 // Time monotonicity: the queue must never yield an event
                 // earlier than the current instant. A hard assert under

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! # sharebackup-sim
 //!
 //! A small, deterministic discrete-event simulation engine.

@@ -208,6 +208,10 @@ impl_sample_uniform_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_sample_uniform_int {
     ($($ty:ty => $uty:ty),*) => {$(
+        #[allow(
+            clippy::cast_possible_wrap,
+            reason = "two's-complement offset arithmetic: the unsigned draw wraps back into range"
+        )]
         impl SampleUniform for $ty {
             fn sample_half_open(rng: &mut SimRng, lo: Self, hi: Self) -> Self {
                 // Shift into the unsigned domain to measure the span.

@@ -41,7 +41,7 @@ impl Summary {
             p50: percentile_sorted(&sorted, 0.50),
             p90: percentile_sorted(&sorted, 0.90),
             p99: percentile_sorted(&sorted, 0.99),
-            // lint:allow(unwrap) — the empty case returned None above
+            #[expect(clippy::expect_used, reason = "the empty case returned None above")]
             max: *sorted.last().expect("nonempty"),
         })
     }

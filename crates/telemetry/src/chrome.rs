@@ -97,7 +97,8 @@ pub fn chrome_trace(buffers: &[(u64, &TraceBuffer)]) -> String {
         "displayTimeUnit": "ms",
         "traceEvents": events,
     });
-    let mut s = minijson::to_string(&doc).expect("trace json is finite"); // lint:allow(unwrap)
+    #[expect(clippy::expect_used, reason = "minijson serialization never fails")]
+    let mut s = minijson::to_string(&doc).expect("trace json is finite");
     s.push('\n');
     s
 }

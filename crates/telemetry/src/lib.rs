@@ -25,10 +25,11 @@
 //!   record per-trial buffers and merge them in trial order, so trace
 //!   files are byte-identical for every `--jobs N` (DESIGN.md §7.1).
 //! * **Virtual time only.** Timestamps come from the simulation clock;
-//!   the `cargo xtask lint` ambient-rng rule keeps `Instant`/`SystemTime`
-//!   out of this crate like every other sim-path crate.
+//!   clippy's `disallowed_types` (`clippy.toml`) keeps `Instant` and
+//!   `SystemTime` out of this crate like every other sim-path crate.
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod buffer;
 pub mod chrome;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! # sharebackup-topo
 //!
 //! Topology substrate for the ShareBackup reproduction.

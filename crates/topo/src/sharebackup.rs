@@ -681,13 +681,13 @@ impl ShareBackup {
             }
         }
         for (a, b, up) in updates {
+            // Slot-network links are created for every fat-tree edge at
+            // build time; absence is a builder bug, not a runtime state.
+            #[expect(clippy::expect_used, reason = "build-time structural invariant")]
             let l = self
                 .slots
                 .net
                 .link_between(a, b)
-                // Slot-network links are created for every fat-tree edge at
-                // build time; absence is a builder bug, not a runtime state.
-                // lint:allow(unwrap) — build-time structural invariant
                 .expect("slot link must exist");
             self.slots.net.set_link_up(l, up);
         }

@@ -54,12 +54,12 @@ impl TraceShape {
         let total: f64 = sizes.iter().sum();
         let top_decile: f64 = sizes[sizes.len() * 9 / 10..].iter().sum();
         let narrow = widths.iter().filter(|&&w| w <= 4.0).count();
+        #[expect(clippy::expect_used, reason = "`of` asserts the trace is non-empty")]
         let pct = |v: &[f64]| {
             [
                 percentile_sorted(v, 0.50),
                 percentile_sorted(v, 0.90),
                 percentile_sorted(v, 0.99),
-                // lint:allow(unwrap) — `of` asserts the trace is non-empty
                 *v.last().expect("nonempty"),
             ]
         };

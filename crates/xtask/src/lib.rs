@@ -1,18 +1,16 @@
-//! Workspace automation tasks. See [`lint`] for the static-analysis pass
-//! and [`trace`] for the chrome-trace summarizer.
+//! Workspace automation tasks: [`trace`] summarizes the chrome-trace JSON
+//! that a harness binary writes with `--trace-out`.
+#![warn(clippy::expect_used)]
 
-pub mod lint;
 pub mod trace;
 
 /// Entry point for the `xtask` binary: dispatch a subcommand, return the
 /// process exit code.
 pub fn run(args: Vec<String>) -> i32 {
     match args.first().map(String::as_str) {
-        Some("lint") => lint::cli(&args[1..]),
         Some("trace") => trace::cli(&args[1..]),
         _ => {
-            eprintln!("usage: cargo xtask lint [--format json] [PATH...]");
-            eprintln!("       cargo xtask trace summarize <file.json>");
+            eprintln!("usage: cargo xtask trace summarize <file.json>");
             2
         }
     }

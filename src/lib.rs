@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 //! # ShareBackup
 //!
 //! A full-system reproduction of **"Stop Rerouting! Enabling ShareBackup

@@ -3,10 +3,11 @@
 //! the same seed must produce byte-identical timeline output, flow
 //! completions, and controller counters.
 //!
-//! This is the regression net behind the `cargo xtask lint` determinism
-//! rules (no `HashMap`/`HashSet` iteration, no ambient RNG or wall-clock
-//! reads in simulation crates): any reintroduced nondeterminism that
+//! This is the regression net behind the clippy determinism rules (README
+//! "Linting": no `HashMap`/`HashSet` iteration, no wall-clock reads, no
+//! `expect`/`unwrap` in library code): any reintroduced nondeterminism that
 //! affects observable behavior shows up here as a diff between the runs.
+//! The last test guards the scope of those rules.
 
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
 use std::fmt::Write as _;
@@ -108,4 +109,35 @@ fn different_seeds_change_the_workload_not_the_recovery() {
     // …while the seeded workload actually differs, proving the transcript
     // is sensitive enough to catch divergence.
     assert_ne!(a, b, "different seeds must change the flow-level transcript");
+}
+
+/// The lint scope holds for every crate, including ones added later: each
+/// library crate root except `bench` opts into `clippy::expect_used`, and
+/// `Cargo.lock` names no registry or git crate, so no ambient RNG such as
+/// `rand::thread_rng` can be reached (`clippy.toml` bans the wall clock and
+/// hash-ordered collections; randomness needs no entry while this holds).
+#[test]
+fn lint_scope_covers_every_library_and_no_external_crate() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut roots = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let lib = entry.expect("crates/ entry").path().join("src/lib.rs");
+        if lib.exists() && !lib.starts_with(root.join("crates/bench")) {
+            roots.push(lib);
+        }
+    }
+    assert!(roots.len() > 10, "found the library crates: {roots:?}");
+    for lib in &roots {
+        let text = std::fs::read_to_string(lib).expect("crate root is readable");
+        assert!(
+            text.lines().any(|l| l.trim() == "#![warn(clippy::expect_used)]"),
+            "{} must carry `#![warn(clippy::expect_used)]`",
+            lib.display()
+        );
+    }
+
+    let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("Cargo.lock");
+    let external: Vec<&str> =
+        lock.lines().filter(|l| l.trim_start().starts_with("source =")).collect();
+    assert!(external.is_empty(), "Cargo.lock names external crates: {external:?}");
 }
