@@ -384,7 +384,6 @@ struct TrialOut {
     stalled: u64,
     /// Flows finishing more than `LATE_SECS` after arrival, or never.
     late: u64,
-    degraded_flows: u64,
     degraded_time: Duration,
     /// Data-plane failures and spurious reports injected.
     injected: u64,
@@ -415,7 +414,6 @@ impl TrialOut {
         self.completed += other.completed;
         self.stalled += other.stalled;
         self.late += other.late;
-        self.degraded_flows += other.degraded_flows;
         self.degraded_time += other.degraded_time;
         self.injected += other.injected;
         self.crashes_scheduled += other.crashes_scheduled;
@@ -524,7 +522,6 @@ fn run_trial(
             out.stalled += 1;
         }
     }
-    out.degraded_flows = world.tracker.degraded_count() as u64;
     out.degraded_time = world.tracker.total_degraded_time();
     out.recovered = world.recoveries.len() as u64;
     for done in &world.recoveries {
@@ -542,6 +539,7 @@ fn run_trial(
     }
     out.degraded_slots_open = world.controller.degraded_slots().count() as u64;
     out.stats = world.controller.stats;
+    out.stats.record(&tracer);
     out.trace = sink.map(|s| s.borrow_mut().take());
     out
 }
@@ -591,7 +589,6 @@ impl Row<'_> {
             "completed": a.completed,
             "late": a.late,
             "stalled": a.stalled,
-            "degraded_flows": a.degraded_flows,
             "degraded_flow_seconds": a.degraded_time.as_secs_f64(),
             "availability": self.availability(),
             "failures_injected": a.injected,
@@ -606,32 +603,14 @@ impl Row<'_> {
         });
         if let Value::Object(members) = &mut row {
             members.extend(
-                counters(&a.stats)
+                a.stats
+                    .counters()
                     .into_iter()
                     .map(|(k, v)| (k.to_string(), Value::from(v))),
             );
         }
         row
     }
-}
-
-/// Every [`ControllerStats`] counter by name. The destructure is
-/// exhaustive, so a new counter cannot silently miss the JSON.
-macro_rules! counters {
-    ($($field:ident),+ $(,)?) => {
-        fn counters(s: &ControllerStats) -> Vec<(&'static str, u64)> {
-            let ControllerStats { $($field),+ } = *s;
-            vec![$((stringify!($field), $field)),+]
-        }
-    };
-}
-counters! {
-    node_failures, link_failures, host_link_failures, replacements, fallbacks, diagnoses,
-    exonerations, convictions, circuit_reconfigs, escalations, recovery_attempts, doa_backups,
-    reconfig_retries, reconfig_aborts, pool_exhausted, halted_fallbacks, spurious_reports,
-    false_convictions, false_exonerations, degraded_flows, controller_crashes,
-    controller_restores, elections, control_reports, recoveries_resumed, control_losses,
-    control_retries, control_exhausted, control_delays,
 }
 
 /// Run every treatment of every scenario for `trials` trials. Trial `i` of
@@ -823,7 +802,7 @@ fn print_demo_claims(rows: &[Row]) {
                 a.completed,
                 a.flows,
                 a.late,
-                a.degraded_flows,
+                a.stats.degraded_flows,
                 a.degraded_time.as_secs_f64()
             ),
             _ => println!(
@@ -842,6 +821,7 @@ fn print_demo_claims(rows: &[Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Run every treatment of `scn` for one trial on `stream`, at k=4.
     fn replay(scn: &Scenario, stream: &str) -> Vec<TrialOut> {
@@ -917,7 +897,7 @@ mod tests {
         assert_eq!(reroute.late, 0);
         assert_eq!(reroute.completed, reroute.flows);
         assert!(
-            reroute.degraded_flows > 0,
+            reroute.stats.degraded_flows > 0,
             "reroute accounts its fallback flows"
         );
     }
@@ -936,6 +916,52 @@ mod tests {
             assert_eq!(out.dwell_max, t.plane.blackout());
             assert_eq!(out.recovered, 1);
             assert_eq!(out.stats.recoveries_resumed, 1);
+        }
+    }
+
+    #[test]
+    fn no_json_row_repeats_a_key() {
+        let args = Args {
+            k: 4,
+            ..Args::paper_defaults()
+        };
+        let scns = scenarios();
+        let rows = campaign(&args, &scns, 1, sweep_stream);
+        assert_eq!(rows.len(), 24);
+        for row in &rows {
+            let Value::Object(members) = row.json() else {
+                panic!("a row is a JSON object");
+            };
+            let keys: BTreeSet<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(keys.len(), members.len(), "{} {}", row.scn.name, mode_name(row.t.mode));
+        }
+    }
+
+    #[test]
+    fn traced_counters_sum_to_the_row_counters() {
+        // Two traced trials of one cell: each trace carries the trial's
+        // whole `controller.*` block, and their sum is the row's counters.
+        let scns = scenarios();
+        let scn = scns.iter().find(|s| s.name == "full-chaos").expect("scenario");
+        let t = scn.treatments[1];
+        let mut agg = TrialOut::default();
+        let mut traced: BTreeMap<&str, u64> = BTreeMap::new();
+        for trial in 0..2 {
+            let rng = SimRng::seed_from_u64(42).child(&sweep_stream(scn, trial));
+            let out = run_trial(4, 1, scn, t, &rng, true);
+            for (name, &v) in &out.trace.as_ref().expect("traced trial").counters {
+                if let Some(field) = name.strip_prefix("controller.") {
+                    *traced.entry(field).or_default() += v;
+                }
+            }
+            agg.add(&out);
+        }
+        assert!(agg.stats.replacements > 0, "the cell recovers something");
+        let row = Row { scn, t, agg }.json();
+        assert_eq!(traced.len(), ControllerStats::COUNT);
+        for (field, v) in traced {
+            let json = row.get(field).and_then(Value::as_i64);
+            assert_eq!(json, i64::try_from(v).ok(), "{field}");
         }
     }
 }

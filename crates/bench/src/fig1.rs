@@ -9,8 +9,8 @@
 //! * ShareBackup under its recovery controller.
 
 use sharebackup_core::scenario::{
-    sharebackup_timeline, F10World, FatTreeWorld, RecoveryMode, SbEvent, ShareBackupWorld,
-    TopoEvent,
+    link_sb_event, sharebackup_timeline, F10World, FatTreeWorld, RecoveryMode, SbEvent,
+    ShareBackupWorld, TopoEvent,
 };
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::{impact, Coflow, FlowSim, SimOutcome};
@@ -18,7 +18,7 @@ use sharebackup_routing::ecmp_path;
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_telemetry::{TraceBuffer, Tracer};
 use sharebackup_topo::{
-    F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, ShareBackup, ShareBackupConfig,
+    F10Topology, FatTree, FatTreeConfig, HostAddr, ShareBackup, ShareBackupConfig,
 };
 use sharebackup_workload::{CoflowTrace, TraceConfig};
 
@@ -247,48 +247,15 @@ impl AbstractFailure {
     }
 
     /// The ShareBackup injection for this failure (against the physical
-    /// occupant of the slot).
+    /// occupant of the slot): the fat-tree event on the logical slot view,
+    /// phrased against each slot's occupant by [`link_sb_event`].
     pub fn to_sharebackup(&self, sb: &ShareBackup) -> SbEvent {
-        let half = sb.k() / 2;
-        match *self {
-            AbstractFailure::Edge(p, j) => {
-                SbEvent::NodeFail(sb.occupant(GroupId::edge(p).slot(j)))
+        match self.to_fattree(&sb.slots) {
+            TopoEvent::FailNode(n) => {
+                SbEvent::NodeFail(sb.occupant(sb.node_slot(n).expect("a switch has a slot")))
             }
-            AbstractFailure::Agg(p, j) => SbEvent::NodeFail(sb.occupant(GroupId::agg(p).slot(j))),
-            AbstractFailure::Core(c) => {
-                let u = c % half;
-                let j = c / half;
-                SbEvent::NodeFail(sb.occupant(GroupId::core(u).slot(j)))
-            }
-            AbstractFailure::LinkEdgeUp { pod, e, m } => {
-                let edge = sb.occupant(GroupId::edge(pod).slot(e));
-                let a = (e + m) % half;
-                let agg = sb.occupant(GroupId::agg(pod).slot(a));
-                // The edge-side interface is the faulty one; the agg side is
-                // the innocent far end that diagnosis exonerates.
-                SbEvent::LinkFail {
-                    faulty: (edge, half + m),
-                    other: (agg, m),
-                }
-            }
-            AbstractFailure::LinkAggUp { pod, a, m } => {
-                let agg = sb.occupant(GroupId::agg(pod).slot(a));
-                let core = sb.occupant(GroupId::core(m).slot(a));
-                SbEvent::LinkFail {
-                    faulty: (agg, half + m),
-                    other: (core, pod),
-                }
-            }
-            AbstractFailure::LinkHost { pod, e, h } => {
-                // The switch-side interface is at fault (the same physical
-                // fault the baselines see as a downed host link); the
-                // controller's host-link procedure replaces the switch
-                // (§4.2), which fixes it in milliseconds.
-                SbEvent::HostLinkFail {
-                    host: sb.slots.host(HostAddr { pod, edge: e, host: h }),
-                    switch_side: true,
-                }
-            }
+            TopoEvent::FailLink(l) => link_sb_event(sb, &sb.slots.net, l),
+            _ => unreachable!("failures only"),
         }
     }
 
@@ -388,8 +355,8 @@ pub fn run_sharebackup_failure(
 }
 
 /// [`run_sharebackup_failure`] with telemetry: the flow simulation records
-/// its solve spans/counters and the controller its recovery span tree onto
-/// `tracer`.
+/// its solve spans/counters, the controller its recovery span tree and, at
+/// the end, its `controller.*` counter block onto `tracer`.
 pub fn run_sharebackup_failure_traced(
     setup: &Fig1Setup,
     trace: &CoflowTrace,
@@ -404,6 +371,7 @@ pub fn run_sharebackup_failure_traced(
     let (events, times) = sharebackup_timeline(&world, &[(setup.fail_at, ev)]);
     world.events = events;
     let out = FlowSim::new().run_traced(&mut world, &trace.specs, &times, tracer);
+    world.controller.stats.record(tracer);
     (ccts(trace, &out), world)
 }
 

@@ -200,71 +200,53 @@ impl ControllerStats {
     }
 }
 
-/// Sum two counter blocks field by field (aggregating trials). The
-/// destructuring is exhaustive, so a new counter does not compile until it
-/// is summed here too.
+/// The counter list, written once: [`ControllerStats::counters`] (names and
+/// values, the `--json` block), [`ControllerStats::record`] (the trace
+/// block) and `AddAssign` (summing trials) all derive from it. The
+/// destructures are exhaustive, so a new counter does not compile until it
+/// is listed here.
+macro_rules! counter_list {
+    ($($field:ident),+ $(,)?) => {
+        impl ControllerStats {
+            /// How many counters the block holds.
+            pub const COUNT: usize = [$(stringify!($field)),+].len();
+
+            /// Every counter as `(field name, value)`, in list order.
+            pub fn counters(&self) -> [(&'static str, u64); Self::COUNT] {
+                let ControllerStats { $($field),+ } = *self;
+                [$((stringify!($field), $field)),+]
+            }
+
+            /// Add every counter to `tracer` as `controller.<field>`, zeros
+            /// included, so every trace carries the whole block.
+            pub fn record(&self, tracer: &Tracer) {
+                let ControllerStats { $($field),+ } = *self;
+                $(tracer.add(concat!("controller.", stringify!($field)), $field);)+
+            }
+
+            fn counters_mut(&mut self) -> [&mut u64; Self::COUNT] {
+                let ControllerStats { $($field),+ } = self;
+                [$($field),+]
+            }
+        }
+    };
+}
+
+counter_list! {
+    node_failures, link_failures, host_link_failures, replacements, fallbacks, diagnoses,
+    exonerations, convictions, circuit_reconfigs, escalations, recovery_attempts, doa_backups,
+    reconfig_retries, reconfig_aborts, pool_exhausted, halted_fallbacks, spurious_reports,
+    false_convictions, false_exonerations, degraded_flows, controller_crashes,
+    controller_restores, elections, control_reports, recoveries_resumed, control_losses,
+    control_retries, control_exhausted, control_delays,
+}
+
+/// Sum two counter blocks field by field (aggregating trials).
 impl AddAssign for ControllerStats {
     fn add_assign(&mut self, other: ControllerStats) {
-        let ControllerStats {
-            node_failures,
-            link_failures,
-            host_link_failures,
-            replacements,
-            fallbacks,
-            diagnoses,
-            exonerations,
-            convictions,
-            circuit_reconfigs,
-            escalations,
-            recovery_attempts,
-            doa_backups,
-            reconfig_retries,
-            reconfig_aborts,
-            pool_exhausted,
-            halted_fallbacks,
-            spurious_reports,
-            false_convictions,
-            false_exonerations,
-            degraded_flows,
-            controller_crashes,
-            controller_restores,
-            elections,
-            control_reports,
-            recoveries_resumed,
-            control_losses,
-            control_retries,
-            control_exhausted,
-            control_delays,
-        } = other;
-        self.node_failures += node_failures;
-        self.link_failures += link_failures;
-        self.host_link_failures += host_link_failures;
-        self.replacements += replacements;
-        self.fallbacks += fallbacks;
-        self.diagnoses += diagnoses;
-        self.exonerations += exonerations;
-        self.convictions += convictions;
-        self.circuit_reconfigs += circuit_reconfigs;
-        self.escalations += escalations;
-        self.recovery_attempts += recovery_attempts;
-        self.doa_backups += doa_backups;
-        self.reconfig_retries += reconfig_retries;
-        self.reconfig_aborts += reconfig_aborts;
-        self.pool_exhausted += pool_exhausted;
-        self.halted_fallbacks += halted_fallbacks;
-        self.spurious_reports += spurious_reports;
-        self.false_convictions += false_convictions;
-        self.false_exonerations += false_exonerations;
-        self.degraded_flows += degraded_flows;
-        self.controller_crashes += controller_crashes;
-        self.controller_restores += controller_restores;
-        self.elections += elections;
-        self.control_reports += control_reports;
-        self.recoveries_resumed += recoveries_resumed;
-        self.control_losses += control_losses;
-        self.control_retries += control_retries;
-        self.control_exhausted += control_exhausted;
-        self.control_delays += control_delays;
+        for (mine, (_, theirs)) in self.counters_mut().into_iter().zip(other.counters()) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -1072,6 +1054,25 @@ mod tests {
         assert_eq!(sum.recovery_attempts, a.recovery_attempts + b.recovery_attempts);
         assert_eq!(sum.control_reports, b.control_reports);
         assert_eq!(sum.pool_exhausted, a.pool_exhausted);
+
+        // The counter list names each field once, and `AddAssign` is the
+        // field-wise sum of `counters()`.
+        let names: BTreeSet<&str> = sum.counters().iter().map(|&(name, _)| name).collect();
+        assert_eq!(names.len(), ControllerStats::COUNT);
+        let parts = a.counters().into_iter().zip(b.counters());
+        for ((name, s), ((_, x), (_, y))) in sum.counters().into_iter().zip(parts) {
+            assert_eq!(s, x + y, "{name}");
+        }
+        // `record` traces the same block under `controller.<field>`.
+        let (tracer, sink) = Tracer::recording();
+        sum.record(&tracer);
+        let traced: BTreeMap<&str, u64> = sink.borrow().buffer().counters.clone();
+        let listed: BTreeMap<&str, u64> = sum.counters().into_iter().collect();
+        assert_eq!(traced.len(), ControllerStats::COUNT);
+        for (name, v) in traced {
+            let field = name.strip_prefix("controller.").expect("prefixed");
+            assert_eq!(listed[field], v, "{name}");
+        }
     }
 
     #[test]

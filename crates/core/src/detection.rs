@@ -70,12 +70,12 @@ impl DetectionConfig {
 }
 
 enum Ev {
-    /// The monitored switch emits a keep-alive (if still alive).
+    /// The monitored device emits a keep-alive (if still alive).
     KeepAlive,
-    /// The switch dies.
+    /// The device dies.
     Die,
-    /// The controller's scan tick.
-    Scan,
+    /// Scanner `i`'s tick.
+    Scan(usize),
 }
 
 struct DetectorWorld {
@@ -83,7 +83,8 @@ struct DetectorWorld {
     last_seen: Time,
     alive: bool,
     died_at: Option<Time>,
-    detected_at: Option<Time>,
+    /// When, and by which scanner, the death was declared.
+    detected: Option<(Time, usize)>,
 }
 
 impl World<Ev> for DetectorWorld {
@@ -99,18 +100,74 @@ impl World<Ev> for DetectorWorld {
                 self.alive = false;
                 self.died_at = Some(now);
             }
-            Ev::Scan => {
-                if self.detected_at.is_none() {
+            Ev::Scan(i) => {
+                if self.detected.is_none() {
                     let silence = now.saturating_since(self.last_seen);
-                    let limit = self.cfg.silence_limit();
-                    if silence > limit {
-                        self.detected_at = Some(now);
+                    if self.died_at.is_some() && silence > self.cfg.silence_limit() {
+                        self.detected = Some((now, i));
                         return; // stop scanning
                     }
-                    engine.schedule_in(self.cfg.probe_interval, Ev::Scan);
+                    engine.schedule_in(self.cfg.probe_interval, Ev::Scan(i));
                 }
             }
         }
+    }
+}
+
+/// What one keep-alive run observed.
+pub(crate) struct KeepAliveRun {
+    /// When the monitored device died.
+    pub(crate) died_at: Time,
+    /// When a scanner first observed over-limit silence.
+    pub(crate) detected_at: Time,
+    /// Which scanner (by index into the scan phases) observed it.
+    pub(crate) scanner: usize,
+}
+
+/// Play one keep-alive detection on the discrete-event engine: the device
+/// keep-alives with phase `probe_phase`, one scanner per entry of
+/// `scan_phases` scans for silence with that phase, and the device dies at
+/// `die_at`. Events are scheduled keep-alive, then scans in index order,
+/// then death, so same-instant ties resolve in that order.
+///
+/// # Panics
+/// Panics if any phase is not within one probe interval.
+pub(crate) fn simulate_keepalive(
+    cfg: DetectionConfig,
+    probe_phase: Duration,
+    scan_phases: &[Duration],
+    die_at: Time,
+) -> KeepAliveRun {
+    assert!(probe_phase < cfg.probe_interval, "phase within one period");
+    let mut engine: Engine<Ev> = Engine::new();
+    engine.schedule(Time::ZERO + probe_phase, Ev::KeepAlive);
+    for (i, &phase) in scan_phases.iter().enumerate() {
+        assert!(phase < cfg.probe_interval, "phase within one period");
+        engine.schedule(Time::ZERO + phase, Ev::Scan(i));
+    }
+    engine.schedule(die_at, Ev::Die);
+    let mut world = DetectorWorld {
+        cfg,
+        last_seen: Time::ZERO,
+        alive: true,
+        died_at: None,
+        detected: None,
+    };
+    engine.run(&mut world);
+    #[expect(
+        clippy::expect_used,
+        reason = "the death event is scheduled up front and always runs"
+    )]
+    let died_at = world.died_at.expect("death event ran");
+    #[expect(
+        clippy::expect_used,
+        reason = "with a scanner, some scan always observes the silence"
+    )]
+    let (detected_at, scanner) = world.detected.expect("a scanner detects");
+    KeepAliveRun {
+        died_at,
+        detected_at,
+        scanner,
     }
 }
 
@@ -124,31 +181,8 @@ pub fn simulate_detection(
     scan_phase: Duration,
     die_at: Time,
 ) -> Duration {
-    assert!(probe_phase < cfg.probe_interval, "phase within one period");
-    assert!(scan_phase < cfg.probe_interval, "phase within one period");
-    let mut engine: Engine<Ev> = Engine::new();
-    engine.schedule(Time::ZERO + probe_phase, Ev::KeepAlive);
-    engine.schedule(Time::ZERO + scan_phase, Ev::Scan);
-    engine.schedule(die_at, Ev::Die);
-    let mut world = DetectorWorld {
-        cfg,
-        last_seen: Time::ZERO,
-        alive: true,
-        died_at: None,
-        detected_at: None,
-    };
-    engine.run(&mut world);
-    #[expect(
-        clippy::expect_used,
-        reason = "the engine runs both scheduled events before returning"
-    )]
-    let died = world.died_at.expect("death event ran");
-    #[expect(
-        clippy::expect_used,
-        reason = "the engine runs both scheduled events before returning"
-    )]
-    let detected = world.detected_at.expect("detector always fires");
-    detected.since(died)
+    let run = simulate_keepalive(cfg, probe_phase, &[scan_phase], die_at);
+    run.detected_at.since(run.died_at)
 }
 
 /// The detection-latency distribution over `samples` random probe/scan

@@ -188,7 +188,7 @@ impl Environment for F10World {
 
 /// Failure injections for a ShareBackup world, phrased against physical
 /// devices (the controller reacts at the following recovery epoch).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SbEvent {
     /// A physical switch dies.
     NodeFail(PhysId),

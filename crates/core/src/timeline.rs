@@ -250,7 +250,8 @@ pub fn simulate_recovery(
 /// as an instant (plus the `engine.events` counter and the
 /// `engine.queue_depth` histogram) via [`TracedWorld`], and the finished
 /// timeline is emitted as a recovery span tree via
-/// [`Timeline::record_spans`].
+/// [`Timeline::record_spans`], followed by the controller's counter block
+/// ([`crate::ControllerStats::record`]).
 ///
 /// # Panics
 /// Panics if the slot's group has no available backup.
@@ -348,6 +349,7 @@ pub fn simulate_recovery_with_blackout(
         recovered_at: world.recovered_at.expect("recovered"),
     };
     tl.record_spans(tracer);
+    ctl.stats.record(tracer);
     tl
 }
 
