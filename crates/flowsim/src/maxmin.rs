@@ -65,7 +65,7 @@
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use sharebackup_topo::LinkId;
 
@@ -84,6 +84,9 @@ use sharebackup_topo::LinkId;
 /// remaining headroom `live_l · (t_l − t*)` is at most
 /// `EPS_FRACTION · cap_l`.
 const EPS_FRACTION: f64 = 1e-9;
+
+/// `WaterFiller::index_of` entry of a `LinkId` not interned yet.
+const UNINTERNED: u32 = u32::MAX;
 
 /// Counters describing the most recent [`WaterFiller::solve`] call, for
 /// telemetry. Plain data kept by the solver itself (a few integer writes
@@ -224,8 +227,10 @@ fn join_level(
 /// (see the module docs) and allocates nothing once warm.
 #[derive(Debug, Default)]
 pub struct WaterFiller {
-    /// `LinkId` → dense index; persistent across solves.
-    index_of: BTreeMap<LinkId, u32>,
+    /// `LinkId.0` → dense index ([`UNINTERNED`] if none yet); persistent
+    /// across solves. `LinkId`s are dense (a `Network` numbers its links
+    /// from 0), so a flat table beats a tree lookup per path hop.
+    index_of: Vec<u32>,
     /// Dense index → `LinkId` (inverse of `index_of`).
     link_of: Vec<LinkId>,
     /// Dense index → capacity in bits/s (refreshed on `link_index`).
@@ -247,6 +252,8 @@ pub struct WaterFiller {
     log: Vec<Batch>,
     /// Flow ids in the order the log froze them.
     order: Vec<usize>,
+    /// Length of `order` the last solve kept from the one before.
+    replayed: usize,
     /// `(link, headroom before)` per headroom subtraction, in log order.
     trail: Vec<(u32, f64)>,
     /// Lowest old rate of a frozen flow that left since the last solve.
@@ -297,7 +304,9 @@ impl WaterFiller {
     /// level, so the next solve starts from scratch.
     pub fn link_index(&mut self, link: LinkId, capacity_bps: f64) -> u32 {
         self.cap_max = self.cap_max.max(capacity_bps);
-        if let Some(&i) = self.index_of.get(&link) {
+        let id = link.0 as usize;
+        let i = self.index_of.get(id).copied().unwrap_or(UNINTERNED);
+        if i != UNINTERNED {
             let l = i as usize;
             if self.capacity[l].to_bits() != capacity_bps.to_bits() {
                 self.rewind(0);
@@ -309,7 +318,10 @@ impl WaterFiller {
         // Bounded by the number of distinct links ever interned.
         #[allow(clippy::cast_possible_truncation)]
         let i = self.link_of.len() as u32;
-        self.index_of.insert(link, i);
+        if id >= self.index_of.len() {
+            self.index_of.resize(id + 1, UNINTERNED);
+        }
+        self.index_of[id] = i;
         self.link_of.push(link);
         self.capacity.push(capacity_bps);
         self.members.push(Vec::new());
@@ -410,6 +422,17 @@ impl WaterFiller {
     /// Counters from the most recent [`WaterFiller::solve`].
     pub fn last_solve_stats(&self) -> SolveStats {
         self.last_stats
+    }
+
+    /// The flows the most recent [`WaterFiller::solve`] froze afresh, in
+    /// freeze order: every running flow past the kept prefix of the log.
+    /// Kept flows hold their rates bit for bit, so these are the only
+    /// flows whose rate a solve can change. (A mutation sets some rates
+    /// itself: a removal or a stall to `0.0`, a running flow with no links
+    /// to `f64::INFINITY`.) Empty once a capacity change has cleared the
+    /// log.
+    pub fn refrozen(&self) -> &[usize] {
+        self.order.get(self.replayed..).unwrap_or_default()
     }
 
     /// Running flow `fid` joins the member list of every link on its path.
@@ -584,6 +607,7 @@ impl WaterFiller {
             }
         }
 
+        self.replayed = order.len();
         let replayed = u64::try_from(order.len()).unwrap_or(u64::MAX);
         let mut level = log.last().map_or(0.0, |b| b.level);
         // Once every flow froze, whatever the heap still holds is dead.
@@ -735,6 +759,8 @@ pub fn max_min_rates(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn l(i: u32) -> LinkId {

@@ -93,39 +93,75 @@ impl SimOutcome {
     pub fn fct(&self, specs: &[FlowSpec], i: usize) -> Option<Duration> {
         self.flows[i].completed.map(|t| t.since(specs[i].arrival))
     }
-
-    /// Mean utilization of `link` over the run: bits carried divided by
-    /// `capacity_bps · run length`.
-    pub fn utilization(&self, link: LinkId, capacity_bps: f64) -> f64 {
-        let bits = self.link_bits.get(&link).copied().unwrap_or(0.0);
-        let span = self.finished_at.as_secs_f64();
-        if span <= 0.0 || capacity_bps <= 0.0 {
-            0.0
-        } else {
-            bits / (capacity_bps * span)
-        }
-    }
-
-    /// The most-utilized links, as (link, bits) pairs sorted descending.
-    pub fn hottest_links(&self, top: usize) -> Vec<(LinkId, f64)> {
-        let mut v: Vec<(LinkId, f64)> = self
-            .link_bits
-            .iter()
-            .map(|(&l, &b)| (l, b))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v.truncate(top);
-        v
-    }
 }
 
 struct LiveFlow {
     index: usize,
     key: FlowKey,
-    remaining: f64, // bits
     /// Slot in the [`WaterFiller`] registry holding this flow's link list,
     /// stall state, and current rate.
     fid: usize,
+    /// Since when the flow has carried its mirrored rate over its current
+    /// links; what it carried before is already in the link counters.
+    since: Time,
+}
+
+/// The live flows, as parallel arrays in one order. Every loop step
+/// streams `remaining` and `rate`; the rest is touched only for the flows a
+/// step changes.
+#[derive(Default)]
+struct Live {
+    flows: Vec<LiveFlow>,
+    /// Bits still to send.
+    remaining: Vec<f64>,
+    /// Mirror of [`WaterFiller::rate`], refreshed only where a solve or a
+    /// mutation can have changed it.
+    rate: Vec<f64>,
+    /// Flow id → position in the arrays above.
+    slot: Vec<usize>,
+}
+
+impl Live {
+    fn len(&self) -> usize {
+        self.flows.len()
+    }
+
+    fn push(&mut self, flow: LiveFlow, remaining: f64, rate: f64) {
+        if self.slot.len() <= flow.fid {
+            self.slot.resize(flow.fid + 1, usize::MAX);
+        }
+        self.slot[flow.fid] = self.flows.len();
+        self.flows.push(flow);
+        self.remaining.push(remaining);
+        self.rate.push(rate);
+    }
+
+    /// Remove the flow at `j`; the last flow takes its place.
+    fn swap_remove(&mut self, j: usize) -> LiveFlow {
+        let f = self.flows.swap_remove(j);
+        self.remaining.swap_remove(j);
+        self.rate.swap_remove(j);
+        if let Some(moved) = self.flows.get(j) {
+            self.slot[moved.fid] = j;
+        }
+        f
+    }
+
+    /// Add what flow `j` carried from `since` to `t` to each of its links
+    /// (as `wf` lists them now), and restart its tally at `t`. Called
+    /// before anything changes the flow's rate or links. A zero-rate flow
+    /// carries nothing and credits nothing.
+    fn credit(&mut self, j: usize, t: Time, wf: &WaterFiller, bits: &mut [f64]) {
+        let f = &mut self.flows[j];
+        let r = self.rate[j];
+        if r > 0.0 {
+            let carried = r * t.since(f.since).as_secs_f64();
+            for &li in wf.links(f.fid) {
+                bits[li as usize] += carried;
+            }
+        }
+        f.since = t;
+    }
 }
 
 /// The flow-level simulator.
@@ -219,14 +255,15 @@ impl FlowSim {
         order.sort_by_key(|&i| flows[i].arrival);
         let mut next_arrival = 0usize;
         let mut next_epoch = 0usize;
-        let mut live: Vec<LiveFlow> = Vec::new();
+        let mut live = Live::default();
         let mut now = Time::ZERO;
         // Dense, reused allocator state: link interning, per-link flow
         // counts, and rate scratch all persist across events.
         let mut wf = WaterFiller::new();
-        // Bits carried per dense link index; folded into a BTreeMap at the
-        // end (zero entries are dropped — a link that never carried traffic
-        // does not appear in the output).
+        // Bits carried per dense link index, credited whenever a flow's
+        // rate or links change; folded into a BTreeMap at the end (zero
+        // entries are dropped — a link that never carried traffic does not
+        // appear in the output).
         let mut bits: Vec<f64> = Vec::new();
         let mut events: u64 = 0;
 
@@ -244,22 +281,49 @@ impl FlowSim {
             if bits.len() < wf.link_count() {
                 bits.resize(wf.link_count(), 0.0);
             }
+            // Only the flows the solve froze afresh can have a new rate;
+            // each one that does first credits what its old rate carried.
+            for &fid in wf.refrozen() {
+                let j = live.slot[fid];
+                let r = wf.rate(fid);
+                if r.to_bits() != live.rate[j].to_bits() {
+                    live.credit(j, now, &wf, &mut bits);
+                    live.rate[j] = r;
+                }
+            }
+            #[cfg(feature = "strict-invariants")]
+            for (f, r) in live.flows.iter().zip(&live.rate) {
+                assert_eq!(
+                    r.to_bits(),
+                    wf.rate(f.fid).to_bits(),
+                    "flowsim: stale rate mirror for flow {}",
+                    f.index
+                );
+            }
 
-            // Candidate next-event instants. Completion deltas are clamped
-            // to ≥ 1 ns: float residue in `remaining` must never produce a
-            // zero-delta event, which would stall virtual time forever.
-            let completion: Option<Time> = live
-                .iter()
-                .filter_map(|f| {
-                    let r = wf.rate(f.fid);
-                    if r > 0.0 {
-                        let dt = Duration::from_secs_f64(f.remaining / r);
-                        Some(now + dt.max(Duration::from_nanos(1)))
-                    } else {
-                        None
-                    }
-                })
-                .min();
+            // Candidate next-event instants. The soonest completion is the
+            // least `remaining / rate`, converted once: the conversion
+            // rounds to the nanosecond and never decreases, so it picks the
+            // same instant as converting every quotient. Each quotient is
+            // still checked as the conversion would, so a NaN or negative
+            // one panics instead of dropping out of the minimum. The delta
+            // is clamped to ≥ 1 ns: float residue in `remaining` must never
+            // produce a zero-delta event, which would stall virtual time
+            // forever.
+            let mut soonest = f64::INFINITY;
+            for (&rem, &r) in live.remaining.iter().zip(&live.rate) {
+                if r > 0.0 {
+                    let secs = rem / r;
+                    assert!(
+                        secs >= 0.0 && (secs * 1e9).is_finite(),
+                        "flowsim: completion in {secs} s ({rem} bits at {r} bit/s)"
+                    );
+                    soonest = soonest.min(secs);
+                }
+            }
+            let completion = (soonest < f64::INFINITY).then(|| {
+                now + Duration::from_secs_f64(soonest).max(Duration::from_nanos(1))
+            });
             let arrival = order.get(next_arrival).map(|&i| flows[i].arrival);
             let epoch = epochs.get(next_epoch).copied();
 
@@ -271,18 +335,11 @@ impl FlowSim {
                 break; // nothing will ever happen again
             };
             if next_t > self.horizon {
-                // Drain until the horizon, then stop. Same r > 0 guard as
-                // the main advance: a zero-rate (stalled or starved) flow
-                // carries nothing and must not mint zero-byte link entries.
+                // Drain until the horizon, then stop; the links are
+                // credited after the loop.
                 let dt = self.horizon.saturating_since(now).as_secs_f64();
-                for f in live.iter_mut() {
-                    let r = wf.rate(f.fid);
-                    f.remaining = (f.remaining - r * dt).max(0.0);
-                    if r > 0.0 {
-                        for &li in wf.links(f.fid) {
-                            bits[li as usize] += r * dt;
-                        }
-                    }
+                for (rem, &r) in live.remaining.iter_mut().zip(&live.rate) {
+                    *rem = (*rem - r * dt).max(0.0);
                 }
                 now = self.horizon;
                 tracer.instant(now, "flowsim", "horizon");
@@ -294,16 +351,10 @@ impl FlowSim {
             // a sub-nanosecond-of-traffic residue alive only breeds
             // zero-progress events.
             let dt = next_t.since(now).as_secs_f64();
-            for f in live.iter_mut() {
-                let r = wf.rate(f.fid);
-                f.remaining -= r * dt;
-                if f.remaining < 1e-3 {
-                    f.remaining = 0.0;
-                }
-                if r > 0.0 {
-                    for &li in wf.links(f.fid) {
-                        bits[li as usize] += r * dt;
-                    }
+            for (rem, &r) in live.remaining.iter_mut().zip(&live.rate) {
+                *rem -= r * dt;
+                if *rem < 1e-3 {
+                    *rem = 0.0;
                 }
             }
             now = next_t;
@@ -314,7 +365,8 @@ impl FlowSim {
             let mut completed_any = false;
             let mut j = 0;
             while j < live.len() {
-                if live[j].remaining == 0.0 {
+                if live.remaining[j] == 0.0 {
+                    live.credit(j, now, &wf, &mut bits);
                     let f = live.swap_remove(j);
                     wf.remove_flow(f.fid);
                     outcome[f.index].completed = Some(now);
@@ -339,30 +391,37 @@ impl FlowSim {
             if epoch_fired {
                 tracer.add("flowsim.cause.epoch", 1);
                 tracer.instant(now, "flowsim", "epoch");
-                let keys: Vec<FlowKey> = live.iter().map(|f| f.key).collect();
+                let keys: Vec<FlowKey> = live.flows.iter().map(|f| f.key).collect();
                 let routes = env.route_all(&keys);
-                for (f, route) in live.iter().zip(routes) {
+                for (j, route) in routes.into_iter().enumerate() {
+                    let (fid, index) = (live.flows[j].fid, live.flows[j].index);
                     match route {
                         Some(path) => {
                             let links = dense_links_of_path(env, &mut wf, &path);
-                            // "Rerouted" = the path changed after the flow
-                            // had one. Resuming a stalled flow on the same
-                            // path (ShareBackup) is not a reroute.
-                            let prev = wf.links(f.fid);
-                            if !prev.is_empty() && prev != links.as_slice() {
-                                outcome[f.index].rerouted = true;
+                            let prev = wf.links(fid);
+                            if prev != links.as_slice() {
+                                // "Rerouted" = the path changed after the
+                                // flow had one. Resuming a stalled flow on
+                                // the same path (ShareBackup) is not a
+                                // reroute.
+                                if !prev.is_empty() {
+                                    outcome[index].rerouted = true;
+                                }
+                                live.credit(j, now, &wf, &mut bits);
                             }
-                            wf.set_links(f.fid, links);
-                            wf.set_stalled(f.fid, false);
+                            wf.set_links(fid, links);
+                            wf.set_stalled(fid, false);
                         }
                         None => {
                             // A stalled flow keeps its link list, so
                             // resuming on the same path later is not a
                             // reroute.
-                            wf.set_stalled(f.fid, true);
-                            outcome[f.index].ever_stalled = true;
+                            live.credit(j, now, &wf, &mut bits);
+                            wf.set_stalled(fid, true);
+                            outcome[index].ever_stalled = true;
                         }
                     }
+                    live.rate[j] = wf.rate(fid);
                 }
             }
 
@@ -391,20 +450,24 @@ impl FlowSim {
                         fid
                     }
                 };
-                live.push(LiveFlow {
+                let flow = LiveFlow {
                     index: idx,
                     key,
-                    remaining: flow_bits,
                     fid,
-                });
+                    since: now,
+                };
+                live.push(flow, flow_bits, wf.rate(fid));
             }
         }
 
-        // Delivered bytes for unfinished flows.
-        for f in &live {
-            let out = &mut outcome[f.index];
+        // Credit what every flow still live carried up to the end, and
+        // work out the delivered bytes of the unfinished ones.
+        for j in 0..live.len() {
+            live.credit(j, now, &wf, &mut bits);
+            let index = live.flows[j].index;
+            let out = &mut outcome[index];
             if out.completed.is_none() {
-                let sent_bits = flows[f.index].bytes as f64 * 8.0 - f.remaining;
+                let sent_bits = flows[index].bytes as f64 * 8.0 - live.remaining[j];
                 // Bounded by flows[i].bytes, and float->int `as` saturates.
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 {
@@ -604,11 +667,6 @@ mod tests {
         let l1 = env.net.link_between(n[2], n[1]).expect("link");
         assert!((out.link_bits[&l0] - 80.0).abs() < 1e-6);
         assert!((out.link_bits[&l1] - 80.0).abs() < 1e-6);
-        // Full utilization over the 10 s run at 8 bps.
-        assert!((out.utilization(l0, 8.0) - 1.0).abs() < 1e-9);
-        let hottest = out.hottest_links(1);
-        assert_eq!(hottest.len(), 1);
-        assert!((hottest[0].1 - 80.0).abs() < 1e-6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`WaterFiller`] lifecycle against the reference solver and, bit for bit,
 //! against a fresh filler's first solve.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use sharebackup_flowsim::{max_min_rates, max_min_rates_reference, SolveStats, WaterFiller};
@@ -274,6 +274,10 @@ struct Lifecycle {
     caps: Vec<f64>,
     wf: WaterFiller,
     model: BTreeMap<usize, ModelFlow>,
+    /// Each model flow's rate bits after the last solve.
+    solved: BTreeMap<usize, u64>,
+    /// Flows mutated since the last solve.
+    mutated: BTreeSet<usize>,
 }
 
 impl Lifecycle {
@@ -283,6 +287,8 @@ impl Lifecycle {
             caps: (0..12).map(|l| (1.0 + f64::from(l)) * scale).collect(),
             wf: WaterFiller::new(),
             model: BTreeMap::new(),
+            solved: BTreeMap::new(),
+            mutated: BTreeSet::new(),
         }
     }
 
@@ -300,6 +306,7 @@ impl Lifecycle {
 
     fn set_stalled(&mut self, fid: usize, stalled: bool) {
         self.wf.set_stalled(fid, stalled);
+        self.mutated.insert(fid);
         if let Some(f) = self.model.get_mut(&fid) {
             f.stalled = stalled;
         }
@@ -311,6 +318,7 @@ impl Lifecycle {
             Op::Add(links) => {
                 let dense = self.dense(&links);
                 let fid = self.wf.add_flow(dense);
+                self.mutated.insert(fid);
                 prop_assert!(!self.model.contains_key(&fid), "id {fid} handed out twice");
                 let links = links.into_iter().map(LinkId).collect();
                 self.model.insert(fid, ModelFlow { links, stalled: false });
@@ -318,6 +326,7 @@ impl Lifecycle {
             Op::Remove(n) => {
                 if let Some(fid) = self.nth(n) {
                     self.wf.remove_flow(fid);
+                    self.mutated.insert(fid);
                     self.model.remove(&fid);
                 }
             }
@@ -330,6 +339,7 @@ impl Lifecycle {
                 if let Some(fid) = self.nth(n) {
                     let dense = self.dense(&links);
                     self.wf.set_links(fid, dense);
+                    self.mutated.insert(fid);
                     if let Some(f) = self.model.get_mut(&fid) {
                         f.links = links.into_iter().map(LinkId).collect();
                     }
@@ -361,10 +371,44 @@ impl Lifecycle {
 
     /// Solve, then hold the long-lived filler to the reference solver
     /// (within 1e-9 relative, plus both max-min witnesses) and to a fresh
-    /// filler's first solve (bit for bit).
+    /// filler's first solve (bit for bit), and check that `refrozen()`
+    /// names every flow whose rate the solve changed.
     fn solve_and_check(&mut self) -> Result<(), String> {
-        let Lifecycle { caps, wf, model, .. } = self;
+        let Lifecycle {
+            caps,
+            wf,
+            model,
+            solved,
+            mutated,
+            ..
+        } = self;
         wf.solve();
+
+        // `refrozen()` lists running flows with links, once each, and
+        // takes in every flow not mutated since the last solve whose rate
+        // moved.
+        let refrozen: BTreeSet<usize> = wf.refrozen().iter().copied().collect();
+        prop_assert_eq!(refrozen.len(), wf.refrozen().len(), "refrozen() repeats a flow");
+        for fid in &refrozen {
+            let f = model.get(fid);
+            prop_assert!(
+                f.is_some_and(|f| !f.stalled && !f.links.is_empty()),
+                "refrozen flow {} is not running on links",
+                fid
+            );
+        }
+        for (fid, f) in model.iter() {
+            let rate = wf.rate(*fid).to_bits();
+            if !f.stalled && !mutated.contains(fid) && solved.get(fid) != Some(&rate) {
+                prop_assert!(
+                    refrozen.contains(fid),
+                    "flow {} changed rate but is not in refrozen()",
+                    fid
+                );
+            }
+        }
+        *solved = model.keys().map(|&fid| (fid, wf.rate(fid).to_bits())).collect();
+        mutated.clear();
 
         let running: Vec<usize> = model
             .iter()
