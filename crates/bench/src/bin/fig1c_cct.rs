@@ -34,6 +34,16 @@ fn main() {
     defaults.mode = "both".to_string();
     defaults.trials = 10;
     let args = Args::parse(defaults);
+    // `None` alternates node and link failures, starting with a node.
+    let node_only = match args.mode.as_str() {
+        "node" => Some(true),
+        "link" => Some(false),
+        "both" => None,
+        other => {
+            eprintln!("--mode must be node, link or both, got {other}");
+            std::process::exit(2);
+        }
+    };
     // Busy-cluster load: congestion is what separates F10's long detours
     // from fat-tree's shortest-path rerouting (paper §2.2).
     let setup = Fig1Setup::paper(args.k, args.seed).with_load(6.0);
@@ -46,12 +56,7 @@ fn main() {
     let mut rng = SimRng::seed_from_u64(args.seed).child("fig1c-failures");
     let failures: Vec<AbstractFailure> = (0..args.trials)
         .map(|trial| {
-            let node_failure = match args.mode.as_str() {
-                "node" => true,
-                "link" => false,
-                _ => trial % 2 == 0,
-            };
-            if node_failure {
+            if node_only.unwrap_or(trial % 2 == 0) {
                 AbstractFailure::sample_node(&mut rng, args.k)
             } else {
                 AbstractFailure::sample_link(&mut rng, args.k)

@@ -158,7 +158,11 @@ fn main() {
     // hostile makes the week eventful enough to measure.
     let (mtbf, outage) = match args.mode.as_str() {
         "hostile" => (Duration::from_secs(2 * 3600), Duration::from_secs(300)),
-        _ => (Duration::from_secs(12 * 3600), Duration::from_secs(300)),
+        "realistic" => (Duration::from_secs(12 * 3600), Duration::from_secs(300)),
+        other => {
+            eprintln!("--mode must be hostile or realistic, got {other}");
+            std::process::exit(2);
+        }
     };
 
     // Both systems replay the same week of failures from the same seed but

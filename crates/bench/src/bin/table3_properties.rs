@@ -12,7 +12,6 @@
 //! own characterization) since Aspen adds hardware we do not rebuild.
 
 use sharebackup_bench::Args;
-use sharebackup_core::scenario::SbEvent;
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::{total_usable_capacity, upstream_repair};
 use sharebackup_routing::{ecmp_path, ecmp::ecmp_path_f10, F10Router, FlowKey, GlobalReroute};
@@ -31,7 +30,7 @@ fn failure_position(path: &[NodeId], x: NodeId, y: NodeId) -> Option<usize> {
 
 struct Measured {
     bandwidth_loss_pct: f64,
-    max_dilation_hops: usize,
+    max_dilation: usize,
     upstream_repairs: usize,
     flows_examined: usize,
 }
@@ -45,8 +44,7 @@ fn candidate_keys(k: usize, host: impl Fn(HostAddr) -> sharebackup_topo::NodeId)
             if s == d {
                 continue;
             }
-            for rep in 0..8 {
-                let _ = rep;
+            for _ in 0..8 {
                 keys.push(FlowKey::new(
                     host(HostAddr { pod: s, edge: 0, host: 0 }),
                     host(HostAddr { pod: d, edge: 1, host: 1 }),
@@ -86,7 +84,7 @@ fn measure_fattree(k: usize) -> Measured {
     }
     Measured {
         bandwidth_loss_pct: 100.0 * (before_cap - after_cap) / before_cap,
-        max_dilation_hops: max_dilation,
+        max_dilation,
         upstream_repairs: upstream,
         flows_examined: examined,
     }
@@ -120,7 +118,7 @@ fn measure_f10(k: usize) -> Measured {
     }
     Measured {
         bandwidth_loss_pct: 100.0 * (before_cap - after_cap) / before_cap,
-        max_dilation_hops: max_dilation,
+        max_dilation,
         upstream_repairs: upstream,
         flows_examined: examined,
     }
@@ -139,11 +137,6 @@ fn measure_sharebackup(k: usize) -> Measured {
     let agg = ctl.sb.occupant(GroupId::agg(0).slot(0));
     let core = ctl.sb.occupant(GroupId::core(0).slot(0));
     ctl.sb.set_iface_broken(agg, k / 2, true);
-    let ev = SbEvent::LinkFail {
-        faulty: (agg, k / 2),
-        other: (core, 0),
-    };
-    let _ = ev; // controller call below is the recovery path
     let recovery = ctl.handle_link_failure((agg, k / 2), (core, 0), Time::ZERO);
     assert!(recovery.fully_recovered(), "k/2 spares suffice");
     let after_cap = total_usable_capacity(&ctl.sb.slots.net);
@@ -163,7 +156,7 @@ fn measure_sharebackup(k: usize) -> Measured {
     }
     Measured {
         bandwidth_loss_pct: 100.0 * (before_cap - after_cap) / before_cap,
-        max_dilation_hops: max_dilation,
+        max_dilation,
         upstream_repairs: upstream,
         flows_examined: examined,
     }
@@ -188,7 +181,7 @@ fn main() {
                 minijson::json!({
                     "architecture": name,
                     "bandwidth_loss_pct": m.bandwidth_loss_pct,
-                    "max_dilation_hops": m.max_dilation_hops,
+                    "max_dilation_hops": m.max_dilation,
                     "upstream_repairs": m.upstream_repairs,
                     "flows_examined": m.flows_examined,
                 })
@@ -208,10 +201,10 @@ fn main() {
             "{:<14} {:>18} {:>18} {:>19}   loss={:.2}% dilation=+{} upstream={}/{}",
             name,
             if m.bandwidth_loss_pct == 0.0 { "yes" } else { "NO" },
-            if m.max_dilation_hops == 0 { "yes" } else { "NO" },
+            if m.max_dilation == 0 { "yes" } else { "NO" },
             if m.upstream_repairs == 0 { "yes" } else { "NO" },
             m.bandwidth_loss_pct,
-            m.max_dilation_hops,
+            m.max_dilation,
             m.upstream_repairs,
             m.flows_examined,
         );

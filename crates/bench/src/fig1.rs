@@ -258,15 +258,6 @@ impl AbstractFailure {
             _ => unreachable!("failures only"),
         }
     }
-
-    /// Whether this failure severs hosts permanently under *any* scheme
-    /// until repair (an edge switch or host link going down strands hosts).
-    pub fn strands_hosts(&self) -> bool {
-        matches!(
-            self,
-            AbstractFailure::Edge(..) | AbstractFailure::LinkHost { .. }
-        )
-    }
 }
 
 /// One system's CCT results for a trial.

@@ -2,12 +2,11 @@
 //! failures") — the machinery that keeps recovery going when the recovery
 //! machinery's own brain dies.
 //!
-//! [`crate::cluster::ControllerCluster`] answers *who is primary*; this
-//! module makes that bookkeeping load-bearing. A [`FailoverPlane`] owns the
-//! cluster and journals every failure report: switches report to **all**
-//! replicas simultaneously (§5.1), so each in-flight recovery is durable
-//! state any replica can pick up. The primary can crash at any phase
-//! boundary of an in-flight recovery —
+//! A [`FailoverPlane`] tracks which controller replicas are live and which
+//! one is primary, and journals every failure report: switches report to
+//! **all** replicas simultaneously (§5.1), so each in-flight recovery is
+//! durable state any replica can pick up. The primary can crash at any
+//! phase boundary of an in-flight recovery —
 //!
 //! * after the report is processed but before diagnosis
 //!   ([`RecoveryPhase::Reported`]),
@@ -33,6 +32,13 @@
 //! exact sequence on the discrete-event engine; the plane charges the
 //! conservative closed-form bound).
 //!
+//! Replica crashes and restores are **idempotent** and return
+//! [`ReplicaOutOfRange`] for ids outside the cluster instead of panicking:
+//! failure schedules replay duplicate crash reports, and a duplicate must
+//! neither charge a second election nor crash the harness. The paper leaves
+//! placement and coordination open (§6); the lowest-id live replica wins
+//! every election.
+//!
 //! The control network is fallible too: failure reports and
 //! reconfiguration commands each traverse a lossy/delayed channel
 //! ([`ChaosConfig::control_loss_rate`], [`ChaosConfig::control_delay_rate`])
@@ -51,14 +57,35 @@
 //! pre-existing harness digest stays byte-identical.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{NodeId, PhysId};
 
 use crate::chaos::ChaosConfig;
-use crate::cluster::{ControllerCluster, ReplicaOutOfRange};
 use crate::controller::{Controller, Recovery};
 use crate::detection::{simulate_keepalive, DetectionConfig};
+
+/// Error from naming a replica that does not exist.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplicaOutOfRange {
+    /// The offending replica id.
+    pub id: usize,
+    /// Cluster size (valid ids are `0..replicas`).
+    pub replicas: usize,
+}
+
+impl fmt::Display for ReplicaOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "replica id {} out of range for a {}-replica cluster",
+            self.id, self.replicas
+        )
+    }
+}
+
+impl std::error::Error for ReplicaOutOfRange {}
 
 /// Tuning knobs of the replicated control plane.
 #[derive(Clone, Copy, Debug)]
@@ -195,8 +222,8 @@ pub struct PendingRecovery {
     pub interrupted: bool,
 }
 
-/// The replicated control plane: a [`ControllerCluster`] plus the journal
-/// of in-flight recoveries and the fallible control channel.
+/// The replicated control plane: replica membership and the primary, the
+/// journal of in-flight recoveries, and the fallible control channel.
 ///
 /// The plane does not own the [`Controller`]; every operation borrows it,
 /// so the scenario layer keeps routing through the controller's network
@@ -208,7 +235,10 @@ pub struct FailoverPlane {
     /// Control-plane chaos rates (only the `controller_crash_rate`,
     /// `control_loss_rate` and `control_delay_rate` knobs are read here).
     pub chaos: ChaosConfig,
-    cluster: ControllerCluster,
+    /// Which replicas are live, by replica id.
+    up: Vec<bool>,
+    /// The elected primary; `None` while every replica is down.
+    primary: Option<usize>,
     rng: Option<SimRng>,
     journal: BTreeMap<u64, InFlight>,
     next_id: u64,
@@ -225,12 +255,17 @@ pub struct FailoverPlane {
 impl FailoverPlane {
     /// A plane without a chaos stream: performs **zero** RNG draws; the
     /// only way the primary crashes is [`FailoverPlane::crash_replica`] or
-    /// [`FailoverPlane::force_crash_at`].
+    /// [`FailoverPlane::force_crash_at`]. Replica 0 starts as primary.
+    ///
+    /// # Panics
+    /// Panics if `cfg.replicas == 0`.
     pub fn new(cfg: FailoverConfig) -> FailoverPlane {
+        assert!(cfg.replicas > 0, "need at least one replica");
         FailoverPlane {
             cfg,
             chaos: ChaosConfig::off(),
-            cluster: ControllerCluster::new(cfg.replicas, cfg.election_time),
+            up: vec![true; cfg.replicas],
+            primary: Some(0),
             rng: None,
             journal: BTreeMap::new(),
             next_id: 0,
@@ -252,15 +287,23 @@ impl FailoverPlane {
         }
     }
 
-    /// Cluster membership view.
-    pub fn cluster(&self) -> &ControllerCluster {
-        &self.cluster
+    /// The current primary replica, or `None` while every replica is down.
+    pub fn primary(&self) -> Option<usize> {
+        self.primary
     }
 
     /// Whether the plane can drive recoveries at `now`: some replica is
     /// primary and no election is still running.
     pub fn available(&self, now: Time) -> bool {
-        self.cluster.available() && now >= self.available_at
+        self.primary.is_some() && now >= self.available_at
+    }
+
+    /// Whether replica `id` is live.
+    fn is_up(&self, id: usize) -> Result<bool, ReplicaOutOfRange> {
+        self.up.get(id).copied().ok_or(ReplicaOutOfRange {
+            id,
+            replicas: self.up.len(),
+        })
     }
 
     /// The instant the current blackout (if any) ends. [`Time::ZERO`] if
@@ -350,18 +393,18 @@ impl FailoverPlane {
         id: usize,
         now: Time,
     ) -> Result<(), ReplicaOutOfRange> {
-        if !self.cluster.is_up(id)? {
+        if !self.is_up(id)? {
             return Ok(());
         }
-        let was_primary = self.cluster.primary() == Some(id);
-        self.cluster.fail_replica(id)?;
+        self.up[id] = false;
         ctl.stats.controller_crashes += 1;
         ctl.tracer.instant(now, "failover", "controller-crash");
-        if was_primary {
+        if self.primary == Some(id) {
             for e in self.journal.values_mut() {
                 e.interrupted = true;
             }
-            if self.cluster.available() {
+            self.primary = self.up.iter().position(|&u| u);
+            if self.primary.is_some() {
                 // Followers observe the heartbeat silence (charged at the
                 // conservative closed-form bound), then elect.
                 ctl.stats.elections += 1;
@@ -370,8 +413,8 @@ impl FailoverPlane {
                 ctl.tracer.span(detected, elected, "failover", "election");
                 self.available_at = self.available_at.max(elected);
             }
-            // Headless cluster: poll() is gated on cluster availability
-            // until a replica is restored.
+            // Headless cluster: poll() is gated on having a primary until
+            // a replica is restored.
         }
         self.check_invariants(ctl);
         Ok(())
@@ -386,16 +429,17 @@ impl FailoverPlane {
         id: usize,
         now: Time,
     ) -> Result<(), ReplicaOutOfRange> {
-        if self.cluster.is_up(id)? {
+        if self.is_up(id)? {
             return Ok(());
         }
-        let had_primary = self.cluster.available();
-        let delay = self.cluster.restore_replica(id)?;
+        self.up[id] = true;
         ctl.stats.controller_restores += 1;
         ctl.tracer.instant(now, "failover", "controller-restore");
-        if !had_primary && self.cluster.available() {
+        if self.primary.is_none() {
+            // The restored replica is the only live one: it elects itself.
+            self.primary = Some(id);
             ctl.stats.elections += 1;
-            let elected = now + delay;
+            let elected = now + self.cfg.election_time;
             ctl.tracer.span(now, elected, "failover", "election");
             self.available_at = self.available_at.max(elected);
         }
@@ -426,7 +470,7 @@ impl FailoverPlane {
 
     /// The chaos-rolled crash of whoever is primary right now.
     fn primary_crashed(&mut self, ctl: &mut Controller, now: Time) {
-        if let Some(p) = self.cluster.primary() {
+        if let Some(p) = self.primary {
             // The primary id is in range by construction.
             let _ = self.crash_replica(ctl, p, now);
         }
@@ -697,7 +741,7 @@ mod tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].phase, RecoveryPhase::Diagnosed);
         assert!(pending[0].interrupted);
-        assert_eq!(plane.cluster().primary(), Some(1));
+        assert_eq!(plane.primary(), Some(1));
         assert_eq!(ctl.stats.controller_crashes, 1);
         assert_eq!(ctl.stats.elections, 1);
         assert_eq!(ctl.stats.replacements, 0, "no backup assigned yet");
@@ -766,7 +810,7 @@ mod tests {
         plane
             .crash_replica(&mut ctl, 1, t0)
             .expect("replica 1 in range");
-        assert!(!plane.cluster().available());
+        assert_eq!(plane.primary(), None);
 
         // A failure during the headless window stays journaled — visible,
         // not silently dropped.
@@ -783,7 +827,7 @@ mod tests {
         plane
             .restore_replica(&mut ctl, 0, t2)
             .expect("replica 0 in range");
-        assert!(plane.cluster().available());
+        assert_eq!(plane.primary(), Some(0));
         let t3 = t2 + plane.cfg.election_time;
         plane.poll(&mut ctl, t3);
         let done = plane.take_completed();
@@ -798,6 +842,107 @@ mod tests {
             ctl.stats.elections, 2,
             "the first crash elected replica 1; the restore elects again"
         );
+        ctl.stats.assert_consistent();
+    }
+
+    fn two_replica_plane() -> FailoverPlane {
+        FailoverPlane::new(FailoverConfig {
+            replicas: 2,
+            ..FailoverConfig::default()
+        })
+    }
+
+    #[test]
+    fn initial_primary_is_zero() {
+        let plane = FailoverPlane::new(FailoverConfig::default());
+        assert_eq!(plane.primary(), Some(0));
+        assert!(plane.available(Time::ZERO));
+        assert_eq!(plane.available_at(), Time::ZERO);
+        for id in 0..plane.cfg.replicas {
+            assert_eq!(plane.is_up(id), Ok(true));
+        }
+    }
+
+    #[test]
+    fn restored_replica_does_not_usurp() {
+        let mut ctl = controller(4, 1);
+        let mut plane = two_replica_plane();
+        let t0 = Time::from_secs(1);
+        plane.crash_replica(&mut ctl, 0, t0).expect("in range");
+        assert_eq!(plane.primary(), Some(1));
+        // The former primary rejoins as a follower: no usurpation, no
+        // election, no new blackout.
+        let blackout_end = plane.available_at();
+        plane.restore_replica(&mut ctl, 0, t0).expect("in range");
+        assert_eq!(plane.primary(), Some(1), "no usurpation on rejoin");
+        assert_eq!(plane.is_up(0), Ok(true));
+        assert_eq!(ctl.stats.elections, 1);
+        assert_eq!(plane.available_at(), blackout_end);
+        ctl.stats.assert_consistent();
+    }
+
+    #[test]
+    fn double_restore_is_idempotent() {
+        let mut ctl = controller(4, 1);
+        let mut plane = two_replica_plane();
+        let t0 = Time::from_secs(1);
+        plane.crash_replica(&mut ctl, 0, t0).expect("in range");
+        plane.crash_replica(&mut ctl, 1, t0).expect("in range");
+        assert_eq!(plane.primary(), None);
+        let elections = ctl.stats.elections;
+        let t1 = Time::from_secs(2);
+        plane.restore_replica(&mut ctl, 0, t1).expect("in range");
+        let elected = t1 + plane.cfg.election_time;
+        assert_eq!(plane.available_at(), elected, "restoring into a headless plane elects");
+        plane.restore_replica(&mut ctl, 0, t1).expect("idempotent duplicate");
+        assert_eq!(plane.primary(), Some(0));
+        assert_eq!(ctl.stats.elections, elections + 1, "no second election");
+        assert_eq!(ctl.stats.controller_restores, 1, "duplicate restore uncounted");
+        assert_eq!(plane.available_at(), elected);
+        ctl.stats.assert_consistent();
+    }
+
+    #[test]
+    fn out_of_range_ids_are_typed_errors_not_panics() {
+        let mut ctl = controller(4, 1);
+        let mut plane = two_replica_plane();
+        let t0 = Time::from_secs(1);
+        let err = ReplicaOutOfRange { id: 2, replicas: 2 };
+        assert_eq!(plane.crash_replica(&mut ctl, 2, t0), Err(err));
+        assert_eq!(
+            plane.restore_replica(&mut ctl, 9, t0),
+            Err(ReplicaOutOfRange { id: 9, replicas: 2 })
+        );
+        assert_eq!(plane.is_up(2), Err(err));
+        assert!(err.to_string().contains("out of range"));
+        // Nothing changed.
+        assert_eq!(plane.primary(), Some(0));
+        assert!(plane.available(t0));
+        assert_eq!(ctl.stats.controller_crashes, 0);
+        assert_eq!(ctl.stats.controller_restores, 0);
+        assert_eq!(ctl.stats.elections, 0);
+        ctl.stats.assert_consistent();
+    }
+
+    #[test]
+    fn double_fail_of_dead_primary_charges_nothing_and_holds_no_election() {
+        let mut ctl = controller(4, 1);
+        let mut plane = FailoverPlane::new(FailoverConfig::default());
+        let t0 = Time::from_secs(1);
+        plane.crash_replica(&mut ctl, 0, t0).expect("in range");
+        let blackout_end = t0 + plane.cfg.blackout();
+        assert_eq!(plane.available_at(), blackout_end);
+        assert_eq!(ctl.stats.elections, 1);
+        // A duplicate crash report for the already-dead former primary:
+        // free, electorally silent, state unchanged.
+        let t1 = Time::from_secs(2);
+        plane.crash_replica(&mut ctl, 0, t1).expect("idempotent duplicate");
+        assert_eq!(ctl.stats.elections, 1, "no second election charged");
+        assert_eq!(ctl.stats.controller_crashes, 1, "duplicate crash uncounted");
+        assert_eq!(plane.available_at(), blackout_end, "no second blackout");
+        assert_eq!(plane.primary(), Some(1));
+        assert_eq!(plane.is_up(1), Ok(true));
+        assert_eq!(plane.is_up(2), Ok(true));
         ctl.stats.assert_consistent();
     }
 

@@ -17,21 +17,17 @@
 //! * [`latency`] — the §5.3 recovery-latency model: probing interval +
 //!   sub-ms control-plane communication + circuit reset (70 ns / 40 µs),
 //!   compared against rerouting's SDN rule-install path.
-//! * [`cluster`] — the §5.1 controller cluster: primary election among
-//!   replicas.
-//! * [`failover`] — the event-driven replicated control plane: the primary
-//!   can crash mid-recovery, a deterministically elected successor
-//!   re-drives the journaled recovery idempotently, and control messages
-//!   traverse a lossy/delayed channel with timeout + backoff + retry
-//!   budget.
+//! * [`failover`] — the §5.1 replicated control plane: controller replicas
+//!   elect a primary, the primary can crash mid-recovery, a deterministically
+//!   elected successor re-drives the journaled recovery idempotently, and
+//!   control messages traverse a lossy/delayed channel with timeout +
+//!   backoff + retry budget.
 //! * [`scenario`] — [`sharebackup_flowsim::Environment`] implementations for
 //!   the three compared systems (fat-tree + global rerouting, F10 + local
 //!   rerouting, ShareBackup + this controller), used by every Fig. 1-style
 //!   experiment.
 
-pub mod boost;
 pub mod chaos;
-pub mod cluster;
 pub mod controller;
 pub mod detection;
 pub mod diagnosis;
@@ -41,14 +37,12 @@ pub mod maintenance;
 pub mod scenario;
 pub mod timeline;
 
-pub use boost::BoostPotential;
 pub use chaos::ChaosConfig;
-pub use cluster::{ControllerCluster, ReplicaOutOfRange};
 pub use detection::{detection_latency_samples, simulate_detection, DetectionConfig};
 pub use controller::{Controller, ControllerConfig, ControllerStats, Recovery};
 pub use failover::{
     simulate_election, CompletedRecovery, ElectionTimeline, FailoverConfig, FailoverPlane,
-    FailureReport, PendingRecovery, RecoveryPhase,
+    FailureReport, PendingRecovery, RecoveryPhase, ReplicaOutOfRange,
 };
 pub use diagnosis::{diagnose, DiagnosisReport, Verdict};
 pub use latency::{RecoveryLatencyModel, RecoveryScheme};

@@ -53,6 +53,29 @@ pub enum TopoEvent {
     RepairLink(LinkId),
 }
 
+/// Apply `ev` to `net`, keeping `failures_active` (the count of failures
+/// not yet repaired) in step. Shared by the two rerouting worlds.
+fn apply_topo_event(net: &mut Network, failures_active: &mut usize, ev: TopoEvent) {
+    match ev {
+        TopoEvent::FailNode(n) => {
+            net.set_node_up(n, false);
+            *failures_active += 1;
+        }
+        TopoEvent::FailLink(l) => {
+            net.set_link_up(l, false);
+            *failures_active += 1;
+        }
+        TopoEvent::RepairNode(n) => {
+            net.set_node_up(n, true);
+            *failures_active = failures_active.saturating_sub(1);
+        }
+        TopoEvent::RepairLink(l) => {
+            net.set_link_up(l, true);
+            *failures_active = failures_active.saturating_sub(1);
+        }
+    }
+}
+
 /// Plain fat-tree with rerouting-based recovery.
 pub struct FatTreeWorld {
     /// The topology (failure state lives in `ft.net`).
@@ -72,27 +95,6 @@ impl FatTreeWorld {
             mode,
             events,
             failures_active: 0,
-        }
-    }
-
-    fn apply(&mut self, ev: TopoEvent) {
-        match ev {
-            TopoEvent::FailNode(n) => {
-                self.ft.net.set_node_up(n, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::FailLink(l) => {
-                self.ft.net.set_link_up(l, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::RepairNode(n) => {
-                self.ft.net.set_node_up(n, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
-            TopoEvent::RepairLink(l) => {
-                self.ft.net.set_link_up(l, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
         }
     }
 }
@@ -126,8 +128,7 @@ impl Environment for FatTreeWorld {
         }
     }
     fn on_epoch(&mut self, index: usize, _now: Time) {
-        let ev = self.events[index];
-        self.apply(ev);
+        apply_topo_event(&mut self.ft.net, &mut self.failures_active, self.events[index]);
     }
 }
 
@@ -165,24 +166,7 @@ impl Environment for F10World {
         F10Router::route(&self.f10, flow)
     }
     fn on_epoch(&mut self, index: usize, _now: Time) {
-        match self.events[index] {
-            TopoEvent::FailNode(n) => {
-                self.f10.net.set_node_up(n, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::FailLink(l) => {
-                self.f10.net.set_link_up(l, false);
-                self.failures_active += 1;
-            }
-            TopoEvent::RepairNode(n) => {
-                self.f10.net.set_node_up(n, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
-            TopoEvent::RepairLink(l) => {
-                self.f10.net.set_link_up(l, true);
-                self.failures_active = self.failures_active.saturating_sub(1);
-            }
-        }
+        apply_topo_event(&mut self.f10.net, &mut self.failures_active, self.events[index]);
     }
 }
 

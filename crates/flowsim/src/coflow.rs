@@ -80,17 +80,6 @@ impl Coflow {
     }
 }
 
-/// CCT slowdown: CCT with failure divided by CCT without (paper §2.2).
-///
-/// Returns `None` when either run left the coflow unfinished — the harness
-/// reports those separately (an unfinished coflow is "infinite" slowdown).
-pub fn cct_slowdown(baseline: Option<Duration>, with_failure: Option<Duration>) -> Option<f64> {
-    match (baseline, with_failure) {
-        (Some(b), Some(f)) if b > Duration::ZERO => Some(f.as_secs_f64() / b.as_secs_f64()),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,20 +133,6 @@ mod tests {
         };
         assert_eq!(cf.cct(&specs, &out), None);
         assert_eq!(cf.outcome(&specs, &out).completed, None);
-    }
-
-    #[test]
-    fn slowdown_math() {
-        assert_eq!(
-            cct_slowdown(
-                Some(Duration::from_secs(10)),
-                Some(Duration::from_secs(30))
-            ),
-            Some(3.0)
-        );
-        assert_eq!(cct_slowdown(None, Some(Duration::from_secs(1))), None);
-        assert_eq!(cct_slowdown(Some(Duration::from_secs(1)), None), None);
-        assert_eq!(cct_slowdown(Some(Duration::ZERO), Some(Duration::ZERO)), None);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * [`coflow`] — coflow bookkeeping and Coflow Completion Time (CCT);
 //! * [`impact`] — the static affected-flow/affected-coflow metrics of
 //!   Fig. 1(a)/(b);
-//! * [`properties`] — the Table 3 property checks (bandwidth loss, path
-//!   dilation, upstream repair).
+//! * [`properties`] — gauges for the Table 3 property checks (usable
+//!   capacity, upstream repair).
 
 pub mod coflow;
 pub mod impact;

@@ -40,12 +40,6 @@ impl FatTreeConfig {
         self
     }
 
-    /// Set the host link capacity in bits per second.
-    pub fn with_host_link_bps(mut self, bps: f64) -> FatTreeConfig {
-        self.host_link_bps = bps;
-        self
-    }
-
     /// Capacity of switch-to-switch links under this configuration.
     pub fn uplink_bps(&self) -> f64 {
         self.host_link_bps / self.oversubscription

@@ -7,8 +7,8 @@
 //! trace partition; the capacity analysis (§5.1) sizes the backup pool
 //! against the 0.01% failure rate.
 //!
-//! This module provides both: single-failure scenario sampling for the
-//! Fig. 1 harness, and a Poisson failure/repair process for long-running
+//! This module provides both: node and link sampling for single-failure
+//! scenarios, and a Poisson failure/repair process for long-running
 //! simulations.
 //!
 //! The chaos extensions deliberately *violate* the Gill et al.
@@ -159,24 +159,6 @@ impl FailureInjector {
             .into_iter()
             .map(|i| self.links[i])
             .collect()
-    }
-
-    /// The paper's §2.2 scenario: a single failure at `at` lasting
-    /// `duration` (default: strikes early in a 5-minute partition, outlasts
-    /// it).
-    pub fn single_failure(
-        &self,
-        rng: &mut SimRng,
-        node: bool,
-        at: Time,
-        duration: Duration,
-    ) -> FailureEvent {
-        let kind = if node {
-            FailureKind::Node(self.sample_nodes(rng, 1)[0])
-        } else {
-            FailureKind::Link(self.sample_links(rng, 1)[0])
-        };
-        FailureEvent { kind, at, duration }
     }
 
     /// A Poisson failure process over `horizon`: each event picks a random
@@ -462,14 +444,6 @@ impl ChaosProfile {
     }
 }
 
-/// Count of switches implied by a device availability figure: with
-/// availability `a` (e.g. 0.9999), the expected fraction of switches down
-/// at any instant is `1 - a` — the number the paper's §5.1 compares the
-/// backup ratio n/(k/2) against.
-pub fn expected_down_fraction(availability: f64) -> f64 {
-    (1.0 - availability).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,20 +482,22 @@ mod tests {
     fn apply_and_repair_round_trip() {
         let (mut ft, inj) = inj();
         let mut rng = SimRng::seed_from_u64(2);
-        let ev = inj.single_failure(
-            &mut rng,
-            true,
-            Time::from_secs(10),
-            Duration::from_secs(120),
-        );
-        assert_eq!(ev.repaired_at(), Time::from_secs(130));
-        let FailureKind::Node(n) = ev.kind else {
-            panic!("asked for a node failure")
+        let n = inj.sample_nodes(&mut rng, 1)[0];
+        let l = inj.sample_links(&mut rng, 1)[0];
+        let ev = FailureEvent {
+            kind: FailureKind::Node(n),
+            at: Time::from_secs(10),
+            duration: Duration::from_secs(120),
         };
+        assert_eq!(ev.repaired_at(), Time::from_secs(130));
         FailureInjector::apply(&mut ft.net, ev.kind);
         assert!(!ft.net.node(n).up);
         FailureInjector::repair(&mut ft.net, ev.kind);
         assert!(ft.net.node(n).up);
+        FailureInjector::apply(&mut ft.net, FailureKind::Link(l));
+        assert!(!ft.net.link_usable(l));
+        FailureInjector::repair(&mut ft.net, FailureKind::Link(l));
+        assert!(ft.net.link_usable(l));
     }
 
     #[test]
@@ -701,12 +677,6 @@ mod tests {
             assert!(b_flaps.contains(e), "flap schedule preserved: {e:?}");
         }
         assert!(b.len() > a.len(), "poisson component added events");
-    }
-
-    #[test]
-    fn availability_math() {
-        assert!((expected_down_fraction(0.9999) - 0.0001).abs() < 1e-12);
-        assert_eq!(expected_down_fraction(1.0), 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Control-plane integration scenarios: controller-cluster failover during
+//! Control-plane integration scenarios: controller failover during
 //! recovery, circuit-switch escalation end-to-end, and rolling maintenance
 //! under live traffic.
 
 use sharebackup::core::{
-    Controller, ControllerCluster, ControllerConfig, RollingUpgrade,
+    Controller, ControllerConfig, FailoverConfig, FailoverPlane, FailureReport, RollingUpgrade,
 };
 use sharebackup::flowsim::{Environment, FlowSim, FlowSpec};
 use sharebackup::routing::FlowKey;
@@ -15,48 +15,75 @@ fn primary_controller_failure_delays_recovery_by_one_election() {
     // The paper §5.1: replicas all receive status reports; a new primary is
     // elected when the current one dies. Model: the data-plane failure and
     // the primary's death coincide; effective recovery latency gains the
-    // election time.
+    // detection + election blackout.
     let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
     let mut ctl = Controller::new(sb, ControllerConfig::default());
-    let mut cluster = ControllerCluster::new(3, Duration::from_millis(50));
+    let mut plane = FailoverPlane::new(FailoverConfig::default());
 
     let slot = GroupId::agg(0).slot(0);
     let victim = ctl.sb.occupant(slot);
     ctl.sb.set_phys_healthy(victim, false);
 
     // Primary dies at the same instant.
-    let election_delay = cluster.fail_replica(0).expect("replica 0 exists");
-    assert!(cluster.available(), "replica 1 takes over");
-    let recovery = ctl.handle_node_failure(victim, Time::ZERO);
-    let effective = recovery.latency + election_delay;
+    plane
+        .crash_replica(&mut ctl, 0, Time::ZERO)
+        .expect("replica 0 exists");
+    assert_eq!(plane.primary(), Some(1), "replica 1 takes over");
+    plane.submit(&mut ctl, FailureReport::Node(victim), Time::ZERO);
+    assert!(plane.take_completed().is_empty(), "nothing recovers mid-election");
+
+    plane.poll(&mut ctl, Time::ZERO + plane.cfg.blackout());
+    let done = plane.take_completed();
+    assert_eq!(done.len(), 1);
+    let recovery = &done[0].recovery;
+    assert!(recovery.fully_recovered());
+    let dwell = done[0].completed_at.since(done[0].reported_at);
+    assert_eq!(dwell, plane.cfg.blackout());
+    let effective = dwell + recovery.latency;
     assert!(effective > recovery.latency);
     assert!(
         effective < Duration::from_millis(60),
         "sub-100ms even with failover: {effective}"
     );
-    assert!(recovery.fully_recovered());
 }
 
 #[test]
 fn total_controller_loss_blocks_recovery_until_restore() {
     let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
     let mut ctl = Controller::new(sb, ControllerConfig::default());
-    let mut cluster = ControllerCluster::new(2, Duration::from_millis(10));
-    cluster.fail_replica(0).expect("replica 0 exists");
-    cluster.fail_replica(1).expect("replica 1 exists");
-    assert!(!cluster.available());
+    let mut plane = FailoverPlane::new(FailoverConfig {
+        replicas: 2,
+        election_time: Duration::from_millis(10),
+        ..FailoverConfig::default()
+    });
+    plane
+        .crash_replica(&mut ctl, 0, Time::ZERO)
+        .expect("replica 0 exists");
+    plane
+        .crash_replica(&mut ctl, 1, Time::ZERO)
+        .expect("replica 1 exists");
+    assert_eq!(plane.primary(), None);
 
-    // With no primary, the harness must not invoke the controller — model
-    // the wait, then restore and recover.
+    // With no primary, the plane must not invoke the controller: the report
+    // waits in the journal until a replica is restored.
     let slot = GroupId::core(0).slot(1);
     let victim = ctl.sb.occupant(slot);
     ctl.sb.set_phys_healthy(victim, false);
+    plane.submit(&mut ctl, FailureReport::Node(victim), Time::from_millis(500));
+    assert!(plane.take_completed().is_empty());
+    assert_eq!(plane.pending_count(), 1);
     assert!(!ctl.sb.slots.net.node(ctl.sb.slot_node(slot)).up);
 
-    cluster.restore_replica(0).expect("replica 0 exists");
-    assert!(cluster.available());
-    let recovery = ctl.handle_node_failure(victim, Time::from_secs(1));
-    assert!(recovery.fully_recovered());
+    let restored = Time::from_secs(1);
+    plane
+        .restore_replica(&mut ctl, 0, restored)
+        .expect("replica 0 exists");
+    assert_eq!(plane.primary(), Some(0));
+    plane.poll(&mut ctl, restored + plane.cfg.election_time);
+    let done = plane.take_completed();
+    assert_eq!(done.len(), 1);
+    assert!(done[0].recovery.fully_recovered());
+    assert_eq!(done[0].completed_at, restored + Duration::from_millis(10));
     assert!(ctl.sb.slots.net.node(ctl.sb.slot_node(slot)).up);
 }
 
