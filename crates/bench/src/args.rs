@@ -1,110 +1,277 @@
-//! Minimal command-line parsing shared by the harness binaries.
+//! Command-line flags of the harness binaries.
 //!
-//! All binaries accept `--k <even>`, `--n <backups>`, `--seed <u64>`,
-//! `--trials <count>`, `--mode <str>`, `--jobs <threads>`, `--json` and
-//! `--trace-out <path>`; unknown flags abort with a usage message. No
-//! external parser dependency — the flags are few and uniform.
+//! A binary declares each flag by reading it, with its default in the same
+//! call: `cli.k(16)`, `cli.get("trials", 10)`,
+//! `cli.choice("mode", &["node", "link"])` (the first choice is the
+//! default), `cli.switch("json")`, `cli.path("trace-out")`. It then calls
+//! [`Cli::finish`] before it simulates anything. `finish` exits with status
+//! 2 and one line on stderr for a flag the binary did not read, a malformed
+//! value or a stray argument, and answers `--help` (exit 0) with a usage
+//! built from the same calls, so the listed defaults are the ones in use.
+//! No external parser dependency: the flags are few and simple.
 
-/// Parsed common arguments with experiment-specific defaults.
-#[derive(Clone, Debug)]
-pub struct Args {
-    /// Fat-tree parameter.
-    pub k: usize,
-    /// Backups per failure group.
-    pub n: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Number of trials / scenarios.
-    pub trials: usize,
-    /// Free-form mode string (binary-specific, e.g. "node"/"link").
-    pub mode: String,
-    /// Worker threads for independent trials (1 = serial). Results are
-    /// byte-identical at any value; see DESIGN.md on the determinism
-    /// contract.
-    pub jobs: usize,
-    /// Emit machine-readable JSON instead of the table.
-    pub json: bool,
-    /// Write a chrome-trace JSON of the run to this path (binaries that
-    /// support tracing also write a deterministic `<path>.digest` text
-    /// rendition). `None` = telemetry off (the default, near-zero cost).
-    pub trace_out: Option<String>,
+use std::fmt::Display;
+use std::str::FromStr;
+
+/// The command line of one harness binary, read flag by flag.
+#[derive(Debug)]
+pub struct Cli {
+    bin: String,
+    /// Each `--flag [value]` given, in command-line order.
+    given: Vec<(String, Option<String>)>,
+    /// The first argument that is neither a flag nor a flag's value.
+    stray: Option<String>,
+    /// The flags read so far, in reading order.
+    declared: Vec<Flag>,
+    /// The first malformed value met by a read.
+    malformed: Option<String>,
 }
 
-impl Args {
-    /// Parse `std::env::args`, starting from the given defaults.
+/// One flag a binary reads, as `--help` lists it.
+#[derive(Debug)]
+struct Flag {
+    name: &'static str,
+    /// Value placeholder (`<u64>`, `node|link`), empty for a switch.
+    arg: String,
+    default: Option<String>,
+}
+
+impl Cli {
+    /// The process's own command line; the binary's name comes from
+    /// `argv[0]`.
+    pub fn from_env() -> Cli {
+        let mut argv = std::env::args();
+        let bin = argv
+            .next()
+            .as_deref()
+            .map(std::path::Path::new)
+            .and_then(std::path::Path::file_name)
+            .map_or_else(
+                || "harness".to_string(),
+                |b| b.to_string_lossy().into_owned(),
+            );
+        Cli::new(&bin, argv)
+    }
+
+    /// A command line `argv` (without the program name) for binary `bin`.
+    /// A token starting with `--` (or `-h`) is a flag; the token after it
+    /// is its value unless it is itself a flag.
+    fn new(bin: &str, argv: impl IntoIterator<Item = String>) -> Cli {
+        let mut given: Vec<(String, Option<String>)> = Vec::new();
+        let mut stray = None;
+        for token in argv {
+            if token == "-h" {
+                given.push(("help".to_string(), None));
+            } else if let Some(name) = token.strip_prefix("--") {
+                given.push((name.to_string(), None));
+            } else if let Some((_, value @ None)) = given.last_mut() {
+                *value = Some(token);
+            } else {
+                stray.get_or_insert(token);
+            }
+        }
+        Cli {
+            bin: bin.to_string(),
+            given,
+            stray,
+            declared: Vec::new(),
+            malformed: None,
+        }
+    }
+
+    /// `--<name> <value>`, parsed as `T`; `default` when absent.
+    pub fn get<T: FromStr + Display>(&mut self, name: &'static str, default: T) -> T {
+        let ty = std::any::type_name::<T>();
+        self.value(
+            name,
+            default,
+            &format!("<{ty}>"),
+            &format!("a {ty}"),
+            |_| true,
+        )
+    }
+
+    /// `--k`, the fat-tree parameter: an even integer of at least 4.
+    pub fn k(&mut self, default: usize) -> usize {
+        self.value("k", default, "<even>", "an even integer >= 4", |&k| {
+            k >= 4 && k.is_multiple_of(2)
+        })
+    }
+
+    /// `--jobs`, worker threads for independent trials (default 1 = serial).
+    /// Results are byte-identical at any value; see DESIGN.md on the
+    /// determinism contract.
+    pub fn jobs(&mut self) -> usize {
+        self.value("jobs", 1, "<threads>", "an integer >= 1", |&j| j >= 1)
+    }
+
+    /// `--<name> <choice>`, one of `choices`; the first when absent.
     ///
     /// # Panics
-    /// Exits the process with a usage message on malformed input.
-    pub fn parse(defaults: Args) -> Args {
-        let mut out = defaults;
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let flag = argv[i].clone();
-            let takes_value = matches!(
-                flag.as_str(),
-                "--k" | "--n" | "--seed" | "--trials" | "--mode" | "--jobs" | "--trace-out"
-            );
-            let value = if takes_value {
-                i += 1;
-                Some(argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("missing value for {flag}");
-                    std::process::exit(2);
-                }))
-            } else {
-                None
-            };
-            match flag.as_str() {
-                "--k" => out.k = value.expect("taken").parse().expect("--k wants an integer"),
-                "--n" => out.n = value.expect("taken").parse().expect("--n wants an integer"),
-                "--seed" => {
-                    out.seed = value.expect("taken").parse().expect("--seed wants a u64")
-                }
-                "--trials" => {
-                    out.trials = value
-                        .expect("taken")
-                        .parse()
-                        .expect("--trials wants an integer")
-                }
-                "--mode" => out.mode = value.expect("taken"),
-                "--jobs" => {
-                    out.jobs = value
-                        .expect("taken")
-                        .parse()
-                        .expect("--jobs wants an integer");
-                    assert!(out.jobs >= 1, "--jobs must be >= 1");
-                }
-                "--json" => out.json = true,
-                "--trace-out" => out.trace_out = Some(value.expect("taken")),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --k <even> --n <int> --seed <u64> --trials <int> --mode <str> --jobs <threads> --json --trace-out <path>"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag {other}; see --help");
-                    std::process::exit(2);
-                }
+    /// Panics if `choices` is empty.
+    pub fn choice(&mut self, name: &'static str, choices: &[&'static str]) -> &'static str {
+        let default = choices[0];
+        self.declare(name, choices.join("|"), Some(default.to_string()));
+        let Some(raw) = self.raw(name) else {
+            return default;
+        };
+        choices
+            .iter()
+            .copied()
+            .find(|&c| c == raw)
+            .unwrap_or_else(|| {
+                self.malform(format!(
+                    "--{name} wants {}, got {raw:?}",
+                    choices.join(" or ")
+                ));
+                default
+            })
+    }
+
+    /// `--<name>`, a flag without a value: whether it was given.
+    pub fn switch(&mut self, name: &'static str) -> bool {
+        self.declare(name, String::new(), None);
+        match self.last(name) {
+            None => false,
+            Some(None) => true,
+            Some(Some(value)) => {
+                let problem = format!("--{name} takes no value, got {value:?}");
+                self.malform(problem);
+                true
             }
-            i += 1;
         }
-        assert!(out.k >= 4 && out.k.is_multiple_of(2), "--k must be even and >= 4");
+    }
+
+    /// `--<name> <path>`, an optional output path.
+    pub fn path(&mut self, name: &'static str) -> Option<String> {
+        self.declare(name, "<path>".to_string(), None);
+        self.raw(name)
+    }
+
+    /// Check the command line against the flags read: on `--help` print the
+    /// usage and exit 0; on an unread flag, a malformed value or a stray
+    /// argument print one line to stderr and exit 2. Returns only if the
+    /// binary should run.
+    pub fn finish(self) {
+        match self.verdict() {
+            Ok(()) => {}
+            Err((0, usage)) => {
+                print!("{usage}");
+                std::process::exit(0);
+            }
+            Err((code, problem)) => {
+                eprintln!("{problem}");
+                std::process::exit(code);
+            }
+        }
+    }
+
+    /// What [`Cli::finish`] does: `Ok` to run, else the exit status and the
+    /// text to print (the usage for status 0, the one-line problem for 2).
+    fn verdict(&self) -> Result<(), (i32, String)> {
+        if self.last("help").is_some() {
+            return Err((0, self.usage()));
+        }
+        let unread = self
+            .given
+            .iter()
+            .find(|(name, _)| !self.declared.iter().any(|f| f.name == name))
+            .map(|(name, _)| format!("unknown flag --{name}"));
+        let stray = self
+            .stray
+            .as_ref()
+            .map(|s| format!("unexpected argument {s:?}"));
+        match unread.or_else(|| self.malformed.clone()).or(stray) {
+            None => Ok(()),
+            Some(problem) => {
+                let flags: Vec<String> = self
+                    .declared
+                    .iter()
+                    .map(|f| format!("--{}", f.name))
+                    .collect();
+                Err((
+                    2,
+                    format!(
+                        "{}: {problem}; flags: {} (--help lists defaults)",
+                        self.bin,
+                        flags.join(" ")
+                    ),
+                ))
+            }
+        }
+    }
+
+    /// The `--help` text: one line per flag read, with its default.
+    fn usage(&self) -> String {
+        let lines: Vec<(String, &Option<String>)> = self
+            .declared
+            .iter()
+            .map(|f| {
+                (
+                    format!("--{} {}", f.name, f.arg).trim_end().to_string(),
+                    &f.default,
+                )
+            })
+            .collect();
+        let width = lines.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
+        let mut out = format!("usage: {} [flags]\n", self.bin);
+        for (line, default) in lines {
+            match default {
+                Some(d) => out.push_str(&format!("  {line:<width$}  default {d}\n")),
+                None => out.push_str(&format!("  {line}\n")),
+            }
+        }
         out
     }
 
-    /// Typical defaults: the paper's k=16 study scale, one backup, seed 42.
-    pub fn paper_defaults() -> Args {
-        Args {
-            k: 16,
-            n: 1,
-            seed: 42,
-            trials: 20,
-            mode: String::new(),
-            jobs: 1,
-            json: false,
-            trace_out: None,
+    fn value<T: FromStr + Display>(
+        &mut self,
+        name: &'static str,
+        default: T,
+        arg: &str,
+        wants: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> T {
+        self.declare(name, arg.to_string(), Some(default.to_string()));
+        let Some(raw) = self.raw(name) else {
+            return default;
+        };
+        match raw.parse::<T>() {
+            Ok(v) if ok(&v) => v,
+            _ => {
+                self.malform(format!("--{name} wants {wants}, got {raw:?}"));
+                default
+            }
         }
+    }
+
+    fn declare(&mut self, name: &'static str, arg: String, default: Option<String>) {
+        self.declared.push(Flag { name, arg, default });
+    }
+
+    /// The value of the last `--<name>` given, if any (repeating a flag
+    /// overrides it). A flag given without a value is malformed.
+    fn raw(&mut self, name: &str) -> Option<String> {
+        match self.last(name) {
+            None => None,
+            Some(None) => {
+                self.malform(format!("--{name} needs a value"));
+                None
+            }
+            Some(Some(value)) => Some(value.to_string()),
+        }
+    }
+
+    fn last(&self, name: &str) -> Option<Option<&str>> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_deref())
+    }
+
+    fn malform(&mut self, problem: String) {
+        self.malformed.get_or_insert(problem);
     }
 }
 
@@ -112,12 +279,116 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn cli(argv: &[&str]) -> Cli {
+        Cli::new("demo", argv.iter().map(|s| s.to_string()))
+    }
+
+    /// The flag set of a typical harness, read in its order.
+    fn read(c: &mut Cli) -> (usize, u64, &'static str, usize, bool, Option<String>) {
+        (
+            c.k(16),
+            c.get("seed", 42),
+            c.choice("mode", &["both", "node", "link"]),
+            c.jobs(),
+            c.switch("json"),
+            c.path("trace-out"),
+        )
+    }
+
     #[test]
     fn defaults_are_sane() {
-        let a = Args::paper_defaults();
-        assert_eq!(a.k, 16);
-        assert_eq!(a.n, 1);
-        assert_eq!(a.jobs, 1);
-        assert!(!a.json);
+        let mut c = cli(&[]);
+        assert_eq!(read(&mut c), (16, 42, "both", 1, false, None));
+        assert_eq!(c.verdict(), Ok(()));
+    }
+
+    #[test]
+    fn given_values_override_defaults_and_the_last_repeat_wins() {
+        let mut c = cli(&[
+            "--k",
+            "4",
+            "--json",
+            "--mode",
+            "link",
+            "--seed",
+            "1",
+            "--seed",
+            "7",
+            "--jobs",
+            "2",
+            "--trace-out",
+            "t.json",
+        ]);
+        let got = read(&mut c);
+        assert_eq!(got, (4, 7, "link", 2, true, Some("t.json".to_string())));
+        assert_eq!(c.verdict(), Ok(()));
+    }
+
+    #[test]
+    fn an_unread_flag_is_rejected_with_the_flag_list() {
+        let mut c = cli(&["--n", "3"]);
+        read(&mut c);
+        let (code, line) = c.verdict().expect_err("rejected");
+        assert_eq!(code, 2);
+        assert_eq!(
+            line,
+            "demo: unknown flag --n; flags: --k --seed --mode --jobs --json --trace-out \
+             (--help lists defaults)"
+        );
+    }
+
+    #[test]
+    fn malformed_values_are_rejected_not_panicked_on() {
+        for (argv, problem) in [
+            (
+                &["--k", "abc"][..],
+                "--k wants an even integer >= 4, got \"abc\"",
+            ),
+            (&["--k", "5"], "--k wants an even integer >= 4, got \"5\""),
+            (&["--jobs", "0"], "--jobs wants an integer >= 1, got \"0\""),
+            (&["--seed", "-1"], "--seed wants a u64, got \"-1\""),
+            (
+                &["--mode", "nodes"],
+                "--mode wants both or node or link, got \"nodes\"",
+            ),
+            (&["--json", "yes"], "--json takes no value, got \"yes\""),
+            (&["--trace-out"], "--trace-out needs a value"),
+            (&["--k", "--json"], "--k needs a value"),
+            (&["stray"], "unexpected argument \"stray\""),
+        ] {
+            let mut c = cli(argv);
+            read(&mut c);
+            let (code, line) = c.verdict().expect_err("rejected");
+            assert_eq!(code, 2, "{argv:?}");
+            assert!(
+                line.starts_with(&format!("demo: {problem}; flags: ")),
+                "{argv:?}: {line}"
+            );
+        }
+    }
+
+    #[test]
+    fn help_lists_every_flag_read_with_its_default() {
+        let mut c = cli(&["--help", "--bogus"]);
+        read(&mut c);
+        let (code, usage) = c.verdict().expect_err("help");
+        assert_eq!(code, 0);
+        assert_eq!(
+            usage,
+            "usage: demo [flags]
+  --k <even>             default 16
+  --seed <u64>           default 42
+  --mode both|node|link  default both
+  --jobs <threads>       default 1
+  --json
+  --trace-out <path>
+"
+        );
+        let mut short = cli(&["-h"]);
+        short.switch("json");
+        assert_eq!(
+            short.verdict(),
+            Err((0, "usage: demo [flags]\n  --json\n".to_string()))
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Ablation: circuit-switch technology (70 ns crosspoint vs. 40 µs MEMS)
 //! and its effect on packets in flight during a failover.
 //!
-//! Usage: `ablation_circuit_tech [--jobs N] [--json]`
+//! Usage: `ablation_circuit_tech [flags]`; `--help` lists the flags and their defaults.
 //!
 //! Both reconfiguration delays are far below the failure-detection time
 //! (~1 ms probe interval), so the paper treats them as negligible (§5.3).
@@ -9,7 +9,7 @@
 //! transfer experiences (detection + recovery per technology) in the
 //! packet-level simulator and reports completion-time impact and drops.
 
-use sharebackup_bench::{parallel_map_indexed, Args};
+use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{RecoveryLatencyModel, RecoveryScheme};
 use sharebackup_packet::{PacketNetConfig, PacketSim, PktEvent, PktFlowSpec};
 use sharebackup_routing::{ecmp_path, FlowKey};
@@ -17,7 +17,10 @@ use sharebackup_sim::Time;
 use sharebackup_topo::{CircuitTech, FatTree, FatTreeConfig, HostAddr};
 
 fn main() {
-    let args = Args::parse(Args::paper_defaults());
+    let mut cli = Cli::from_env();
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    cli.finish();
     let model = RecoveryLatencyModel::default();
     let ft = FatTree::build(FatTreeConfig::new(4));
     let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
@@ -32,7 +35,7 @@ fn main() {
     // across `--jobs` threads; index order fixes the row order.
     let configs: [Option<CircuitTech>; 3] =
         [None, Some(CircuitTech::Crosspoint), Some(CircuitTech::Mems2D)];
-    let rows = parallel_map_indexed(args.jobs, configs.len(), |i| {
+    let rows = parallel_map_indexed(jobs, configs.len(), |i| {
         let (name, events) = match configs[i] {
             None => ("no failure".to_string(), vec![]),
             Some(tech) => {
@@ -68,7 +71,7 @@ fn main() {
         })
     });
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")

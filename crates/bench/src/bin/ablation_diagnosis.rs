@@ -1,6 +1,6 @@
 //! Ablation: offline failure diagnosis on vs. off.
 //!
-//! Usage: `ablation_diagnosis [--k 8] [--trials 100] [--seed 42] [--jobs N] [--json]`
+//! Usage: `ablation_diagnosis [flags]`; `--help` lists the flags and their defaults.
 //!
 //! A link failure replaces *both* suspect switches (§4.1). With diagnosis
 //! (§4.2) the innocent side is exonerated and returns to the pool at once;
@@ -9,7 +9,7 @@
 //! `diagnosis_enabled` knob differs — and we measure switches out of
 //! service and recovery fallbacks (pool exhaustion).
 
-use sharebackup_bench::{parallel_map_indexed, Args};
+use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{GroupId, ShareBackup, ShareBackupConfig};
@@ -69,19 +69,21 @@ fn run(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Outcome {
 }
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 8;
-    defaults.trials = 100;
-    let args = Args::parse(defaults);
+    let mut cli = Cli::from_env();
+    let k = cli.k(8);
+    let seed: u64 = cli.get("seed", 42);
+    let trials: usize = cli.get("trials", 100);
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    cli.finish();
 
     // The two arms replay the same failure schedule independently, so they
     // can run on separate threads; index order keeps `with` first.
-    let mut arms =
-        parallel_map_indexed(args.jobs, 2, |i| run(args.k, args.trials, args.seed, i == 0));
+    let mut arms = parallel_map_indexed(jobs, 2, |i| run(k, trials, seed, i == 0));
     let without = arms.pop().expect("two arms");
     let with = arms.pop().expect("two arms");
 
-    let json = minijson::json!([
+    let rows = minijson::json!([
         {
             "diagnosis": true,
             "exonerated": with.exonerated,
@@ -99,14 +101,14 @@ fn main() {
             "peak_switches_out": without.peak_switches_out,
         }
     ]);
-    if args.json {
-        println!("{}", minijson::to_string_pretty(&json).expect("json"));
+    if json {
+        println!("{}", minijson::to_string_pretty(&rows).expect("json"));
         return;
     }
 
     println!(
         "Ablation — offline diagnosis on/off (k={}, {} link failures, one faulty side each, 180 s repair)",
-        args.k, args.trials
+        k, trials
     );
     println!(
         "{:<18} {:>12} {:>11} {:>11} {:>14} {:>14}",

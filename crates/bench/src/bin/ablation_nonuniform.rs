@@ -1,7 +1,7 @@
 //! Ablation (paper §6): non-uniform failure-group pools — "more backup on
 //! critical devices and less backup on unimportant ones".
 //!
-//! Usage: `ablation_nonuniform [--k 8] [--trials 400] [--seed 42] [--jobs N] [--json]`
+//! Usage: `ablation_nonuniform [flags]`; `--help` lists the flags and their defaults.
 //!
 //! Edge switches are the critical devices: an edge failure strands k/2
 //! hosts that *no* rerouting can save, while agg/core failures only cost
@@ -9,7 +9,7 @@
 //! total switch budget** and measures how many host-stranding minutes each
 //! allocation leaves unmasked under an extreme failure drive.
 
-use sharebackup_bench::{parallel_map_indexed, Args};
+use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{GroupKind, ShareBackup, ShareBackupConfig};
@@ -58,11 +58,13 @@ fn run(k: usize, n_edge: usize, n_agg: usize, n_core: usize, trials: usize, seed
 }
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 8;
-    defaults.trials = 400;
-    let args = Args::parse(defaults);
-    let k = args.k;
+    let mut cli = Cli::from_env();
+    let k = cli.k(8);
+    let seed: u64 = cli.get("seed", 42);
+    let trials: usize = cli.get("trials", 400);
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    cli.finish();
 
     // Same total budget (5k/2 backups at n=1 uniform): uniform vs
     // edge-weighted vs fabric-weighted allocations.
@@ -78,9 +80,9 @@ fn main() {
     // Each allocation replays the identical failure drive on its own pool
     // layout — independent simulations, fanned out across `--jobs` threads
     // and collected in the fixed allocation order.
-    let outcomes = parallel_map_indexed(args.jobs, allocations.len(), |i| {
+    let outcomes = parallel_map_indexed(jobs, allocations.len(), |i| {
         let (_, ne, na, nc) = allocations[i];
-        run(k, ne, na, nc, args.trials, args.seed)
+        run(k, ne, na, nc, trials, seed)
     });
     let rows: Vec<minijson::Value> = allocations
         .iter()
@@ -96,7 +98,7 @@ fn main() {
         })
         .collect();
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
@@ -106,7 +108,7 @@ fn main() {
 
     println!(
         "Ablation §6 — non-uniform pools at equal budget (k={k}, {} node failures, MTBF 20 s)",
-        args.trials
+        trials
     );
     println!(
         "{:<22} {:>13} {:>15} {:>16}",

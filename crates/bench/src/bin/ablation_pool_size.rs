@@ -1,6 +1,6 @@
 //! Ablation: backup-pool size `n` under elevated failure pressure.
 //!
-//! Usage: `ablation_pool_size [--k 8] [--trials 200] [--seed 42] [--jobs N] [--json]`
+//! Usage: `ablation_pool_size [flags]`; `--help` lists the flags and their defaults.
 //!
 //! The paper argues n=1 suffices at real failure rates (§5.1). This
 //! ablation cranks the failure rate far beyond reality and measures the
@@ -9,7 +9,7 @@
 //! pool at the paper's few-minute repair times.
 
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
-use sharebackup_bench::{parallel_map_indexed, Args};
+use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{ShareBackup, ShareBackupConfig};
@@ -57,10 +57,13 @@ fn run(k: usize, n: usize, trials: usize, seed: u64, mean_interarrival: Duration
 }
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 8;
-    defaults.trials = 300;
-    let args = Args::parse(defaults);
+    let mut cli = Cli::from_env();
+    let k = cli.k(8);
+    let seed: u64 = cli.get("seed", 42);
+    let trials: usize = cli.get("trials", 300);
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    cli.finish();
 
     // Sweep failure pressure: mean time between failures from crazy (5 s)
     // to merely absurd (120 s); real data centers sit around days.
@@ -75,9 +78,9 @@ fn main() {
         .iter()
         .flat_map(|&mtbf| ns.iter().map(move |&n| (mtbf, n)))
         .collect();
-    let fracs = parallel_map_indexed(args.jobs, cells.len(), |i| {
+    let fracs = parallel_map_indexed(jobs, cells.len(), |i| {
         let (mtbf, n) = cells[i];
-        run(args.k, n, args.trials, args.seed, Duration::from_secs(mtbf))
+        run(k, n, trials, seed, Duration::from_secs(mtbf))
     });
     let rows: Vec<minijson::Value> = cells
         .iter()
@@ -91,7 +94,7 @@ fn main() {
         })
         .collect();
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
@@ -101,7 +104,7 @@ fn main() {
 
     println!(
         "Ablation — unmasked failure fraction vs. backup pool size (k={}, {} node failures, 180 s repair)",
-        args.k, args.trials
+        k, trials
     );
     print!("{:>10}", "MTBF");
     for n in ns {

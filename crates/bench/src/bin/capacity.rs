@@ -1,13 +1,13 @@
 //! §5.1: capacity to handle failures — backup ratios vs. the measured
 //! 0.01% switch failure rate, plus an empirical pool-exhaustion check.
 //!
-//! Usage: `capacity [--trials 1000] [--seed 42] [--json]`
+//! Usage: `capacity [flags]`; `--help` lists the flags and their defaults.
 //!
 //! The empirical part samples concurrent-failure scenarios at the paper's
 //! failure statistics and counts how often any failure group would need
 //! more than n backups — the event ShareBackup cannot mask.
 
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_cost::CapacityAnalysis;
 use sharebackup_sim::SimRng;
 
@@ -40,9 +40,11 @@ fn exhaustion_probability(k: usize, n: usize, p: f64, trials: usize, seed: u64) 
 }
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.trials = 10_000;
-    let args = Args::parse(defaults);
+    let mut cli = Cli::from_env();
+    let seed: u64 = cli.get("seed", 42);
+    let trials: usize = cli.get("trials", 10_000);
+    let json = cli.switch("json");
+    cli.finish();
     const FAILURE_RATE: f64 = 0.0001; // 99.99% availability (Gill et al.)
 
     let configs = [(16usize, 1usize), (48, 1), (48, 4), (58, 1), (64, 2)];
@@ -60,13 +62,13 @@ fn main() {
                 "switch_failures_per_group": c.switch_failures_per_group(),
                 "link_failures_per_group": c.link_failures_per_group(),
                 "exhaustion_probability": exhaustion_probability(
-                    k, n, FAILURE_RATE, args.trials, args.seed
+                    k, n, FAILURE_RATE, trials, seed
                 ),
             })
         })
         .collect();
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")

@@ -2,8 +2,7 @@
 //! pitch when the *recovery machinery* — or the controller itself —
 //! misbehaves.
 //!
-//! Usage: `chaos_availability [--k 4] [--n 1] [--seed 42] [--trials 3]
-//! [--mode sweep|demo] [--jobs N] [--json] [--trace-out <path>]`
+//! Usage: `chaos_availability [flags]`; `--help` lists the flags and their defaults.
 //!
 //! A *scenario* is a failure schedule — correlated bursts inside a pod's
 //! fault domain, link flapping, Poisson singles, spurious keep-alive
@@ -31,7 +30,7 @@
 //! failover span lands in the chrome-trace.
 
 use minijson::Value;
-use sharebackup_bench::{parallel_map_indexed, write_trace_files, Args};
+use sharebackup_bench::{parallel_map_indexed, write_trace_files, Cli};
 use sharebackup_core::failover::{FailoverConfig, FailoverPlane, RecoveryPhase};
 use sharebackup_core::scenario::{
     map_chaos_schedule, sharebackup_timeline, SbEvent, ShareBackupWorld,
@@ -613,11 +612,20 @@ impl Row<'_> {
     }
 }
 
+/// What every campaign row runs on, from the command line.
+struct Setup {
+    k: usize,
+    n: usize,
+    seed: u64,
+    jobs: usize,
+    trace_out: Option<String>,
+}
+
 /// Run every treatment of every scenario for `trials` trials. Trial `i` of
 /// a scenario draws everything from the seed's `stream(scenario, i)` child,
 /// whatever the treatment. Writes `--trace-out` files in row order.
 fn campaign<'a>(
-    args: &Args,
+    setup: &Setup,
     scenarios: &'a [Scenario],
     trials: usize,
     stream: fn(&Scenario, usize) -> String,
@@ -626,14 +634,14 @@ fn campaign<'a>(
         .iter()
         .flat_map(|s| s.treatments.iter().map(move |&t| (s, t)))
         .collect();
-    let tracing = args.trace_out.is_some();
-    let (k, n, seed) = (args.k, args.n, args.seed);
-    let results = parallel_map_indexed(args.jobs, cells.len() * trials, |i| {
+    let tracing = setup.trace_out.is_some();
+    let (k, n, seed) = (setup.k, setup.n, setup.seed);
+    let results = parallel_map_indexed(setup.jobs, cells.len() * trials, |i| {
         let (scn, t) = cells[i / trials];
         let rng = SimRng::seed_from_u64(seed).child(&stream(scn, i % trials));
         run_trial(k, n, scn, t, &rng, tracing)
     });
-    if let Some(path) = &args.trace_out {
+    if let Some(path) = &setup.trace_out {
         let pairs: Vec<(u64, &TraceBuffer)> = results
             .iter()
             .enumerate()
@@ -717,22 +725,32 @@ fn print_table(rows: &[Row]) {
 }
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 4;
-    defaults.trials = 3;
-    defaults.mode = "sweep".to_string();
-    let args = Args::parse(defaults);
-    let (scns, trials, stream): (_, _, fn(&Scenario, usize) -> String) = match args.mode.as_str() {
-        "sweep" => (scenarios(), args.trials, sweep_stream),
-        // One fixed trial on one stream for every demo row.
-        "demo" => (demos(), 1, |_, _| "demo".to_string()),
-        other => {
-            eprintln!("unknown --mode {other}; expected sweep or demo");
-            std::process::exit(2);
-        }
+    let mut cli = Cli::from_env();
+    let k = cli.k(4);
+    let n: usize = cli.get("n", 1);
+    let seed: u64 = cli.get("seed", 42);
+    let trials: usize = cli.get("trials", 3);
+    let mode = cli.choice("mode", &["sweep", "demo"]);
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    let trace_out = cli.path("trace-out");
+    cli.finish();
+    let setup = Setup {
+        k,
+        n,
+        seed,
+        jobs,
+        trace_out,
     };
-    let rows = campaign(&args, &scns, trials, stream);
-    if args.json {
+    let demo = mode == "demo";
+    let (scns, trials, stream): (_, _, fn(&Scenario, usize) -> String) = if demo {
+        // One fixed trial on one stream for every demo row.
+        (demos(), 1, |_, _| "demo".to_string())
+    } else {
+        (scenarios(), trials, sweep_stream)
+    };
+    let rows = campaign(&setup, &scns, trials, stream);
+    if json {
         let items: Vec<Value> = rows.iter().map(Row::json).collect();
         println!(
             "{}",
@@ -742,10 +760,10 @@ fn main() {
     }
     println!(
         "Availability campaign ({}), k={} n={} seed={} — {} trial(s) per row",
-        args.mode, args.k, args.n, args.seed, trials
+        mode, k, n, seed, trials
     );
     print_table(&rows);
-    if args.mode == "demo" {
+    if demo {
         print_demo_claims(&rows);
     } else {
         print_crash_summary(&rows);
@@ -921,12 +939,15 @@ mod tests {
 
     #[test]
     fn no_json_row_repeats_a_key() {
-        let args = Args {
+        let setup = Setup {
             k: 4,
-            ..Args::paper_defaults()
+            n: 1,
+            seed: 42,
+            jobs: 1,
+            trace_out: None,
         };
         let scns = scenarios();
-        let rows = campaign(&args, &scns, 1, sweep_stream);
+        let rows = campaign(&setup, &scns, 1, sweep_stream);
         assert_eq!(rows.len(), 24);
         for row in &rows {
             let Value::Object(members) = row.json() else {

@@ -1,6 +1,6 @@
 //! Fig. 1(a)/(b): percentage of flows and coflows affected by failures.
 //!
-//! Usage: `fig1_affected [--mode node|link] [--k 16] [--trials 20] [--seed 42] [--jobs N] [--json]`
+//! Usage: `fig1_affected [flags]`; `--help` lists the flags and their defaults.
 //!
 //! Reproduces the paper's §2.2 observation: the coflow-level impact is
 //! 3.3×–90× the flow-level impact, and the coflow curve climbs steeply at
@@ -8,25 +8,22 @@
 //! single node failure and 17% by a single link failure on its trace).
 
 use sharebackup_bench::fig1::{impact_sweep, Fig1Setup};
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.mode = "node".to_string();
-    let args = Args::parse(defaults);
-    let node_mode = match args.mode.as_str() {
-        "node" => true,
-        "link" => false,
-        other => {
-            eprintln!("--mode must be node or link, got {other}");
-            std::process::exit(2);
-        }
-    };
-    let setup = Fig1Setup::paper(args.k, args.seed);
+    let mut cli = Cli::from_env();
+    let k = cli.k(16);
+    let seed: u64 = cli.get("seed", 42);
+    let trials: usize = cli.get("trials", 20);
+    let node_mode = cli.choice("mode", &["node", "link"]) == "node";
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    cli.finish();
+    let setup = Fig1Setup::paper(k, seed);
     let counts = [1usize, 2, 4, 8, 16, 32];
-    let rows = impact_sweep(&setup, node_mode, &counts, args.trials, args.jobs);
+    let rows = impact_sweep(&setup, node_mode, &counts, trials, jobs);
 
-    if args.json {
+    if json {
         let json: Vec<minijson::Value> = rows
             .iter()
             .map(|(c, f, cf)| {
@@ -49,7 +46,7 @@ fn main() {
     );
     println!(
         "k={} oversubscription={} trials={} seed={}",
-        args.k, setup.oversubscription, args.trials, args.seed
+        k, setup.oversubscription, trials, seed
     );
     println!("{:>9} {:>16} {:>18} {:>15}", "failures", "flows affected", "coflows affected", "amplification");
     for (c, f, cf) in rows {

@@ -2,7 +2,7 @@
 //! failure, for fat-tree (global optimal rerouting), F10 (local
 //! rerouting), and ShareBackup (hardware replacement).
 //!
-//! Usage: `fig1c_cct [--k 16] [--trials 20] [--seed 42] [--mode node|link|both] [--jobs N] [--json] [--trace-out <path>]`
+//! Usage: `fig1c_cct [flags]`; `--help` lists the flags and their defaults.
 //!
 //! With `--trace-out`, each trial's ShareBackup run records telemetry
 //! (flowsim solve spans + the controller's recovery span tree) into a
@@ -25,52 +25,53 @@
 //! k=16, seed 42 it is fat-tree on both; see EXPERIMENTS.md).
 
 use sharebackup_bench::fig1::{run_fig1c_trial_traced, AbstractFailure, Fig1Setup};
-use sharebackup_bench::{parallel_map_indexed, write_trace_files, Args};
+use sharebackup_bench::{parallel_map_indexed, write_trace_files, Cli};
 use sharebackup_sim::{Cdf, SimRng};
 use sharebackup_topo::{FatTree, FatTreeConfig};
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.mode = "both".to_string();
-    defaults.trials = 10;
-    let args = Args::parse(defaults);
-    // `None` alternates node and link failures, starting with a node.
-    let node_only = match args.mode.as_str() {
+    let mut cli = Cli::from_env();
+    let k = cli.k(16);
+    let seed: u64 = cli.get("seed", 42);
+    let trials: usize = cli.get("trials", 10);
+    let mode = cli.choice("mode", &["both", "node", "link"]);
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    let trace_out = cli.path("trace-out");
+    cli.finish();
+    // `None` (both) alternates node and link failures, starting with a node.
+    let node_only = match mode {
         "node" => Some(true),
         "link" => Some(false),
-        "both" => None,
-        other => {
-            eprintln!("--mode must be node, link or both, got {other}");
-            std::process::exit(2);
-        }
+        _ => None,
     };
     // Busy-cluster load: congestion is what separates F10's long detours
     // from fat-tree's shortest-path rerouting (paper §2.2).
-    let setup = Fig1Setup::paper(args.k, args.seed).with_load(6.0);
-    let ft = FatTree::build(FatTreeConfig::new(args.k).with_oversubscription(10.0));
+    let setup = Fig1Setup::paper(k, seed).with_load(6.0);
+    let ft = FatTree::build(FatTreeConfig::new(k).with_oversubscription(10.0));
 
     // Failures come from a single sequential RNG stream, so they are drawn
     // serially up front; the per-trial simulation work (which dwarfs the
     // draws) then fans out across --jobs threads. Results are folded in
     // trial order, keeping the output byte-identical to the serial run.
-    let mut rng = SimRng::seed_from_u64(args.seed).child("fig1c-failures");
-    let failures: Vec<AbstractFailure> = (0..args.trials)
+    let mut rng = SimRng::seed_from_u64(seed).child("fig1c-failures");
+    let failures: Vec<AbstractFailure> = (0..trials)
         .map(|trial| {
             if node_only.unwrap_or(trial % 2 == 0) {
-                AbstractFailure::sample_node(&mut rng, args.k)
+                AbstractFailure::sample_node(&mut rng, k)
             } else {
-                AbstractFailure::sample_link(&mut rng, args.k)
+                AbstractFailure::sample_link(&mut rng, k)
             }
         })
         .collect();
 
-    let tracing = args.trace_out.is_some();
-    let trials = parallel_map_indexed(args.jobs, args.trials, |trial| {
+    let tracing = trace_out.is_some();
+    let outcomes = parallel_map_indexed(jobs, trials, |trial| {
         run_fig1c_trial_traced(&setup, &ft, trial, failures[trial], tracing)
     });
 
-    if let Some(path) = &args.trace_out {
-        let buffers: Vec<(u64, &sharebackup_telemetry::TraceBuffer)> = trials
+    if let Some(path) = &trace_out {
+        let buffers: Vec<(u64, &sharebackup_telemetry::TraceBuffer)> = outcomes
             .iter()
             .enumerate()
             .filter_map(|(trial, t)| {
@@ -79,7 +80,7 @@ fn main() {
             })
             .collect();
         write_trace_files(path, &buffers);
-        let digest: String = trials
+        let digest: String = outcomes
             .iter()
             .enumerate()
             .map(|(trial, t)| {
@@ -102,7 +103,7 @@ fn main() {
     let mut sd_sb: Vec<f64> = Vec::new();
     let mut stranded = [0usize; 3];
 
-    for (trial, t) in trials.into_iter().enumerate() {
+    for (trial, t) in outcomes.into_iter().enumerate() {
         let (s, st) = t.ft;
         sd_ft.extend(s);
         stranded[0] += st;
@@ -144,7 +145,7 @@ fn main() {
         report("ShareBackup", &sd_sb, stranded[2]),
     ];
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(results.to_vec()))
@@ -154,10 +155,7 @@ fn main() {
     }
 
     println!("Fig. 1(c) — CCT slowdown under a single failure (CDF quantiles)");
-    println!(
-        "k={} trials={} mode={} seed={}",
-        args.k, args.trials, args.mode, args.seed
-    );
+    println!("k={k} trials={trials} mode={mode} seed={seed}");
     println!(
         "{:<36} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9}",
         "system", "coflows", ">1.5x", "p50", "p90", "p99", "p99.9", "max", "stranded"

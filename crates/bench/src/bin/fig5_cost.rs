@@ -2,13 +2,15 @@
 //! relative to fat-tree, across network scales, for electrical (E-DC) and
 //! optical (O-DC) data centers.
 //!
-//! Usage: `fig5_cost [--json]`
+//! Usage: `fig5_cost [flags]`; `--help` lists the flags and their defaults.
 
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_cost::model::{relative_additional, Architecture, Medium};
 
 fn main() {
-    let args = Args::parse(Args::paper_defaults());
+    let mut cli = Cli::from_env();
+    let json = cli.switch("json");
+    cli.finish();
     let ks = [8usize, 16, 24, 32, 48, 64];
     let archs: [(&str, Architecture); 4] = [
         ("ShareBackup n=1", Architecture::ShareBackup { n: 1 }),
@@ -32,7 +34,7 @@ fn main() {
         }
     }
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(out)).expect("json")

@@ -1,7 +1,7 @@
 //! Longitudinal availability: a week of Poisson failures, ShareBackup vs a
 //! rerouting fat-tree, measured as capacity-hours and host-reachability.
 //!
-//! Usage: `longrun_availability [--k 8] [--n 1] [--seed 42] [--mode hostile|realistic] [--jobs N] [--json]`
+//! Usage: `longrun_availability [flags]`; `--help` lists the flags and their defaults.
 //!
 //! The paper's pitch in one number: under rerouting, every failure costs
 //! its *full outage duration* in lost capacity (and an edge failure
@@ -10,7 +10,7 @@
 //! degraded while ShareBackup's availability is indistinguishable from a
 //! failure-free network.
 
-use sharebackup_bench::{parallel_map_indexed, Args};
+use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::scenario::{map_chaos_schedule, sharebackup_timeline, ShareBackupWorld};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::total_usable_capacity;
@@ -149,35 +149,34 @@ fn run_sharebackup(k: usize, n: usize, seed: u64, mtbf: Duration, outage: Durati
 }
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 8;
-    defaults.mode = "hostile".to_string();
-    let args = Args::parse(defaults);
+    let mut cli = Cli::from_env();
+    let k = cli.k(8);
+    let n: usize = cli.get("n", 1);
+    let seed: u64 = cli.get("seed", 42);
+    let mode = cli.choice("mode", &["hostile", "realistic"]);
+    let jobs = cli.jobs();
+    let json = cli.switch("json");
+    cli.finish();
     // Hostile: a failure every 2 hours somewhere in this little k=8 network
     // (per-device MTBF of ~12 days). Realistic would be weeks per device;
     // hostile makes the week eventful enough to measure.
-    let (mtbf, outage) = match args.mode.as_str() {
-        "hostile" => (Duration::from_secs(2 * 3600), Duration::from_secs(300)),
-        "realistic" => (Duration::from_secs(12 * 3600), Duration::from_secs(300)),
-        other => {
-            eprintln!("--mode must be hostile or realistic, got {other}");
-            std::process::exit(2);
-        }
-    };
+    let mtbf_hours = if mode == "hostile" { 2 } else { 12 };
+    let mtbf = Duration::from_secs(mtbf_hours * 3600);
+    let outage = Duration::from_secs(300);
 
     // Both systems replay the same week of failures from the same seed but
     // never share state, so the two runs fan out across `--jobs` threads.
-    let mut runs = parallel_map_indexed(args.jobs, 2, |i| {
+    let mut runs = parallel_map_indexed(jobs, 2, |i| {
         if i == 0 {
-            run_fattree(args.k, args.seed, mtbf, outage)
+            run_fattree(k, seed, mtbf, outage)
         } else {
-            run_sharebackup(args.k, args.n, args.seed, mtbf, outage)
+            run_sharebackup(k, n, seed, mtbf, outage)
         }
     });
     let sb = runs.pop().expect("two runs");
     let ft = runs.pop().expect("two runs");
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::json!([
@@ -203,7 +202,7 @@ fn main() {
 
     println!(
         "One week, k={}, MTBF {} per network, outages {} — capacity availability",
-        args.k, mtbf, outage
+        k, mtbf, outage
     );
     println!(
         "{:<24} {:>9} {:>9} {:>22} {:>20}",

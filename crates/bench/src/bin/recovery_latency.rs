@@ -2,7 +2,7 @@
 //! from the analytical model *and* from a packet-level failover
 //! simulation.
 //!
-//! Usage: `recovery_latency [--json]`
+//! Usage: `recovery_latency [flags]`; `--help` lists the flags and their defaults.
 //!
 //! The packet-level part transfers a flow across a k=4 fat-tree, kills the
 //! core on its path, restores the path after each scheme's modeled
@@ -12,7 +12,7 @@
 //! (armed by the last ACK, which arrives just after the core dies), so the
 //! same first retransmission finds the path restored.
 
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_core::{RecoveryLatencyModel, RecoveryScheme};
 use sharebackup_packet::{PacketNetConfig, PacketSim, PktEvent, PktFlowSpec};
 
@@ -67,7 +67,9 @@ fn disrupted_transfer(recovery: Duration, reroute: bool) -> Time {
 }
 
 fn main() {
-    let args = Args::parse(Args::paper_defaults());
+    let mut cli = Cli::from_env();
+    let json = cli.switch("json");
+    cli.finish();
     let m = RecoveryLatencyModel::default();
 
     let schemes = [
@@ -116,7 +118,7 @@ fn main() {
         "packet_sim_completion_ms": clean.as_secs_f64() * 1e3,
     }));
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")

@@ -2,22 +2,23 @@
 //! controller → circuit-reset → ack sequence on the discrete-event engine,
 //! for each circuit technology and each failure-group kind.
 //!
-//! Usage: `recovery_timeline [--k 6] [--json] [--trace-out <path>]`
+//! Usage: `recovery_timeline [flags]`; `--help` lists the flags and their defaults.
 //!
 //! With `--trace-out`, each (technology, failure) case records its engine
 //! events and recovery span tree onto its own chrome-trace track.
 
-use sharebackup_bench::{write_trace_files, Args};
-use sharebackup_core::{simulate_recovery_traced, Controller, ControllerConfig};
+use sharebackup_bench::{write_trace_files, Cli};
+use sharebackup_core::{simulate_recovery, Controller, ControllerConfig};
 use sharebackup_sim::{Duration, Time};
 use sharebackup_telemetry::{TraceBuffer, Tracer};
 use sharebackup_topo::{CircuitTech, GroupId, ShareBackup, ShareBackupConfig};
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 6;
-    let args = Args::parse(defaults);
-    let k = args.k;
+    let mut cli = Cli::from_env();
+    let k = cli.k(6);
+    let json = cli.switch("json");
+    let trace_out = cli.path("trace-out");
+    cli.finish();
 
     let cases = [
         ("edge switch", GroupId::edge(0).slot(0)),
@@ -31,13 +32,13 @@ fn main() {
         for &(name, slot) in &cases {
             let sb = ShareBackup::build(ShareBackupConfig::new(k, 1).with_tech(tech));
             let mut ctl = Controller::new(sb, ControllerConfig::default());
-            let (tracer, sink) = if args.trace_out.is_some() {
+            let (tracer, sink) = if trace_out.is_some() {
                 let (t, s) = Tracer::recording();
                 (t, Some(s))
             } else {
                 (Tracer::off(), None)
             };
-            let tl = simulate_recovery_traced(
+            let tl = simulate_recovery(
                 &mut ctl,
                 slot,
                 Time::from_millis(5),
@@ -51,7 +52,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = &args.trace_out {
+    if let Some(path) = &trace_out {
         let tracks: Vec<(u64, &TraceBuffer)> = buffers
             .iter()
             .enumerate()
@@ -60,7 +61,7 @@ fn main() {
         write_trace_files(path, &tracks);
     }
 
-    if args.json {
+    if json {
         let json: Vec<minijson::Value> = rows
             .iter()
             .map(|(tech, name, tl)| {

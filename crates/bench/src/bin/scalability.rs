@@ -1,18 +1,20 @@
 //! §5.3: scalability under circuit-switch port limits.
 //!
-//! Usage: `scalability [--json]`
+//! Usage: `scalability [flags]`; `--help` lists the flags and their defaults.
 //!
 //! A ShareBackup circuit switch needs (k/2 + n + 2) ports per side; with
 //! 32-port 2D MEMS that caps k at 58 for n=1 (over 48k hosts) or n at 6
 //! for k=48 (25% backup ratio). 256-port crosspoint switches are nowhere
 //! near binding.
 
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_cost::{CapacityAnalysis, ScalabilityLimits};
 use sharebackup_topo::CircuitTech;
 
 fn main() {
-    let args = Args::parse(Args::paper_defaults());
+    let mut cli = Cli::from_env();
+    let json = cli.switch("json");
+    cli.finish();
     let mut rows = Vec::new();
     for tech in [CircuitTech::Mems2D, CircuitTech::Crosspoint] {
         let s = ScalabilityLimits::new(tech);
@@ -39,7 +41,7 @@ fn main() {
         }));
     }
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")

@@ -3,10 +3,10 @@
 //! their own binaries; this covers the closed-form and small-simulation
 //! claims.)
 //!
-//! Usage: `scorecard [--json]`
+//! Usage: `scorecard [flags]`; `--help` lists the flags and their defaults.
 
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_core::{
     diagnose, ChaosConfig, Controller, ControllerConfig, FailoverConfig, FailoverPlane,
     FailureReport, RecoveryLatencyModel, RecoveryPhase, RecoveryScheme, Verdict,
@@ -218,11 +218,13 @@ fn checks() -> Vec<Check> {
 }
 
 fn main() {
-    let args = Args::parse(Args::paper_defaults());
+    let mut cli = Cli::from_env();
+    let json = cli.switch("json");
+    cli.finish();
     let checks = checks();
     let passed = checks.iter().filter(|c| c.pass).count();
 
-    if args.json {
+    if json {
         let rows: Vec<minijson::Value> = checks
             .iter()
             .map(|c| {

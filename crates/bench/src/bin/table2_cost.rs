@@ -1,19 +1,20 @@
 //! Table 2: cost equations of the compared architectures, evaluated at the
 //! market prices the paper quotes.
 //!
-//! Usage: `table2_cost [--k 48] [--n 1] [--json]`
+//! Usage: `table2_cost [flags]`; `--help` lists the flags and their defaults.
 
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_cost::model::{
     aspen_additional, fat_tree_cost, one_to_one_additional, sharebackup_additional, Medium,
     Prices,
 };
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 48;
-    let args = Args::parse(defaults);
-    let (k, n) = (args.k, args.n);
+    let mut cli = Cli::from_env();
+    let k = cli.k(48);
+    let n: usize = cli.get("n", 1);
+    let json = cli.switch("json");
+    cli.finish();
 
     let mut rows = Vec::new();
     for medium in [Medium::Electrical, Medium::Optical] {
@@ -36,7 +37,7 @@ fn main() {
         }));
     }
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")

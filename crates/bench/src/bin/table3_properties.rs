@@ -2,7 +2,7 @@
 //! dilation? no upstream repair? — *measured* on simulated failures rather
 //! than asserted.
 //!
-//! Usage: `table3_properties [--k 8] [--json]`
+//! Usage: `table3_properties [flags]`; `--help` lists the flags and their defaults.
 //!
 //! Method: fail one agg→core link (the structural position every compared
 //! system can recover from), let each system handle it, then measure:
@@ -11,7 +11,7 @@
 //! to the failure position. The Aspen Tree row is analytical (the paper's
 //! own characterization) since Aspen adds hardware we do not rebuild.
 
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::{total_usable_capacity, upstream_repair};
 use sharebackup_routing::{ecmp_path, ecmp::ecmp_path_f10, F10Router, FlowKey, GlobalReroute};
@@ -163,10 +163,10 @@ fn measure_sharebackup(k: usize) -> Measured {
 }
 
 fn main() {
-    let mut defaults = Args::paper_defaults();
-    defaults.k = 8;
-    let args = Args::parse(defaults);
-    let k = args.k;
+    let mut cli = Cli::from_env();
+    let k = cli.k(8);
+    let json = cli.switch("json");
+    cli.finish();
 
     let rows = [
         ("ShareBackup", measure_sharebackup(k)),
@@ -174,7 +174,7 @@ fn main() {
         ("F10", measure_f10(k)),
     ];
 
-    if args.json {
+    if json {
         let json: Vec<minijson::Value> = rows
             .iter()
             .map(|(name, m)| {

@@ -2,13 +2,15 @@
 //! group has k/2 in-bound + k²/4 out-bound entries and fits commodity TCAM
 //! (1056 entries at k=64).
 //!
-//! Usage: `table_routing_size [--json]`
+//! Usage: `table_routing_size [flags]`; `--help` lists the flags and their defaults.
 
-use sharebackup_bench::Args;
+use sharebackup_bench::Cli;
 use sharebackup_routing::impersonation::GroupTables;
 
 fn main() {
-    let args = Args::parse(Args::paper_defaults());
+    let mut cli = Cli::from_env();
+    let json = cli.switch("json");
+    cli.finish();
     let ks = [8usize, 16, 32, 48, 64];
 
     let rows: Vec<minijson::Value> = ks
@@ -31,7 +33,7 @@ fn main() {
         })
         .collect();
 
-    if args.json {
+    if json {
         println!(
             "{}",
             minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")

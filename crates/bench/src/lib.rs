@@ -6,9 +6,10 @@
 //! for the experiment index and EXPERIMENTS.md for recorded results.
 
 // Unlike every other library crate, this one does not warn on
-// `clippy::expect_used`: in a benchmark harness, panicking on a malformed
-// CLI flag or an impossible topology position is the intended failure mode,
-// and its results never feed back into the simulation.
+// `clippy::expect_used`: in a benchmark harness, panicking on an impossible
+// topology position is the intended failure mode, and its results never
+// feed back into the simulation. (Malformed flags are not panics: `Cli`
+// rejects them with exit status 2.)
 
 pub mod args;
 pub mod fig1;
@@ -16,7 +17,7 @@ pub mod parallel;
 pub mod racks;
 pub mod trace;
 
-pub use args::Args;
+pub use args::Cli;
 pub use parallel::parallel_map_indexed;
 pub use racks::RackMap;
 pub use trace::write_trace_files;

@@ -50,7 +50,4 @@ pub use maintenance::{RollingUpgrade, UpgradeStep};
 pub use scenario::{
     link_sb_event, map_chaos_schedule, F10World, FatTreeWorld, RecoveryMode, ShareBackupWorld,
 };
-pub use timeline::{
-    simulate_recovery, simulate_recovery_traced, simulate_recovery_with_blackout, Timeline,
-    TimelineEvent,
-};
+pub use timeline::{simulate_recovery, Timeline, TimelineEvent};

@@ -129,9 +129,6 @@ struct TimelineWorld {
     control_message: Duration,
     processing: Duration,
     reset_delay: Duration,
-    /// The controller cannot declare failures before this instant (dead
-    /// primary / election in progress); `Time::ZERO` = always available.
-    controller_available_at: Time,
     cs_ids: Vec<CsId>,
     backup: PhysId,
     alive: bool,
@@ -165,8 +162,7 @@ impl World<Ev> for TimelineWorld {
                 let silence = now.saturating_since(self.last_seen);
                 let limit =
                     self.detection.probe_interval * self.detection.miss_threshold as u64;
-                if self.died_at.is_some() && silence > limit && now >= self.controller_available_at
-                {
+                if self.died_at.is_some() && silence > limit {
                     self.detected_at = Some(now);
                     self.events.push((now, TimelineEvent::Detected));
                     engine.schedule_in(self.processing, Ev::Processed);
@@ -235,6 +231,13 @@ fn circuit_switches_for(ctl: &Controller, slot: SlotId) -> Vec<CsId> {
 /// `probe_phase` staggers the victim's keep-alives within the probe
 /// interval (hosts and switches are not synchronized in practice).
 ///
+/// Telemetry goes to `tracer` ([`Tracer::off`] records nothing): every
+/// engine event is recorded as an instant (plus the `engine.events` counter
+/// and the `engine.queue_depth` histogram) via [`TracedWorld`], and the
+/// finished timeline is emitted as a recovery span tree via
+/// [`Timeline::record_spans`], followed by the controller's counter block
+/// ([`crate::ControllerStats::record`]).
+///
 /// # Panics
 /// Panics if the slot's group has no available backup.
 pub fn simulate_recovery(
@@ -242,44 +245,6 @@ pub fn simulate_recovery(
     slot: SlotId,
     die_at: Time,
     probe_phase: Duration,
-) -> Timeline {
-    simulate_recovery_traced(ctl, slot, die_at, probe_phase, &Tracer::off())
-}
-
-/// [`simulate_recovery`] with telemetry: every engine event is recorded
-/// as an instant (plus the `engine.events` counter and the
-/// `engine.queue_depth` histogram) via [`TracedWorld`], and the finished
-/// timeline is emitted as a recovery span tree via
-/// [`Timeline::record_spans`], followed by the controller's counter block
-/// ([`crate::ControllerStats::record`]).
-///
-/// # Panics
-/// Panics if the slot's group has no available backup.
-pub fn simulate_recovery_traced(
-    ctl: &mut Controller,
-    slot: SlotId,
-    die_at: Time,
-    probe_phase: Duration,
-    tracer: &Tracer,
-) -> Timeline {
-    simulate_recovery_with_blackout(ctl, slot, die_at, probe_phase, Time::ZERO, tracer)
-}
-
-/// [`simulate_recovery_traced`] under a control-plane blackout: the
-/// controller's scan loop keeps running, but it cannot *declare* a failure
-/// before `controller_available_at` — the primary is dead or an election
-/// is still in progress (see [`crate::failover`]). With
-/// `controller_available_at == Time::ZERO` this is exactly
-/// [`simulate_recovery_traced`].
-///
-/// # Panics
-/// Panics if the slot's group has no available backup.
-pub fn simulate_recovery_with_blackout(
-    ctl: &mut Controller,
-    slot: SlotId,
-    die_at: Time,
-    probe_phase: Duration,
-    controller_available_at: Time,
     tracer: &Tracer,
 ) -> Timeline {
     #[expect(
@@ -305,7 +270,6 @@ pub fn simulate_recovery_with_blackout(
         control_message: ctl.cfg.latency.control_message,
         processing: ctl.cfg.latency.controller_processing,
         reset_delay: ctl.sb.cfg.tech.reconfiguration_delay(),
-        controller_available_at,
         cs_ids,
         backup,
         alive: true,
@@ -375,6 +339,7 @@ mod tests {
             slot,
             Time::from_millis(5),
             Duration::from_micros(137),
+            &Tracer::off(),
         );
         assert_eq!(
             tl.total_latency(),
@@ -395,48 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn blackout_defers_detection_until_the_controller_returns() {
-        let slot = GroupId::agg(0).slot(1);
-        let die_at = Time::from_millis(10);
-        let baseline = {
-            let mut ctl = controller(CircuitTech::Crosspoint);
-            simulate_recovery(&mut ctl, slot, die_at, Duration::ZERO)
-        };
-
-        // The control plane is electing until 60 ms (e.g. the primary died
-        // with the switch): the silence is long over the limit by then, so
-        // the first post-blackout scan declares immediately.
-        let available_at = Time::from_millis(60);
-        let mut ctl = controller(CircuitTech::Crosspoint);
-        let tl = simulate_recovery_with_blackout(
-            &mut ctl,
-            slot,
-            die_at,
-            Duration::ZERO,
-            available_at,
-            &Tracer::off(),
-        );
-        assert_eq!(tl.detected_at, available_at, "first scan past the blackout");
-        assert!(tl.detection_latency() > baseline.detection_latency());
-        // Everything downstream of detection is unchanged.
-        assert_eq!(tl.repair_latency(), baseline.repair_latency());
-        assert!(ctl.sb.slots.net.node(ctl.sb.slot_node(slot)).up);
-
-        // A zero blackout reproduces the baseline exactly.
-        let mut ctl = controller(CircuitTech::Crosspoint);
-        let same = simulate_recovery_with_blackout(
-            &mut ctl,
-            slot,
-            die_at,
-            Duration::ZERO,
-            Time::ZERO,
-            &Tracer::off(),
-        );
-        assert_eq!(same.detected_at, baseline.detected_at);
-        assert_eq!(same.recovered_at, baseline.recovered_at);
-    }
-
-    #[test]
     fn every_group_circuit_switch_participates() {
         let mut ctl = controller(CircuitTech::Crosspoint);
         let slot = GroupId::edge(2).slot(0);
@@ -445,6 +368,7 @@ mod tests {
             slot,
             Time::from_millis(3),
             Duration::ZERO,
+            &Tracer::off(),
         );
         let acks = tl
             .events
@@ -466,8 +390,9 @@ mod tests {
         let mut a = controller(CircuitTech::Crosspoint);
         let mut b = controller(CircuitTech::Mems2D);
         let phase = Duration::from_micros(400);
-        let t1 = simulate_recovery(&mut a, GroupId::core(0).slot(0), Time::from_millis(7), phase);
-        let t2 = simulate_recovery(&mut b, GroupId::core(0).slot(0), Time::from_millis(7), phase);
+        let slot = GroupId::core(0).slot(0);
+        let t1 = simulate_recovery(&mut a, slot, Time::from_millis(7), phase, &Tracer::off());
+        let t2 = simulate_recovery(&mut b, slot, Time::from_millis(7), phase, &Tracer::off());
         assert_eq!(t1.detection_latency(), t2.detection_latency());
         let delta = t2.repair_latency() - t1.repair_latency();
         assert_eq!(
@@ -484,6 +409,7 @@ mod tests {
             GroupId::agg(1).slot(0),
             Time::from_millis(2),
             Duration::from_micros(10),
+            &Tracer::off(),
         );
         for w in tl.events.windows(2) {
             assert!(w[0].0 <= w[1].0, "timeline must be chronological");
@@ -576,7 +502,7 @@ mod tests {
     fn traced_simulation_records_engine_instants_and_span_tree() {
         let (tracer, sink) = sharebackup_telemetry::Tracer::recording();
         let mut ctl = controller(CircuitTech::Crosspoint);
-        let tl = simulate_recovery_traced(
+        let tl = simulate_recovery(
             &mut ctl,
             GroupId::agg(0).slot(1),
             Time::from_millis(5),

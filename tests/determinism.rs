@@ -18,6 +18,7 @@ use sharebackup::core::scenario::{
 use sharebackup::core::{simulate_recovery, Controller, ControllerConfig};
 use sharebackup::flowsim::FlowSim;
 use sharebackup::sim::{Duration, SimRng, Time};
+use sharebackup::telemetry::Tracer;
 use sharebackup::topo::{
     FatTree, FatTreeConfig, GroupId, HostAddr, ShareBackup, ShareBackupConfig,
 };
@@ -50,8 +51,13 @@ fn recovery_transcript(seed: u64) -> String {
     let sb = ShareBackup::build(ShareBackupConfig::for_fattree(ft_cfg, 1));
     let mut ctl = Controller::new(sb, ControllerConfig::default());
     let slot = GroupId::agg(0).slot(0);
-    let timeline =
-        simulate_recovery(&mut ctl, slot, Time::from_secs(1), Duration::from_micros(500));
+    let timeline = simulate_recovery(
+        &mut ctl,
+        slot,
+        Time::from_secs(1),
+        Duration::from_micros(500),
+        &Tracer::off(),
+    );
 
     // End-to-end fluid run through a node failure and its repair.
     let sb = ShareBackup::build(ShareBackupConfig::for_fattree(ft_cfg, 1));
