@@ -1,7 +1,7 @@
 //! Command-line flags of the harness binaries.
 //!
 //! A binary declares each flag by reading it, with its default in the same
-//! call: `cli.k(16)`, `cli.get("trials", 10)`,
+//! call: `cli.k(16)`, `cli.trials(10)`, `cli.get("seed", 42)`,
 //! `cli.choice("mode", &["node", "link"])` (the first choice is the
 //! default), `cli.switch("json")`, `cli.path("trace-out")`. It then calls
 //! [`Cli::finish`] before it simulates anything. `finish` exits with status
@@ -103,6 +103,19 @@ impl Cli {
     /// determinism contract.
     pub fn jobs(&mut self) -> usize {
         self.value("jobs", 1, "<threads>", "an integer >= 1", |&j| j >= 1)
+    }
+
+    /// `--trials`, independent trials per configuration: an integer of at
+    /// least 1.
+    pub fn trials(&mut self, default: usize) -> usize {
+        self.value("trials", default, "<usize>", "an integer >= 1", |&t| t >= 1)
+    }
+
+    /// Take back the read of `--<name>`, for a flag the mode chosen after
+    /// it does not use: [`Cli::finish`] then rejects it like any flag the
+    /// binary did not read, and `--help` leaves it out.
+    pub fn unread(&mut self, name: &str) {
+        self.declared.retain(|f| f.name != name);
     }
 
     /// `--<name> <choice>`, one of `choices`; the first when absent.
@@ -346,6 +359,10 @@ mod tests {
             ),
             (&["--k", "5"], "--k wants an even integer >= 4, got \"5\""),
             (&["--jobs", "0"], "--jobs wants an integer >= 1, got \"0\""),
+            (
+                &["--trials", "0"],
+                "--trials wants an integer >= 1, got \"0\"",
+            ),
             (&["--seed", "-1"], "--seed wants a u64, got \"-1\""),
             (
                 &["--mode", "nodes"],
@@ -358,6 +375,7 @@ mod tests {
         ] {
             let mut c = cli(argv);
             read(&mut c);
+            c.trials(10);
             let (code, line) = c.verdict().expect_err("rejected");
             assert_eq!(code, 2, "{argv:?}");
             assert!(
@@ -365,6 +383,41 @@ mod tests {
                 "{argv:?}: {line}"
             );
         }
+    }
+
+    #[test]
+    fn unread_takes_back_a_read_flag() {
+        let parse = |argv: &[&str]| {
+            let mut c = cli(argv);
+            c.trials(3);
+            if c.choice("mode", &["sweep", "demo"]) == "demo" {
+                c.unread("trials");
+            }
+            c.verdict()
+        };
+        assert_eq!(parse(&["--mode", "sweep", "--trials", "2"]), Ok(()));
+        assert_eq!(
+            parse(&["--mode", "demo", "--trials", "2"]),
+            Err((
+                2,
+                "demo: unknown flag --trials; flags: --mode (--help lists defaults)".to_string()
+            ))
+        );
+        assert_eq!(
+            parse(&["--help"]),
+            Err((
+                0,
+                "usage: demo [flags]\n  --trials <usize>   default 3\n  --mode sweep|demo  default sweep\n"
+                    .to_string()
+            ))
+        );
+        assert_eq!(
+            parse(&["--mode", "demo", "--help"]),
+            Err((
+                0,
+                "usage: demo [flags]\n  --mode sweep|demo  default sweep\n".to_string()
+            ))
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
     let mut cli = Cli::from_env();
     let k = cli.k(8);
     let seed: u64 = cli.get("seed", 42);
-    let trials: usize = cli.get("trials", 100);
+    let trials = cli.trials(100);
     let jobs = cli.jobs();
     let json = cli.switch("json");
     cli.finish();

@@ -60,7 +60,7 @@ fn main() {
     let mut cli = Cli::from_env();
     let k = cli.k(8);
     let seed: u64 = cli.get("seed", 42);
-    let trials: usize = cli.get("trials", 300);
+    let trials = cli.trials(300);
     let jobs = cli.jobs();
     let json = cli.switch("json");
     cli.finish();

@@ -42,7 +42,7 @@ fn exhaustion_probability(k: usize, n: usize, p: f64, trials: usize, seed: u64) 
 fn main() {
     let mut cli = Cli::from_env();
     let seed: u64 = cli.get("seed", 42);
-    let trials: usize = cli.get("trials", 10_000);
+    let trials = cli.trials(10_000);
     let json = cli.switch("json");
     cli.finish();
     const FAILURE_RATE: f64 = 0.0001; // 99.99% availability (Gill et al.)

@@ -18,8 +18,8 @@
 //!
 //! `--mode sweep` crosses six chaos scenarios with {stall, reroute} and two
 //! controller-crash scenarios (control loss 0 and 0.2) with replicas
-//! {1,2,3} × election {10,50} ms. `--mode demo` runs two fixed scenarios:
-//! a pool-exhausting burst + 5% DOA backups, where `reroute` restores the
+//! {1,2,3} × election {10,50} ms. `--mode demo` runs two fixed scenarios,
+//! one trial each (it rejects `--trials`): a pool-exhausting burst + 5% DOA backups, where `reroute` restores the
 //! connectivity `stall` leaves stranded; and a primary forced to crash
 //! between diagnosis and reconfiguration, whose recovery the elected
 //! successor finishes after exactly the closed-form blackout. Every row
@@ -729,8 +729,13 @@ fn main() {
     let k = cli.k(4);
     let n: usize = cli.get("n", 1);
     let seed: u64 = cli.get("seed", 42);
-    let trials: usize = cli.get("trials", 3);
+    let trials = cli.trials(3);
     let mode = cli.choice("mode", &["sweep", "demo"]);
+    let demo = mode == "demo";
+    if demo {
+        // Every demo row runs one fixed trial, so `--trials` is an error.
+        cli.unread("trials");
+    }
     let jobs = cli.jobs();
     let json = cli.switch("json");
     let trace_out = cli.path("trace-out");
@@ -742,7 +747,6 @@ fn main() {
         jobs,
         trace_out,
     };
-    let demo = mode == "demo";
     let (scns, trials, stream): (_, _, fn(&Scenario, usize) -> String) = if demo {
         // One fixed trial on one stream for every demo row.
         (demos(), 1, |_, _| "demo".to_string())

@@ -14,7 +14,7 @@ fn main() {
     let mut cli = Cli::from_env();
     let k = cli.k(16);
     let seed: u64 = cli.get("seed", 42);
-    let trials: usize = cli.get("trials", 20);
+    let trials = cli.trials(20);
     let node_mode = cli.choice("mode", &["node", "link"]) == "node";
     let jobs = cli.jobs();
     let json = cli.switch("json");

@@ -33,7 +33,7 @@ fn main() {
     let mut cli = Cli::from_env();
     let k = cli.k(16);
     let seed: u64 = cli.get("seed", 42);
-    let trials: usize = cli.get("trials", 10);
+    let trials = cli.trials(10);
     let mode = cli.choice("mode", &["both", "node", "link"]);
     let jobs = cli.jobs();
     let json = cli.switch("json");

@@ -336,19 +336,11 @@ pub fn run_f10_failure(
     ccts(trace, &out)
 }
 
-/// Run a ShareBackup trial with one failure under the controller.
+/// Run a ShareBackup trial with one failure under the controller. The flow
+/// simulation records its solve spans/counters, the controller its
+/// recovery span tree and, at the end, its `controller.*` counter block
+/// onto `tracer` ([`Tracer::off`] records nothing).
 pub fn run_sharebackup_failure(
-    setup: &Fig1Setup,
-    trace: &CoflowTrace,
-    failure: AbstractFailure,
-) -> (CctRun, ShareBackupWorld) {
-    run_sharebackup_failure_traced(setup, trace, failure, &Tracer::off())
-}
-
-/// [`run_sharebackup_failure`] with telemetry: the flow simulation records
-/// its solve spans/counters, the controller its recovery span tree and, at
-/// the end, its `controller.*` counter block onto `tracer`.
-pub fn run_sharebackup_failure_traced(
     setup: &Fig1Setup,
     trace: &CoflowTrace,
     failure: AbstractFailure,
@@ -436,7 +428,7 @@ pub fn run_fig1c_trial_traced(
     } else {
         (Tracer::off(), None)
     };
-    let (fail_sb, _world) = run_sharebackup_failure_traced(setup, &trace, failure, &tracer);
+    let (fail_sb, _world) = run_sharebackup_failure(setup, &trace, failure, &tracer);
     let buf = sink.map(|s| s.borrow_mut().take());
     Fig1cTrial {
         ft: slowdowns(&base_ft, &fail_ft),
@@ -563,7 +555,7 @@ mod tests {
         let failure = AbstractFailure::Core(1);
         let base_ft = run_fattree_baseline(&setup, &trace);
         let fail_ft = run_fattree_failure(&setup, &trace, failure);
-        let (fail_sb, world) = run_sharebackup_failure(&setup, &trace, failure);
+        let (fail_sb, world) = run_sharebackup_failure(&setup, &trace, failure, &Tracer::off());
         assert_eq!(world.controller.stats.replacements, 1);
         let (sd_ft, stranded_ft) = slowdowns(&base_ft, &fail_ft);
         let (sd_sb, stranded_sb) = slowdowns(&base_ft, &fail_sb);

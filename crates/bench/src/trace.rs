@@ -2,7 +2,8 @@
 //!
 //! Two files per run: the chrome-trace JSON at the requested path (open it
 //! in <https://ui.perfetto.dev>) and a deterministic text digest at
-//! `<path>.digest` (greppable, byte-diffable in CI). Buffers are passed in
+//! `<path>.digest` (greppable, byte-diffable in CI), which closes with the
+//! per-span latency summary over all tracks. Buffers are passed in
 //! trial order, so the output is byte-identical at any `--jobs` value.
 
 use sharebackup_telemetry::{chrome_trace, text_digest, TraceBuffer};

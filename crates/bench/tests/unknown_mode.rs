@@ -204,6 +204,10 @@ fn every_flag_a_harness_does_not_read_is_rejected() {
         assert_rejected(bin, &["--bogus"]);
         assert_rejected(bin, &["stray"]);
     }
+    // Every demo row runs one fixed trial, so demo mode does not read
+    // `--trials`.
+    let chaos = env!("CARGO_BIN_EXE_chaos_availability");
+    assert_rejected(chaos, &["--mode", "demo", "--trials", "5"]);
 }
 
 #[test]
@@ -218,10 +222,15 @@ fn a_malformed_value_is_rejected_not_panicked_on() {
             }
         }
     }
-    // Well-formed numbers that `--k` and `--jobs` do not allow.
+    // Well-formed numbers that `--k`, `--jobs` and `--trials` do not allow.
     let fig1c = env!("CARGO_BIN_EXE_fig1c_cct");
     assert_rejected(fig1c, &["--k", "5"]);
     assert_rejected(fig1c, &["--jobs", "0"]);
+    for (bin, flags) in HARNESSES {
+        if flags.iter().any(|&(f, _)| f == "trials") {
+            assert_rejected(bin, &["--trials", "0"]);
+        }
+    }
 }
 
 #[test]

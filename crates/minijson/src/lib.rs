@@ -5,8 +5,9 @@
 //!
 //! This crate exists so the workspace builds with **zero external
 //! dependencies**: it mirrors the small `serde_json` surface the benchmark
-//! binaries and the `xtask` lint driver need (`Value`, `json!`,
-//! [`to_string_pretty`], [`from_str`]), nothing more. Object member order is
+//! binaries' `--json` output and the telemetry chrome-trace exporter need
+//! (`Value`, `json!`, [`to_string_pretty`], and [`from_str`] for the tests
+//! that read that output back), nothing more. Object member order is
 //! preserved as written.
 
 use std::fmt;

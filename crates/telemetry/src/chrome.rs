@@ -12,7 +12,7 @@ use sharebackup_sim::Time;
 use crate::buffer::{TraceBuffer, TraceEvent};
 
 /// Trace-format timestamp (µs) for a virtual instant.
-fn ts_us(at: Time) -> f64 {
+pub(crate) fn ts_us(at: Time) -> f64 {
     // Exact for all sim times below 2^53 ns (~104 virtual days); division
     // by 1000 is the ns→µs unit change the trace format expects.
     #[allow(clippy::cast_precision_loss)]

@@ -7,12 +7,11 @@
 //!
 //! | module | provides |
 //! |---|---|
-//! | [`sink`] | [`Sink`] trait, no-op [`NullSink`], cloneable [`Tracer`] handle |
+//! | [`sink`] | [`Sink`] trait, cloneable [`Tracer`] handle |
 //! | [`buffer`] | [`MemSink`] / [`TraceBuffer`]: plain-data per-trial recordings |
 //! | [`hist`] | [`LogHistogram`]: O(1) log₂-bucketed `u64` histogram |
 //! | [`chrome`] | [`chrome_trace`]: Trace Event Format JSON for `ui.perfetto.dev` |
-//! | [`digest`] | [`text_digest`]: deterministic plain-text rendering |
-//! | [`summary`] | [`summarize_chrome_trace`]: per-phase duration tables |
+//! | [`digest`] | [`text_digest`]: deterministic plain-text rendering, ending in per-phase duration tables |
 //! | [`engine`] | [`TracedWorld`]: drop-in event-loop instrumentation |
 //!
 //! Design rules:
@@ -37,12 +36,10 @@ pub mod digest;
 pub mod engine;
 pub mod hist;
 pub mod sink;
-pub mod summary;
 
 pub use buffer::{MemSink, Span, TraceBuffer, TraceEvent};
 pub use chrome::chrome_trace;
 pub use digest::text_digest;
 pub use engine::TracedWorld;
 pub use hist::LogHistogram;
-pub use sink::{NullSink, Sink, Tracer};
-pub use summary::summarize_chrome_trace;
+pub use sink::{Sink, Tracer};

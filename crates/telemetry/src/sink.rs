@@ -1,5 +1,5 @@
-//! The [`Sink`] receiver trait, the discarding [`NullSink`], and the
-//! cheaply cloneable [`Tracer`] handle that instrumented code holds.
+//! The [`Sink`] receiver trait and the cheaply cloneable [`Tracer`]
+//! handle that instrumented code holds.
 //!
 //! Instrumentation sites call through a [`Tracer`]. A disabled tracer
 //! ([`Tracer::off`], the default) carries no sink at all, so every
@@ -31,25 +31,6 @@ pub trait Sink {
     fn add(&mut self, counter: &'static str, delta: u64);
     /// Record `value` into the log-bucketed histogram `hist`.
     fn record(&mut self, hist: &'static str, value: u64);
-}
-
-/// A sink that discards everything. Exists so callers that want to pass
-/// "no sink" explicitly have a named zero-cost implementation; a
-/// [`Tracer::off`] handle short-circuits before even reaching it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    #[inline]
-    fn span_begin(&mut self, _at: Time, _cat: &'static str, _name: &str) {}
-    #[inline]
-    fn span_end(&mut self, _at: Time) {}
-    #[inline]
-    fn instant(&mut self, _at: Time, _cat: &'static str, _name: &str) {}
-    #[inline]
-    fn add(&mut self, _counter: &'static str, _delta: u64) {}
-    #[inline]
-    fn record(&mut self, _hist: &'static str, _value: u64) {}
 }
 
 /// Cloneable handle to an optional [`Sink`]. Clones share the same sink,
