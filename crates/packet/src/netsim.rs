@@ -309,7 +309,7 @@ impl NetWorld {
             .expect("start_tx on empty queue")
             .wire;
         self.dirs[dir].busy = true;
-        engine.schedule_in(self.tx_time(dir, wire), Ev::TxDone(dir));
+        engine.schedule_fixed(self.tx_time(dir, wire), Ev::TxDone(dir));
     }
 
     /// Send whatever the window permits and (re)arm the RTO.
@@ -393,7 +393,7 @@ impl World<Ev> for NetWorld {
                 if self.net.link_usable(self.link_of_dir(dir)) {
                     let mut pkt = pkt;
                     pkt.hop += 1;
-                    engine.schedule_in(self.cfg.prop_delay, Ev::Arrive(pkt));
+                    engine.schedule_fixed(self.cfg.prop_delay, Ev::Arrive(pkt));
                 } else {
                     self.drops += 1;
                 }

@@ -6,9 +6,14 @@
 //!
 //! Ties at the same instant are broken by scheduling order (FIFO), which makes
 //! runs fully deterministic.
+//!
+//! Pending events live in a binary heap, except those scheduled with
+//! [`Engine::schedule_fixed`]: each delay of that kind gets a FIFO lane of its
+//! own, already in delivery order, and [`Engine::pop`] takes the earliest of
+//! the heap head and the lane heads.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{Duration, Time};
 
@@ -70,12 +75,21 @@ impl<E> PartialEq for Entry<E> {
 }
 impl<E> Eq for Entry<E> {}
 
+/// The events scheduled `delay` after their scheduling instant, in delivery
+/// order: the clock never goes back and sequence numbers only grow, so each
+/// push lands behind the tail ([`Engine::schedule_fixed`] asserts it).
+struct Lane<E> {
+    delay: Duration,
+    events: VecDeque<(Slot, E)>,
+}
+
 /// A discrete-event simulation engine.
 ///
 /// Holds the pending-event queue and the virtual clock. See the crate-level
 /// example for typical use.
 pub struct Engine<E> {
     queue: BinaryHeap<Entry<E>>,
+    lanes: Vec<Lane<E>>,
     now: Time,
     seq: u64,
     processed: u64,
@@ -93,6 +107,7 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             queue: BinaryHeap::new(),
+            lanes: Vec::new(),
             now: Time::ZERO,
             seq: 0,
             processed: 0,
@@ -121,7 +136,7 @@ impl<E> Engine<E> {
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.lanes.iter().map(|l| l.events.len()).sum::<usize>()
     }
 
     /// Schedule `event` at absolute instant `at`.
@@ -137,6 +152,39 @@ impl<E> Engine<E> {
     /// Schedule `event` to occur `delay` after the current instant.
     pub fn schedule_in(&mut self, delay: Duration, event: E) {
         self.schedule(self.now + delay, event);
+    }
+
+    /// Schedule `event` to occur `delay` after the current instant, like
+    /// [`schedule_in`](Engine::schedule_in) and at the same position in the
+    /// delivery order, but through a FIFO lane kept for `delay` instead of
+    /// the heap.
+    ///
+    /// Meant for delays drawn from a small fixed set (a link's propagation
+    /// delay, a packet's wire time): each distinct delay adds a lane, and
+    /// every [`pop`](Engine::pop) looks at every lane head.
+    ///
+    /// # Panics
+    /// Panics if the event would be delivered before the lane's tail, which
+    /// only a clock moved back by a horizon below the current instant can
+    /// cause; the lane never reorders silently.
+    pub fn schedule_fixed(&mut self, delay: Duration, event: E) {
+        let slot = self.reserve_in(delay);
+        let i = match self.lanes.iter().position(|l| l.delay == delay) {
+            Some(i) => i,
+            None => {
+                self.lanes.push(Lane {
+                    delay,
+                    events: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+        };
+        let lane = &mut self.lanes[i];
+        assert!(
+            lane.events.back().is_none_or(|&(tail, _)| tail < slot),
+            "fixed-delay event before its lane's tail: {slot:?}"
+        );
+        lane.events.push_back((slot, event));
     }
 
     /// Reserve the position an event scheduled `delay` from now would take —
@@ -175,27 +223,41 @@ impl<E> Engine<E> {
     /// Returns `None` when the queue is empty or the next event lies beyond
     /// the horizon (in which case the clock advances to the horizon).
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        match self.queue.peek() {
-            None => None,
-            Some(head) if head.slot.at > self.horizon => {
-                self.now = self.horizon;
-                None
-            }
-            Some(_) => {
-                #[expect(clippy::expect_used, reason = "peek() just returned Some on this queue")]
-                let entry = self.queue.pop().expect("peeked entry vanished");
-                // Time monotonicity: the queue must never yield an event
-                // earlier than the current instant. A hard assert under
-                // `strict-invariants`, a debug assert otherwise.
-                #[cfg(feature = "strict-invariants")]
-                assert!(entry.slot.at >= self.now, "queue yielded a past event");
-                #[cfg(not(feature = "strict-invariants"))]
-                debug_assert!(entry.slot.at >= self.now, "queue yielded a past event");
-                self.now = entry.slot.at;
-                self.processed += 1;
-                Some((entry.slot.at, entry.event))
+        // The earliest head, and the lane holding it (`None`: the heap).
+        let mut next = self.queue.peek().map(|head| (head.slot, None));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&(slot, _)) = lane.events.front() {
+                if next.is_none_or(|(best, _)| slot < best) {
+                    next = Some((slot, Some(i)));
+                }
             }
         }
+        let (slot, lane) = next?;
+        if slot.at > self.horizon {
+            self.now = self.horizon;
+            return None;
+        }
+        #[expect(clippy::expect_used, reason = "the head was just found in this queue")]
+        let event = match lane {
+            None => self.queue.pop().expect("peeked entry vanished").event,
+            Some(i) => {
+                self.lanes[i]
+                    .events
+                    .pop_front()
+                    .expect("lane head vanished")
+                    .1
+            }
+        };
+        // Time monotonicity: the queue must never yield an event earlier
+        // than the current instant. A hard assert under `strict-invariants`,
+        // a debug assert otherwise.
+        #[cfg(feature = "strict-invariants")]
+        assert!(slot.at >= self.now, "queue yielded a past event");
+        #[cfg(not(feature = "strict-invariants"))]
+        debug_assert!(slot.at >= self.now, "queue yielded a past event");
+        self.now = slot.at;
+        self.processed += 1;
+        Some((slot.at, event))
     }
 
     /// Run `world` until the queue drains or the horizon is reached.
@@ -356,6 +418,36 @@ mod tests {
         engine.run(&mut |e: &mut Engine<Ev>, _now, _ev: Ev| {
             e.schedule_slot(early, Ev::Stop);
         });
+    }
+
+    #[test]
+    fn fixed_delay_events_keep_their_scheduling_position() {
+        let mut engine: Engine<Ev> = Engine::new();
+        engine.schedule_fixed(Duration::from_secs(2), Ev::A(0));
+        engine.schedule(Time::from_secs(2), Ev::A(1));
+        engine.schedule_fixed(Duration::from_secs(1), Ev::A(2));
+        engine.schedule_fixed(Duration::from_secs(2), Ev::A(3));
+        assert_eq!(engine.pending(), 4);
+        let mut seen = Vec::new();
+        engine.run(&mut |_: &mut Engine<Ev>, now: Time, ev: Ev| {
+            if let Ev::A(n) = ev {
+                seen.push((now.as_nanos() / 1_000_000_000, n));
+            }
+        });
+        assert_eq!(seen, vec![(1, 2), (2, 0), (2, 1), (2, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "before its lane's tail")]
+    fn fixed_delay_push_before_the_lane_tail_panics() {
+        let mut engine: Engine<Ev> = Engine::new();
+        engine.schedule(Time::from_secs(10), Ev::Stop);
+        assert!(engine.pop().is_some());
+        engine.schedule_fixed(Duration::from_secs(1), Ev::A(11));
+        // A horizon below the clock moves it back to 5 s.
+        engine.set_horizon(Time::from_secs(5));
+        assert!(engine.pop().is_none());
+        engine.schedule_fixed(Duration::from_secs(1), Ev::A(6));
     }
 
     #[test]

@@ -4,6 +4,102 @@ use proptest::prelude::*;
 
 use sharebackup_sim::{Cdf, Duration, Engine, SimRng, Summary, Time};
 
+/// How the lane-vs-heap test queues one event.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// `schedule_fixed` with the `k`-th delay of the case (modulo their
+    /// number); the all-heap engine calls `schedule_in` instead.
+    Fixed(usize),
+    /// `schedule` at `now + t` ns.
+    At(u64),
+    /// `schedule_in` `t` ns.
+    In(u64),
+    /// `reserve_in` `t` ns; the event is queued under the slot after the
+    /// rest of its batch, reserved slots in reverse order.
+    Reserved(u64),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..4, 0usize..4, 0u64..20).prop_map(|(kind, k, t)| match kind {
+        0 => Op::Fixed(k),
+        1 => Op::At(t),
+        2 => Op::In(t),
+        _ => Op::Reserved(t),
+    })
+}
+
+/// A root event (index, `None`) or the `j`-th child a root's handler
+/// scheduled (index, `Some(j)`).
+type Ev = (usize, Option<usize>);
+
+fn queue(
+    engine: &mut Engine<Ev>,
+    lanes: bool,
+    delays: &[u64],
+    batch: impl Iterator<Item = (Op, Ev)>,
+) {
+    let mut reserved = Vec::new();
+    for (op, ev) in batch {
+        match op {
+            Op::Fixed(k) => {
+                let delay = Duration::from_nanos(delays[k % delays.len()]);
+                if lanes {
+                    engine.schedule_fixed(delay, ev);
+                } else {
+                    engine.schedule_in(delay, ev);
+                }
+            }
+            Op::At(t) => engine.schedule(engine.now() + Duration::from_nanos(t), ev),
+            Op::In(t) => engine.schedule_in(Duration::from_nanos(t), ev),
+            Op::Reserved(t) => reserved.push((engine.reserve_in(Duration::from_nanos(t)), ev)),
+        }
+    }
+    for (slot, ev) in reserved.into_iter().rev() {
+        engine.schedule_slot(slot, ev);
+    }
+}
+
+/// Queue every root, run to `horizon` with each root's handler queueing its
+/// children, and return the delivered `(now, event)` sequence, the events
+/// processed, the events left pending and the final clock.
+fn run_ops(
+    lanes: bool,
+    delays: &[u64],
+    roots: &[(Op, Vec<Op>)],
+    horizon: u64,
+) -> (Vec<(Time, Ev)>, u64, usize, Time) {
+    let mut engine: Engine<Ev> = Engine::new();
+    engine.set_horizon(Time::from_nanos(horizon));
+    queue(
+        &mut engine,
+        lanes,
+        delays,
+        roots
+            .iter()
+            .enumerate()
+            .map(|(i, (op, _))| (*op, (i, None))),
+    );
+    let mut seen = Vec::new();
+    engine.run(&mut |e: &mut Engine<Ev>, now: Time, ev: Ev| {
+        seen.push((now, ev));
+        if ev.1.is_none() {
+            let children = roots[ev.0].1.iter().enumerate();
+            queue(
+                e,
+                lanes,
+                delays,
+                children.map(|(j, op)| (*op, (ev.0, Some(j)))),
+            );
+        }
+    });
+    (
+        seen,
+        engine.events_processed(),
+        engine.pending(),
+        engine.now(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -56,6 +152,22 @@ proptest! {
         let mut got = Vec::new();
         slotted.run(&mut |_: &mut Engine<usize>, now: Time, i: usize| got.push((now, i)));
         prop_assert_eq!(got, want);
+    }
+
+    /// Fixed-delay lanes deliver exactly what an all-heap engine delivers:
+    /// the same `(now, event)` sequence, mixed with `schedule`,
+    /// `schedule_in` and reserved slots, at the top level and from inside
+    /// handlers, up to any horizon.
+    #[test]
+    fn fixed_delay_lanes_match_an_all_heap_engine(
+        delays in prop::collection::btree_set(0u64..20, 1..=4),
+        roots in prop::collection::vec((op(), prop::collection::vec(op(), 0..4)), 1..60),
+        horizon in 0u64..80,
+    ) {
+        let delays: Vec<u64> = delays.into_iter().collect();
+        let heap = run_ops(false, &delays, &roots, horizon);
+        let lanes = run_ops(true, &delays, &roots, horizon);
+        prop_assert_eq!(lanes, heap);
     }
 
     /// The horizon never lets a later event through and always advances the
