@@ -4,7 +4,8 @@
 //! call: `cli.k(16)`, `cli.trials(10)`, `cli.get("seed", 42)`,
 //! `cli.choice("mode", &["node", "link"])` (the first choice is the
 //! default), `cli.switch("json")`, `cli.path("trace-out")`. It then calls
-//! [`Cli::finish`] before it simulates anything. `finish` exits with status
+//! [`Cli::finish`] before it simulates anything, and [`Cli::stamp`] names
+//! in its output the values it ran with. `finish` exits with status
 //! 2 and one line on stderr for a flag the binary did not read, a malformed
 //! value or a stray argument, and answers `--help` (exit 0) with a usage
 //! built from the same calls, so the listed defaults are the ones in use.
@@ -35,6 +36,10 @@ struct Flag {
     arg: String,
     default: Option<String>,
 }
+
+/// Flags that never change a harness's rows, so [`Cli::stamp`] leaves
+/// them out: worker threads and where the output goes.
+const UNSTAMPED: [&str; 3] = ["jobs", "json", "trace-out"];
 
 impl Cli {
     /// The process's own command line; the binary's name comes from
@@ -165,7 +170,7 @@ impl Cli {
     /// usage and exit 0; on an unread flag, a malformed value or a stray
     /// argument print one line to stderr and exit 2. Returns only if the
     /// binary should run.
-    pub fn finish(self) {
+    pub fn finish(&self) {
         match self.verdict() {
             Ok(()) => {}
             Err((0, usage)) => {
@@ -177,6 +182,23 @@ impl Cli {
                 std::process::exit(code);
             }
         }
+    }
+
+    /// One `args: --k 16 --seed 42 --trials 10 --mode both` line: every
+    /// flag read that has a value, in reading order, with the value given or
+    /// else the default. `--jobs`, `--json` and `--trace-out` never change
+    /// the rows and are left out; `None` if no flag is left.
+    pub fn stamp(&self) -> Option<String> {
+        let flags: Vec<String> = self
+            .declared
+            .iter()
+            .filter(|f| !UNSTAMPED.contains(&f.name))
+            .filter_map(|f| {
+                let value = self.last(f.name).flatten().or(f.default.as_deref())?;
+                Some(format!("--{} {value}", f.name))
+            })
+            .collect();
+        (!flags.is_empty()).then(|| format!("args: {}", flags.join(" ")))
     }
 
     /// What [`Cli::finish`] does: `Ok` to run, else the exit status and the
@@ -418,6 +440,42 @@ mod tests {
                 "usage: demo [flags]\n  --mode sweep|demo  default sweep\n".to_string()
             ))
         );
+    }
+
+    #[test]
+    fn the_stamp_names_every_value_but_not_the_job_count() {
+        let stamp = |argv: &[&str]| {
+            let mut c = cli(argv);
+            read(&mut c);
+            c.trials(10);
+            c.stamp()
+        };
+        let full = "args: --k 16 --seed 7 --mode both --trials 10";
+        assert_eq!(
+            stamp(&["--seed", "7", "--jobs", "1"]).as_deref(),
+            Some(full)
+        );
+        assert_eq!(
+            stamp(&[
+                "--jobs",
+                "2",
+                "--seed",
+                "7",
+                "--json",
+                "--trace-out",
+                "t.json"
+            ])
+            .as_deref(),
+            Some(full)
+        );
+        assert_eq!(
+            stamp(&["--mode", "link", "--k", "4"]).as_deref(),
+            Some("args: --k 4 --seed 42 --mode link --trials 10")
+        );
+        let mut bare = cli(&["--json"]);
+        bare.jobs();
+        bare.switch("json");
+        assert_eq!(bare.stamp(), None);
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //! through the whole outage that starts at 5 ms: the failure never reaches
 //! it, and all three rows read the same.
 
+use minijson::Value;
+use sharebackup_bench::report::Format::{Fixed, Int, Text};
+use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{RecoveryLatencyModel, RecoveryScheme};
 use sharebackup_packet::{PacketNetConfig, PacketSim, PktEvent, PktFlowSpec};
 use sharebackup_routing::{ecmp_path, FlowKey};
 use sharebackup_sim::{Duration, Time};
 use sharebackup_topo::{CircuitTech, FatTree, FatTreeConfig, HostAddr};
+
+/// The flow's retransmission timeout, as in `recovery_latency`.
+const RTO: Duration = Duration::from_millis(2);
 
 fn main() {
     let mut cli = Cli::from_env();
@@ -55,9 +61,8 @@ fn main() {
                 )
             }
         };
-        // The 2 ms RTO of the module doc.
         let cfg = PacketNetConfig {
-            rto: Duration::from_millis(2),
+            rto: RTO,
             ..PacketNetConfig::default()
         };
         let (out, drops) = PacketSim::new(cfg).run(
@@ -81,29 +86,60 @@ fn main() {
     });
 
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
-
-    println!("Ablation — circuit technology vs. failover disruption (25 MB transfer, core slot fails at 5 ms)");
-    println!(
-        "{:<34} {:>15} {:>8} {:>9}",
-        "configuration", "completion", "drops", "timeouts"
+    report::print_header(
+        "Ablation — circuit technology vs. failover disruption (25 MB transfer, core slot fails at 5 ms)",
+        &cli,
     );
-    for r in &rows {
-        println!(
-            "{:<34} {:>12.2} ms {:>8} {:>9}",
-            r["configuration"].as_str().expect("name"),
-            r["completion_ms"].as_f64().expect("v"),
-            r["drops"],
-            r["timeouts"],
-        );
-    }
-    println!();
-    println!("expected: both technologies add the same delay, the detection-dominated");
-    println!("blackout (~1.3 ms) plus the wait for the flow's 2 ms RTO; the 70 ns vs");
-    println!("40 us reset difference is invisible, as §5.3 argues.");
+    print!("{}", report::table(&COLUMNS, &rows));
+    let blackouts = [CircuitTech::Crosspoint, CircuitTech::Mems2D].map(|tech| {
+        model
+            .total(RecoveryScheme::ShareBackup(tech))
+            .as_millis_f64()
+    });
+    report::print_claims(&claims(&rows, blackouts));
+}
+
+const COLUMNS: [Column; 4] = [
+    Column::new("configuration", "configuration", Text),
+    Column::new("completion", "completion_ms", Fixed(2, " ms")),
+    Column::new("drops", "drops", Int),
+    Column::new("timeouts", "timeouts", Int),
+];
+
+/// Rows are the reference, Crosspoint, then Mems2D; `blackouts` are the two
+/// technologies' outages in ms.
+fn claims(rows: &[Value], blackouts: [f64; 2]) -> Vec<Check> {
+    let done = |i: usize| num(&rows[i], "completion_ms");
+    let drops = |i: usize| num(&rows[i], "drops");
+    let delays = [done(1) - done(0), done(2) - done(0)];
+    let within_rto = delays
+        .iter()
+        .zip(blackouts)
+        .all(|(&d, b)| report::approx(b, 1.3) && b < d && d <= b + RTO.as_millis_f64());
+    vec![
+        Check::new(
+            "§5.3",
+            "the 70 ns vs 40 us reset difference is invisible: both technologies add the same delay",
+            done(1) == done(2) && drops(1) == drops(2),
+            format!(
+                "Crosspoint {:.3} ms, {} drops; Mems2D {:.3} ms, {} drops",
+                done(1),
+                drops(1),
+                done(2),
+                drops(2)
+            ),
+        ),
+        Check::new(
+            "§5.3",
+            "that delay is the detection-dominated blackout (~1.3 ms) plus the wait for the 2 ms RTO",
+            within_rto,
+            format!(
+                "delay {:.3} / {:.3} ms after blackouts of {:.3} / {:.3} ms",
+                delays[0], delays[1], blackouts[0], blackouts[1]
+            ),
+        ),
+    ]
 }

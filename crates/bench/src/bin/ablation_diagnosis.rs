@@ -9,20 +9,18 @@
 //! `diagnosis_enabled` knob differs — and we measure switches out of
 //! service and recovery fallbacks (pool exhaustion).
 
+use minijson::Value;
+use sharebackup_bench::report::{
+    self, num, Check, Column,
+    Format::{Fixed, Int, Text},
+};
 use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{GroupId, ShareBackup, ShareBackupConfig};
 
-struct Outcome {
-    exonerated: u64,
-    convicted: u64,
-    fallbacks: u64,
-    mean_switches_out: f64,
-    peak_switches_out: usize,
-}
-
-fn run(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Outcome {
+/// One arm's row: recovery counters and switches out of service.
+fn run(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Value {
     let sb = ShareBackup::build(ShareBackupConfig::new(k, 2));
     let cfg = ControllerConfig {
         diagnosis_enabled: with_diagnosis,
@@ -59,13 +57,14 @@ fn run(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Outcome {
         peak = peak.max(out);
         out_samples.push(out as f64);
     }
-    Outcome {
-        exonerated: ctl.stats.exonerations,
-        convicted: ctl.stats.convictions,
-        fallbacks: ctl.stats.fallbacks,
-        mean_switches_out: out_samples.iter().sum::<f64>() / out_samples.len().max(1) as f64,
-        peak_switches_out: peak,
-    }
+    minijson::json!({
+        "diagnosis": with_diagnosis,
+        "exonerated": ctl.stats.exonerations,
+        "convicted": ctl.stats.convictions,
+        "fallbacks": ctl.stats.fallbacks,
+        "mean_switches_out": out_samples.iter().sum::<f64>() / out_samples.len().max(1) as f64,
+        "peak_switches_out": peak,
+    })
 }
 
 fn main() {
@@ -79,49 +78,54 @@ fn main() {
 
     // The two arms replay the same failure schedule independently, so they
     // can run on separate threads; index order keeps `with` first.
-    let mut arms = parallel_map_indexed(jobs, 2, |i| run(k, trials, seed, i == 0));
-    let without = arms.pop().expect("two arms");
-    let with = arms.pop().expect("two arms");
-
-    let rows = minijson::json!([
-        {
-            "diagnosis": true,
-            "exonerated": with.exonerated,
-            "convicted": with.convicted,
-            "fallbacks": with.fallbacks,
-            "mean_switches_out": with.mean_switches_out,
-            "peak_switches_out": with.peak_switches_out,
-        },
-        {
-            "diagnosis": false,
-            "exonerated": without.exonerated,
-            "convicted": without.convicted,
-            "fallbacks": without.fallbacks,
-            "mean_switches_out": without.mean_switches_out,
-            "peak_switches_out": without.peak_switches_out,
-        }
-    ]);
+    let rows = parallel_map_indexed(jobs, 2, |i| run(k, trials, seed, i == 0));
     if json {
-        println!("{}", minijson::to_string_pretty(&rows).expect("json"));
+        report::print_json(&rows);
         return;
     }
+    report::print_header(
+        "Ablation — offline diagnosis on/off (one link failure per trial, one faulty side each, 180 s repair)",
+        &cli,
+    );
+    print!("{}", report::table(&COLUMNS, &rows));
+    report::print_claims(&claims(&rows[0], &rows[1]));
+}
 
-    println!(
-        "Ablation — offline diagnosis on/off (k={}, {} link failures, one faulty side each, 180 s repair)",
-        k, trials
-    );
-    println!(
-        "{:<18} {:>12} {:>11} {:>11} {:>14} {:>14}",
-        "configuration", "exonerated", "convicted", "fallbacks", "mean sw out", "peak sw out"
-    );
-    for (name, o) in [("with diagnosis", &with), ("without", &without)] {
-        println!(
-            "{:<18} {:>12} {:>11} {:>11} {:>14.2} {:>14}",
-            name, o.exonerated, o.convicted, o.fallbacks, o.mean_switches_out, o.peak_switches_out
-        );
-    }
-    println!();
-    println!("expected: without diagnosis every link failure convicts two switches,");
-    println!("roughly doubling switches out of service and increasing pool-exhaustion");
-    println!("fallbacks — the paper's rationale for §4.2's background diagnosis.");
+const COLUMNS: [Column; 6] = [
+    Column::new("diagnosis", "diagnosis", Text),
+    Column::new("exonerated", "exonerated", Int),
+    Column::new("convicted", "convicted", Int),
+    Column::new("fallbacks", "fallbacks", Int),
+    Column::new("mean sw out", "mean_switches_out", Fixed(2, "")),
+    Column::new("peak sw out", "peak_switches_out", Int),
+];
+
+/// The rationale for §4.2's background diagnosis, from the two arms' rows.
+fn claims(with: &Value, without: &Value) -> Vec<Check> {
+    let both = |key: &str| (num(with, key), num(without, key));
+    let (exonerated, convicted) = (both("exonerated"), both("convicted"));
+    let (out, fallbacks) = (both("mean_switches_out"), both("fallbacks"));
+    vec![
+        Check::new(
+            "§4.2",
+            "without diagnosis every link failure convicts two switches",
+            exonerated.1 == 0.0,
+            format!(
+                "exonerated {} with, {} without; convicted {} with, {} without",
+                exonerated.0, exonerated.1, convicted.0, convicted.1
+            ),
+        ),
+        Check::new(
+            "§4.2",
+            "which roughly doubles the switches out of service",
+            report::approx(out.1 / out.0, 2.0),
+            format!("mean {:.2} -> {:.2} ({:.2}x)", out.0, out.1, out.1 / out.0),
+        ),
+        Check::new(
+            "§4.2",
+            "and increases pool-exhaustion fallbacks",
+            fallbacks.1 > fallbacks.0,
+            format!("{} -> {}", fallbacks.0, fallbacks.1),
+        ),
+    ]
 }

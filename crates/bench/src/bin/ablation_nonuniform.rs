@@ -9,26 +9,25 @@
 //! total switch budget** and measures how many host-stranding minutes each
 //! allocation leaves unmasked under an extreme failure drive.
 
+use minijson::Value;
+use sharebackup_bench::report::Format::{Int, Text};
+use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{GroupKind, ShareBackup, ShareBackupConfig};
 
-struct Outcome {
-    edge_fallbacks: u64,
-    other_fallbacks: u64,
-    total_backups: usize,
-}
-
-fn run(k: usize, n_edge: usize, n_agg: usize, n_core: usize, trials: usize, seed: u64) -> Outcome {
+/// One allocation's row: its backup budget and the fallbacks by group kind.
+fn run(allocation: Allocation, k: usize, trials: usize, seed: u64) -> Value {
+    let (name, n_edge, n_agg, n_core) = allocation;
     let cfg = ShareBackupConfig::new(k, 1).with_backups(n_edge, n_agg, n_core);
     let sb = ShareBackup::build(cfg);
     let total_backups = k * n_edge + k * n_agg + (k / 2) * n_core;
     let mut ctl = Controller::new(sb, ControllerConfig::default());
     let mut rng = SimRng::seed_from_u64(seed);
     let mut now = Time::ZERO;
-    let mut edge_fallbacks = 0;
-    let mut other_fallbacks = 0;
+    let mut edge_fallbacks = 0u64;
+    let mut other_fallbacks = 0u64;
     for _ in 0..trials {
         now += Duration::from_secs_f64(rng.exponential(20.0));
         ctl.poll_repairs(now);
@@ -50,12 +49,17 @@ fn run(k: usize, n_edge: usize, n_agg: usize, n_core: usize, trials: usize, seed
             }
         }
     }
-    Outcome {
-        edge_fallbacks,
-        other_fallbacks,
-        total_backups,
-    }
+    minijson::json!({
+        "allocation": name,
+        "total_backups": total_backups,
+        "edge_fallbacks": edge_fallbacks,
+        "other_fallbacks": other_fallbacks,
+        "host_stranding_events": edge_fallbacks,
+    })
 }
+
+/// A name and the backups per edge, agg and core group.
+type Allocation = (&'static str, usize, usize, usize);
 
 fn main() {
     let mut cli = Cli::from_env();
@@ -71,8 +75,8 @@ fn main() {
     // uniform:        k·1 + k·1 + (k/2)·1        = 5k/2
     // edge-heavy:     k·2 + k·0 + (k/2)·1        = 5k/2
     // fabric-heavy:   k·0 + k·2 + (k/2)·1        = 5k/2
-    let allocations = [
-        ("uniform (n=1,1,1)", 1usize, 1usize, 1usize),
+    let allocations: [Allocation; 3] = [
+        ("uniform (n=1,1,1)", 1, 1, 1),
         ("edge-heavy (2,0,1)", 2, 0, 1),
         ("fabric-heavy (0,2,1)", 0, 2, 1),
     ];
@@ -80,50 +84,35 @@ fn main() {
     // Each allocation replays the identical failure drive on its own pool
     // layout — independent simulations, fanned out across `--jobs` threads
     // and collected in the fixed allocation order.
-    let outcomes = parallel_map_indexed(jobs, allocations.len(), |i| {
-        let (_, ne, na, nc) = allocations[i];
-        run(k, ne, na, nc, trials, seed)
+    let rows = parallel_map_indexed(jobs, allocations.len(), |i| {
+        run(allocations[i], k, trials, seed)
     });
-    let rows: Vec<minijson::Value> = allocations
-        .iter()
-        .zip(&outcomes)
-        .map(|(&(name, ..), o)| {
-            minijson::json!({
-                "allocation": name,
-                "total_backups": o.total_backups,
-                "edge_fallbacks": o.edge_fallbacks,
-                "other_fallbacks": o.other_fallbacks,
-                "host_stranding_events": o.edge_fallbacks,
-            })
-        })
-        .collect();
-
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
-
-    println!(
-        "Ablation §6 — non-uniform pools at equal budget (k={k}, {} node failures, MTBF 20 s)",
-        trials
+    report::print_header(
+        "Ablation §6 — non-uniform pools at equal budget (one node failure per trial, MTBF 20 s)",
+        &cli,
     );
-    println!(
-        "{:<22} {:>13} {:>15} {:>16}",
-        "allocation", "total backups", "edge fallbacks", "other fallbacks"
-    );
-    for r in &rows {
-        println!(
-            "{:<22} {:>13} {:>15} {:>16}",
-            r["allocation"].as_str().expect("name"),
-            r["total_backups"], r["edge_fallbacks"], r["other_fallbacks"],
-        );
-    }
+    print!("{}", report::table(&COLUMNS, &rows));
     println!();
     println!("edge fallbacks strand hosts (nothing can reroute around a dead ToR);");
-    println!("other fallbacks only cost bandwidth until repair. Weighting backups");
-    println!("toward edges trades cheap bandwidth risk for scarce reachability risk —");
-    println!("the §6 'more backup on critical devices' knob, quantified.");
+    println!("other fallbacks only cost bandwidth until repair.");
+    let (uniform, edge_heavy) = (&rows[0], &rows[1]);
+    let fallbacks = |r: &Value| (num(r, "edge_fallbacks"), num(r, "other_fallbacks"));
+    let ((ue, uo), (ee, eo)) = (fallbacks(uniform), fallbacks(edge_heavy));
+    report::print_claims(&[Check::new(
+        "§6",
+        "more backup on critical devices: weighting backups toward edges trades bandwidth risk for reachability risk",
+        ee < ue && eo > uo,
+        format!("edge-heavy vs uniform: edge fallbacks {ee} vs {ue}, other fallbacks {eo} vs {uo}"),
+    )]);
 }
+
+const COLUMNS: [Column; 4] = [
+    Column::new("allocation", "allocation", Text),
+    Column::new("total backups", "total_backups", Int),
+    Column::new("edge fallbacks", "edge_fallbacks", Int),
+    Column::new("other fallbacks", "other_fallbacks", Int),
+];

@@ -9,6 +9,8 @@
 //! pool at the paper's few-minute repair times.
 
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
+use minijson::Value;
+use sharebackup_bench::report::{self, num, Check};
 use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
@@ -82,7 +84,7 @@ fn main() {
         let (mtbf, n) = cells[i];
         run(k, n, trials, seed, Duration::from_secs(mtbf))
     });
-    let rows: Vec<minijson::Value> = cells
+    let rows: Vec<Value> = cells
         .iter()
         .zip(&fracs)
         .map(|(&(mtbf, n), &frac)| {
@@ -95,16 +97,12 @@ fn main() {
         .collect();
 
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
-
-    println!(
-        "Ablation — unmasked failure fraction vs. backup pool size (k={}, {} node failures, 180 s repair)",
-        k, trials
+    report::print_header(
+        "Ablation — unmasked failure fraction vs. backup pool size (one node failure per trial, 180 s repair)",
+        &cli,
     );
     print!("{:>10}", "MTBF");
     for n in ns {
@@ -122,7 +120,37 @@ fn main() {
         }
         println!();
     }
-    println!();
-    println!("expected: unmasked fraction falls quickly with n and with MTBF; at the");
-    println!("paper's real-world rates (MTBF of days) even n=1 never exhausts (§5.1).");
+    // §5.1's real-world rate: one failure a day in the whole network.
+    let daily = run(k, 1, trials, seed, Duration::from_secs(24 * 3600));
+    report::print_claims(&claims(&rows, daily));
+}
+
+/// `rows` are the MTBF x n grid; `daily` is n=1's fraction at an MTBF of a
+/// day.
+fn claims(rows: &[Value], daily: f64) -> Vec<Check> {
+    let frac = |r: &Value| num(r, "unmasked_fraction");
+    // Pairs of cells that share `same` where the one with the larger `grows`
+    // has the larger fraction.
+    let rises = |same: &str, grows: &str| {
+        rows.iter()
+            .flat_map(|a| rows.iter().map(move |b| (a, b)))
+            .filter(|(a, b)| a[same] == b[same] && num(a, grows) < num(b, grows))
+            .filter(|(a, b)| frac(b) > frac(a))
+            .count()
+    };
+    let (by_n, by_mtbf) = (rises("mtbf_s", "n"), rises("n", "mtbf_s"));
+    vec![
+        Check::new(
+            "§5.1",
+            "unmasked fraction falls with n and with MTBF",
+            by_n == 0 && by_mtbf == 0,
+            format!("rises with n in {by_n} pairs, with MTBF in {by_mtbf} pairs"),
+        ),
+        Check::new(
+            "§5.1",
+            "at real-world rates (MTBF of days) even n=1 never exhausts",
+            daily == 0.0,
+            format!("{:.1}% unmasked at n=1, MTBF 1 day", 100.0 * daily),
+        ),
+    ]
 }

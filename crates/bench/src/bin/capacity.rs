@@ -7,6 +7,9 @@
 //! failure statistics and counts how often any failure group would need
 //! more than n backups — the event ShareBackup cannot mask.
 
+use minijson::Value;
+use sharebackup_bench::report::Format::{Fixed, Int};
+use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::Cli;
 use sharebackup_cost::CapacityAnalysis;
 use sharebackup_sim::SimRng;
@@ -69,30 +72,54 @@ fn main() {
         .collect();
 
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
-
-    println!("§5.1 — capacity to handle failures (0.01% instantaneous switch failure rate)");
-    println!(
-        "{:>4} {:>3} {:>7} {:>7} {:>13} {:>10} {:>12} {:>12} {:>12}",
-        "k", "n", "hosts", "groups", "backup ratio", "headroom", "sw fail/grp", "ln fail/grp",
-        "P(exhaust)"
+    report::print_header(
+        "§5.1 — capacity to handle failures (0.01% instantaneous switch failure rate)",
+        &cli,
     );
-    for r in &rows {
-        println!(
-            "{:>4} {:>3} {:>7} {:>7} {:>12.2}% {:>9.0}x {:>12} {:>12} {:>12.5}",
-            r["k"], r["n"], r["hosts"], r["failure_groups"],
-            r["backup_ratio_pct"].as_f64().expect("v"),
-            r["headroom_over_0p01pct"].as_f64().expect("v"),
-            r["switch_failures_per_group"], r["link_failures_per_group"],
-            r["exhaustion_probability"].as_f64().expect("v"),
-        );
-    }
-    println!();
-    println!("paper: k=48, n=1 gives backup ratio 4.17%, >400x the failure rate;");
-    println!("n concurrent switch failures (kn link failures) tolerated per group.");
+    print!("{}", report::table(&COLUMNS, &rows));
+    report::print_claims(&claims(&rows));
+}
+
+const COLUMNS: [Column; 9] = [
+    Column::new("k", "k", Int),
+    Column::new("n", "n", Int),
+    Column::new("hosts", "hosts", Int),
+    Column::new("groups", "failure_groups", Int),
+    Column::new("backup ratio", "backup_ratio_pct", Fixed(2, "%")),
+    Column::new("headroom", "headroom_over_0p01pct", Fixed(0, "x")),
+    Column::new("sw fail/grp", "switch_failures_per_group", Int),
+    Column::new("ln fail/grp", "link_failures_per_group", Int),
+    Column::new("P(exhaust)", "exhaustion_probability", Fixed(5, "")),
+];
+
+fn claims(rows: &[Value]) -> Vec<Check> {
+    let r = rows
+        .iter()
+        .find(|r| num(r, "k") == 48.0 && num(r, "n") == 1.0)
+        .expect("the k=48, n=1 row");
+    let (ratio, headroom) = (num(r, "backup_ratio_pct"), num(r, "headroom_over_0p01pct"));
+    let tolerated = rows
+        .iter()
+        .filter(|r| {
+            let (k, n) = (num(r, "k"), num(r, "n"));
+            num(r, "switch_failures_per_group") == n && num(r, "link_failures_per_group") == k * n
+        })
+        .count();
+    vec![
+        Check::new(
+            "§5.1",
+            "k=48, n=1 gives backup ratio 4.17%, >400x the failure rate",
+            format!("{ratio:.2}") == "4.17" && headroom > 400.0,
+            format!("{ratio:.2}%, {headroom:.0}x"),
+        ),
+        Check::new(
+            "§5.1",
+            "n concurrent switch failures (kn link failures) tolerated per group",
+            tolerated == rows.len(),
+            format!("n and kn in {tolerated} of {} configurations", rows.len()),
+        ),
+    ]
 }

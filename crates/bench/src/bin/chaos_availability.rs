@@ -30,6 +30,8 @@
 //! failover span lands in the chrome-trace.
 
 use minijson::Value;
+use sharebackup_bench::report::Format::{Fixed, Int, Text};
+use sharebackup_bench::report::{self, Column};
 use sharebackup_bench::{parallel_map_indexed, write_trace_files, Cli};
 use sharebackup_core::failover::{FailoverConfig, FailoverPlane, RecoveryPhase};
 use sharebackup_core::scenario::{
@@ -668,61 +670,28 @@ fn sweep_stream(scn: &Scenario, trial: usize) -> String {
     format!("chaos-{}-{}", scn.name, trial)
 }
 
-/// Table columns: header, row key, width, decimals (`None`: text).
-const COLUMNS: [(&str, &str, usize, Option<usize>); 20] = [
-    ("scenario", "scenario", 12, None),
-    ("mode", "mode", 7, None),
-    ("ctl", "replicas", 3, Some(0)),
-    ("elect", "election_ms", 5, Some(0)),
-    ("avail", "availability", 6, Some(4)),
-    ("late", "late", 4, Some(0)),
-    ("degr", "degraded_flows", 4, Some(0)),
-    ("d-time(s)", "degraded_flow_seconds", 9, Some(2)),
-    ("repl", "replacements", 4, Some(0)),
-    ("fb", "fallbacks", 4, Some(0)),
-    ("doa", "doa_backups", 4, Some(0)),
-    ("retry", "reconfig_retries", 5, Some(0)),
-    ("abort", "reconfig_aborts", 5, Some(0)),
-    ("pool", "pool_exhausted", 4, Some(0)),
-    ("recov", "recovered", 5, Some(0)),
-    ("pend", "unrecovered_at_horizon", 4, Some(0)),
-    ("dwell(ms)", "dwell_mean_ms", 9, Some(1)),
-    ("infl", "latency_inflation", 5, Some(3)),
-    ("elec", "elections", 4, Some(0)),
-    ("resum", "recoveries_resumed", 5, Some(0)),
+const COLUMNS: [Column; 20] = [
+    Column::new("scenario", "scenario", Text),
+    Column::new("mode", "mode", Text),
+    Column::new("ctl", "replicas", Int),
+    Column::new("elect", "election_ms", Int),
+    Column::new("avail", "availability", Fixed(4, "")),
+    Column::new("late", "late", Int),
+    Column::new("degr", "degraded_flows", Int),
+    Column::new("d-time(s)", "degraded_flow_seconds", Fixed(2, "")),
+    Column::new("repl", "replacements", Int),
+    Column::new("fb", "fallbacks", Int),
+    Column::new("doa", "doa_backups", Int),
+    Column::new("retry", "reconfig_retries", Int),
+    Column::new("abort", "reconfig_aborts", Int),
+    Column::new("pool", "pool_exhausted", Int),
+    Column::new("recov", "recovered", Int),
+    Column::new("pend", "unrecovered_at_horizon", Int),
+    Column::new("dwell(ms)", "dwell_mean_ms", Fixed(1, "")),
+    Column::new("infl", "latency_inflation", Fixed(3, "")),
+    Column::new("elec", "elections", Int),
+    Column::new("resum", "recoveries_resumed", Int),
 ];
-
-fn print_table(rows: &[Row]) {
-    let header: Vec<String> = COLUMNS
-        .iter()
-        .map(|&(h, _, w, dec)| match dec {
-            None => format!("{h:<w$}"),
-            Some(_) => format!("{h:>w$}"),
-        })
-        .collect();
-    println!("{}", header.join(" "));
-    for row in rows {
-        let json = row.json();
-        let cells: Vec<String> = COLUMNS
-            .iter()
-            .map(|&(_, key, w, dec)| {
-                let v = json.get(key).expect("column key is a row key");
-                match dec {
-                    None => format!("{:<w$}", v.as_str().expect("text column")),
-                    Some(0) => format!("{:>w$}", v.as_i64().expect("integer column")),
-                    Some(p) => format!("{:>w$.p$}", v.as_f64().expect("number column")),
-                }
-            })
-            .collect();
-        println!("{}", cells.join(" "));
-    }
-    println!();
-    println!("stall = the paper's behavior (flows on a dead slot wait for repair); reroute =");
-    println!("graceful degradation to global rerouting, every affected flow counted. ctl/elect");
-    println!("= controller replicas / election time (ms); dwell = failure report → recovery");
-    println!("completed; infl = mean modeled recovery latency / closed-form latency. --json");
-    println!("prints every row with all controller counters.");
-}
 
 fn main() {
     let mut cli = Cli::from_env();
@@ -754,19 +723,23 @@ fn main() {
         (scenarios(), trials, sweep_stream)
     };
     let rows = campaign(&setup, &scns, trials, stream);
+    let items: Vec<Value> = rows.iter().map(Row::json).collect();
     if json {
-        let items: Vec<Value> = rows.iter().map(Row::json).collect();
-        println!(
-            "{}",
-            minijson::to_string_pretty(&Value::Array(items)).expect("json")
-        );
+        report::print_json(&items);
         return;
     }
-    println!(
-        "Availability campaign ({}), k={} n={} seed={} — {} trial(s) per row",
-        mode, k, n, seed, trials
+    let title = format!(
+        "Availability campaign ({mode}){}",
+        if demo { " — one trial per row" } else { "" }
     );
-    print_table(&rows);
+    report::print_header(&title, &cli);
+    print!("{}", report::table(&COLUMNS, &items));
+    println!();
+    println!("stall = the paper's behavior (flows on a dead slot wait for repair); reroute =");
+    println!("graceful degradation to global rerouting, every affected flow counted. ctl/elect");
+    println!("= controller replicas / election time (ms); dwell = failure report → recovery");
+    println!("completed; infl = mean modeled recovery latency / closed-form latency. --json");
+    println!("prints every row with all controller counters.");
     if demo {
         print_demo_claims(&rows);
     } else {

@@ -10,6 +10,9 @@
 //! degraded while ShareBackup's availability is indistinguishable from a
 //! failure-free network.
 
+use minijson::Value;
+use sharebackup_bench::report::Format::{Fixed, Int, Text};
+use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::{parallel_map_indexed, Cli};
 use sharebackup_core::scenario::{map_chaos_schedule, sharebackup_timeline, ShareBackupWorld};
 use sharebackup_core::{Controller, ControllerConfig};
@@ -166,60 +169,68 @@ fn main() {
 
     // Both systems replay the same week of failures from the same seed but
     // never share state, so the two runs fan out across `--jobs` threads.
-    let mut runs = parallel_map_indexed(jobs, 2, |i| {
+    let runs = parallel_map_indexed(jobs, 2, |i| {
         if i == 0 {
             run_fattree(k, seed, mtbf, outage)
         } else {
             run_sharebackup(k, n, seed, mtbf, outage)
         }
     });
-    let sb = runs.pop().expect("two runs");
-    let ft = runs.pop().expect("two runs");
-
+    let rows: Vec<Value> = ["fat-tree (rerouting)", "ShareBackup"]
+        .iter()
+        .zip(&runs)
+        .map(|(system, t)| {
+            minijson::json!({
+                "system": system,
+                "failures": t.failures,
+                "unmasked": t.unmasked,
+                "capacity_availability": t.availability(),
+                "stranded_host_hours": t.stranded_host_seconds / 3600.0,
+            })
+        })
+        .collect();
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::json!([
-                {
-                    "system": "fat-tree (rerouting)",
-                    "failures": ft.failures,
-                    "unmasked": ft.unmasked,
-                    "capacity_availability": ft.availability(),
-                    "stranded_host_hours": ft.stranded_host_seconds / 3600.0,
-                },
-                {
-                    "system": "ShareBackup",
-                    "failures": sb.failures,
-                    "unmasked": sb.unmasked,
-                    "capacity_availability": sb.availability(),
-                    "stranded_host_hours": sb.stranded_host_seconds / 3600.0,
-                }
-            ]))
-            .expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
-
-    println!(
-        "One week, k={}, MTBF {} per network, outages {} — capacity availability",
-        k, mtbf, outage
+    report::print_header(
+        &format!("One week, MTBF {mtbf} per network, outages {outage} — capacity availability"),
+        &cli,
     );
-    println!(
-        "{:<24} {:>9} {:>9} {:>22} {:>20}",
-        "system", "failures", "unmasked", "capacity availability", "stranded host-hours"
-    );
-    for (name, t) in [("fat-tree (rerouting)", &ft), ("ShareBackup", &sb)] {
-        println!(
-            "{:<24} {:>9} {:>9} {:>21.6}% {:>20.2}",
-            name,
-            t.failures,
-            t.unmasked,
-            100.0 * t.availability(),
-            t.stranded_host_seconds / 3600.0,
-        );
-    }
+    print!("{}", report::table(&COLUMNS, &rows));
     println!();
     println!("rerouting eats every outage in full; ShareBackup's cost is ~1.3 ms per");
-    println!("failure (plus any pool-exhaustion window), and no host is ever stranded");
-    println!("unless the pool runs dry.");
+    println!("failure (plus any pool-exhaustion window).");
+    report::print_claims(&[stranding(&rows, k)]);
 }
+
+/// An edge failure strands its k/2 hosts until the slot is recovered, so
+/// with a backup for every failure a failure strands at most k/2 hosts for
+/// ~1.3 ms; only an exhausted pool strands hosts for a whole outage.
+fn stranding(rows: &[Value], k: usize) -> Check {
+    let (ft, sb) = (&rows[0], &rows[1]);
+    let host_ms = |r: &Value| 3.6e6 * num(r, "stranded_host_hours") / num(r, "failures");
+    let bound = (k / 2) as f64 * 1.3;
+    Check::new(
+        "§4.1",
+        "unless the pool runs dry, a failure strands hosts only for the ~1.3 ms recovery",
+        num(sb, "unmasked") > 0.0 || host_ms(sb) <= bound || report::approx(host_ms(sb), bound),
+        format!(
+            "{:.2} host-ms per failure, at most {bound:.1} (k/2 hosts x 1.3 ms); rerouting {:.0}",
+            host_ms(sb),
+            host_ms(ft)
+        ),
+    )
+}
+
+const COLUMNS: [Column; 5] = [
+    Column::new("system", "system", Text),
+    Column::new("failures", "failures", Int),
+    Column::new("unmasked", "unmasked", Int),
+    Column::new(
+        "capacity availability",
+        "capacity_availability",
+        Fixed(8, ""),
+    ),
+    Column::new("stranded host-hours", "stranded_host_hours", Fixed(2, "")),
+];

@@ -7,6 +7,11 @@
 //! With `--trace-out`, each (technology, failure) case records its engine
 //! events and recovery span tree onto its own chrome-trace track.
 
+use minijson::Value;
+use sharebackup_bench::report::{
+    self, num, Check, Column,
+    Format::{Fixed, Text},
+};
 use sharebackup_bench::{write_trace_files, Cli};
 use sharebackup_core::{simulate_recovery, Controller, ControllerConfig};
 use sharebackup_sim::{Duration, Time};
@@ -27,6 +32,7 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
+    let mut timelines = Vec::new();
     let mut buffers: Vec<TraceBuffer> = Vec::new();
     for tech in [CircuitTech::Crosspoint, CircuitTech::Mems2D] {
         for &(name, slot) in &cases {
@@ -48,7 +54,15 @@ fn main() {
             if let Some(s) = sink {
                 buffers.push(s.borrow_mut().take());
             }
-            rows.push((tech, name, tl));
+            rows.push(minijson::json!({
+                "tech": format!("{tech:?}"),
+                "failure": name,
+                "detection_us": tl.detection_latency().as_secs_f64() * 1e6,
+                "repair_us": tl.repair_latency().as_secs_f64() * 1e6,
+                "total_us": tl.total_latency().as_secs_f64() * 1e6,
+                "events": tl.events.len(),
+            }));
+            timelines.push(tl);
         }
     }
 
@@ -62,42 +76,14 @@ fn main() {
     }
 
     if json {
-        let json: Vec<minijson::Value> = rows
-            .iter()
-            .map(|(tech, name, tl)| {
-                minijson::json!({
-                    "tech": format!("{tech:?}"),
-                    "failure": name,
-                    "detection_us": tl.detection_latency().as_secs_f64() * 1e6,
-                    "repair_us": tl.repair_latency().as_secs_f64() * 1e6,
-                    "total_us": tl.total_latency().as_secs_f64() * 1e6,
-                    "events": tl.events.len(),
-                })
-            })
-            .collect();
-        println!("{}", minijson::to_string_pretty(&json).expect("json"));
+        report::print_json(&rows);
         return;
     }
-
-    println!("§4.1 — event-driven recovery timelines (k={k}, n=1)");
-    println!();
-    println!(
-        "{:<12} {:<20} {:>12} {:>12} {:>12}",
-        "technology", "failure", "detection", "repair", "total"
-    );
-    for (tech, name, tl) in &rows {
-        println!(
-            "{:<12} {:<20} {:>12} {:>12} {:>12}",
-            format!("{tech:?}"),
-            name,
-            format!("{}", tl.detection_latency()),
-            format!("{}", tl.repair_latency()),
-            format!("{}", tl.total_latency()),
-        );
-    }
+    report::print_header("§4.1 — event-driven recovery timelines (n=1)", &cli);
+    print!("{}", report::table(&COLUMNS, &rows));
 
     // Print one full trace as the exhibit.
-    let (_, name, tl) = &rows[1];
+    let (name, tl) = (cases[1].0, &timelines[1]);
     println!();
     println!("full trace — {name}, crosspoint (timestamps relative to the death):");
     // Skip the pre-death keep-alives except the last one.
@@ -114,8 +100,47 @@ fn main() {
         };
         println!("{rel:>14}  {ev:?}");
     }
-    println!();
-    println!("repair decomposition: command (100 us) + circuit reset (70 ns / 40 us,");
-    println!("parallel across the group's circuit switches) + ack (100 us) + 50 us");
-    println!("controller processing — detection dominates, as §5.3 argues.");
+    report::print_claims(&claims(&rows));
+}
+
+const COLUMNS: [Column; 5] = [
+    Column::new("technology", "tech", Text),
+    Column::new("failure", "failure", Text),
+    Column::new("detection", "detection_us", Fixed(3, " us")),
+    Column::new("repair", "repair_us", Fixed(3, " us")),
+    Column::new("total", "total_us", Fixed(3, " us")),
+];
+
+fn claims(rows: &[Value]) -> Vec<Check> {
+    // Command (100 us) + the circuit reset + ack (100 us) + 50 us of
+    // controller processing; the resets run in parallel across the group.
+    let repair = |tech: &str| 250.0 + if tech == "Mems2D" { 40.0 } else { 0.07 };
+    let decomposed = rows
+        .iter()
+        .filter(|r| (num(r, "repair_us") - repair(r["tech"].as_str().expect("tech"))).abs() < 1e-6)
+        .count();
+    let dominated = rows
+        .iter()
+        .filter(|r| num(r, "detection_us") > num(r, "repair_us"))
+        .count();
+    let most = |key: &str| rows.iter().map(|r| num(r, key)).fold(0.0, f64::max);
+    vec![
+        Check::new(
+            "§4.1",
+            "repair = command (100 us) + circuit reset (70 ns / 40 us) + ack (100 us) + 50 us processing",
+            decomposed == rows.len(),
+            format!("{decomposed} of {} cases", rows.len()),
+        ),
+        Check::new(
+            "§5.3",
+            "detection dominates recovery",
+            dominated == rows.len(),
+            format!(
+                "in {dominated} of {} cases; repair at most {:.3} us, detection {:.3} us",
+                rows.len(),
+                most("repair_us"),
+                most("detection_us")
+            ),
+        ),
+    ]
 }

@@ -7,6 +7,9 @@
 //! for k=48 (25% backup ratio). 256-port crosspoint switches are nowhere
 //! near binding.
 
+use minijson::Value;
+use sharebackup_bench::report::Format::{Fixed, Int, Text};
+use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::Cli;
 use sharebackup_cost::{CapacityAnalysis, ScalabilityLimits};
 use sharebackup_topo::CircuitTech;
@@ -42,37 +45,59 @@ fn main() {
     }
 
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
-
-    println!("§5.3 — scalability under circuit-switch port limits");
-    println!(
-        "{:>12} {:>11} {:>3} {:>7} {:>9} {:>13} {:>13}",
-        "technology", "port limit", "n", "max k", "hosts", "backup ratio", "ports needed"
-    );
-    for r in rows.iter().filter(|r| r.get("max_k").is_some()) {
-        println!(
-            "{:>12} {:>11} {:>3} {:>7} {:>9} {:>12.2}% {:>13}",
-            r["tech"].as_str().expect("t"),
-            r["port_limit"], r["n"], r["max_k"], r["hosts"],
-            r["backup_ratio_pct"].as_f64().expect("v"),
-            r["ports_needed"],
-        );
-    }
+    let (sweep, fixed_k): (Vec<Value>, Vec<Value>) =
+        rows.into_iter().partition(|r| r.get("max_k").is_some());
+    report::print_header("§5.3 — scalability under circuit-switch port limits", &cli);
+    print!("{}", report::table(&SWEEP, &sweep));
     println!();
-    for r in rows.iter().filter(|r| r.get("fixed_k").is_some()) {
+    for r in &fixed_k {
         println!(
             "{} at k=48: n can reach {} (backup ratio {:.1}%)",
-            r["tech"].as_str().expect("t"),
+            r["tech"].as_str().expect("tech"),
             r["max_n"],
-            r["backup_ratio_pct"].as_f64().expect("v"),
+            num(r, "backup_ratio_pct"),
         );
     }
-    println!();
-    println!("paper: 32-port MEMS supports k=58 at n=1 (48k+ hosts, 3.45% ratio);");
-    println!("n=6 at k=48 (25% ratio).");
+    report::print_claims(&claims(&sweep, &fixed_k));
+}
+
+const SWEEP: [Column; 7] = [
+    Column::new("technology", "tech", Text),
+    Column::new("port limit", "port_limit", Int),
+    Column::new("n", "n", Int),
+    Column::new("max k", "max_k", Int),
+    Column::new("hosts", "hosts", Int),
+    Column::new("backup ratio", "backup_ratio_pct", Fixed(2, "%")),
+    Column::new("ports needed", "ports_needed", Int),
+];
+
+fn claims(sweep: &[Value], fixed_k: &[Value]) -> Vec<Check> {
+    let mems = sweep
+        .iter()
+        .find(|r| r["tech"] == "Mems2D" && num(r, "n") == 1.0)
+        .expect("the Mems2D n=1 row");
+    let (k, hosts, ratio) = (
+        num(mems, "max_k"),
+        num(mems, "hosts"),
+        num(mems, "backup_ratio_pct"),
+    );
+    let at48 = report::row(fixed_k, "tech", "Mems2D");
+    let (n, ratio48) = (num(at48, "max_n"), num(at48, "backup_ratio_pct"));
+    vec![
+        Check::new(
+            "§5.3",
+            "32-port MEMS supports k=58 at n=1 (48k+ hosts, 3.45% ratio)",
+            k == 58.0 && hosts > 48_000.0 && format!("{ratio:.2}") == "3.45",
+            format!("k={k} at n=1, {hosts} hosts, {ratio:.2}% ratio"),
+        ),
+        Check::new(
+            "§5.3",
+            "32-port MEMS supports n=6 at k=48 (25% ratio)",
+            n == 6.0 && format!("{ratio48:.0}") == "25",
+            format!("n={n} at k=48, {ratio48:.2}% ratio"),
+        ),
+    ]
 }

@@ -6,6 +6,7 @@
 //! Usage: `scorecard [flags]`; `--help` lists the flags and their defaults.
 
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
+use sharebackup_bench::report::{self, Check};
 use sharebackup_bench::Cli;
 use sharebackup_core::{
     diagnose, ChaosConfig, Controller, ControllerConfig, FailoverConfig, FailoverPlane,
@@ -19,17 +20,10 @@ use sharebackup_sim::{SimRng, Time};
 use sharebackup_topo::{CircuitTech, GroupId, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{CoflowTrace, TraceConfig, TraceShape};
 
-struct Check {
-    section: &'static str,
-    claim: &'static str,
-    measured: String,
-    pass: bool,
-}
-
 fn checks() -> Vec<Check> {
     let mut out = Vec::new();
     let mut push = |section, claim, measured: String, pass| {
-        out.push(Check { section, claim, measured, pass })
+        out.push(Check::new(section, claim, pass, measured))
     };
 
     // §3: inventory.
@@ -236,24 +230,12 @@ fn main() {
                 })
             })
             .collect();
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
 
     println!("ShareBackup reproduction scorecard — {passed}/{} checks pass", checks.len());
-    println!();
-    for c in &checks {
-        println!(
-            "[{}] {:<5} {}",
-            if c.pass { "PASS" } else { "FAIL" },
-            c.section,
-            c.claim
-        );
-        println!("            measured: {}", c.measured);
-    }
+    report::print_claims(&checks);
     if passed != checks.len() {
         std::process::exit(1);
     }

@@ -3,6 +3,8 @@
 //!
 //! Usage: `table2_cost [flags]`; `--help` lists the flags and their defaults.
 
+use minijson::Value;
+use sharebackup_bench::report::{self, num, Check};
 use sharebackup_bench::Cli;
 use sharebackup_cost::model::{
     aspen_additional, fat_tree_cost, one_to_one_additional, sharebackup_additional, Medium,
@@ -38,14 +40,11 @@ fn main() {
     }
 
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
 
-    println!("Table 2 — architecture costs at k={k}, n={n} (dollars)");
+    report::print_header("Table 2 — architecture costs (dollars)", &cli);
     println!();
     println!("Cost equations:");
     println!("  fat-tree     = (5/4)k^3*b + (k^3/2)*c");
@@ -82,6 +81,40 @@ fn main() {
         );
         println!();
     }
-    println!("paper headline (k=48, n=1): ShareBackup adds 6.7% (E-DC) / 13.3% (O-DC);");
-    println!("1:1 backup costs 4x fat-tree; Aspen's addition is 6.5x / 3.2x ShareBackup's.");
+    print!("{}", report::claims(&claims(&rows)));
+}
+
+/// The paper's headline at k=48, n=1; rows are electrical then optical.
+fn claims(rows: &[Value]) -> Vec<Check> {
+    let pct = |key: &str| rows.iter().map(|r| num(r, key)).collect::<Vec<f64>>();
+    let (sb, aspen) = (
+        pct("sharebackup_additional_pct"),
+        pct("aspen_additional_pct"),
+    );
+    let one: Vec<f64> = rows
+        .iter()
+        .map(|r| num(r, "one_to_one_total") / num(r, "fat_tree"))
+        .collect();
+    let ratio: Vec<f64> = aspen.iter().zip(&sb).map(|(a, s)| a / s).collect();
+    let fmt = |v: &[f64], suffix: &str| format!("{:.1}{suffix} / {:.1}{suffix}", v[0], v[1]);
+    vec![
+        Check::new(
+            "§5.2",
+            "k=48, n=1: ShareBackup adds 6.7% (E-DC) / 13.3% (O-DC)",
+            fmt(&sb, "%") == "6.7% / 13.3%",
+            fmt(&sb, "%"),
+        ),
+        Check::new(
+            "§5.2",
+            "1:1 backup costs 4x fat-tree",
+            one.iter().all(|&x| (x - 4.0).abs() < 1e-9),
+            fmt(&one, "x"),
+        ),
+        Check::new(
+            "§5.2",
+            "k=48, n=1: Aspen's addition is 6.5x / 3.2x ShareBackup's",
+            fmt(&ratio, "x") == "6.5x / 3.2x",
+            fmt(&ratio, "x"),
+        ),
+    ]
 }

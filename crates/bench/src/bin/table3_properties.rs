@@ -8,9 +8,13 @@
 //! system can recover from), let each system handle it, then measure:
 //! usable capacity after handling vs. before, per-flow path-length change,
 //! and where each rerouted path first diverges from the original relative
-//! to the failure position. The Aspen Tree row is analytical (the paper's
-//! own characterization) since Aspen adds hardware we do not rebuild.
+//! to the failure position. Aspen Tree is not measured: it adds hardware
+//! this reproduction does not rebuild, and the output names the paper's
+//! own characterization of it.
 
+use minijson::Value;
+use sharebackup_bench::report::Format::{Fixed, Int, Text};
+use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::Cli;
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::{total_usable_capacity, upstream_repair};
@@ -33,6 +37,18 @@ struct Measured {
     max_dilation: usize,
     upstream_repairs: usize,
     flows_examined: usize,
+}
+
+impl Measured {
+    fn row(&self, architecture: &str) -> Value {
+        minijson::json!({
+            "architecture": architecture,
+            "bandwidth_loss_pct": self.bandwidth_loss_pct,
+            "max_dilation_hops": self.max_dilation,
+            "upstream_repairs": self.upstream_repairs,
+            "flows_examined": self.flows_examined,
+        })
+    }
 }
 
 /// Candidate cross-pod flow keys (many ids so ECMP covers every core).
@@ -169,50 +185,59 @@ fn main() {
     cli.finish();
 
     let rows = [
-        ("ShareBackup", measure_sharebackup(k)),
-        ("Fat-tree", measure_fattree(k)),
-        ("F10", measure_f10(k)),
+        measure_sharebackup(k).row("ShareBackup"),
+        measure_fattree(k).row("Fat-tree"),
+        measure_f10(k).row("F10"),
     ];
-
     if json {
-        let json: Vec<minijson::Value> = rows
-            .iter()
-            .map(|(name, m)| {
-                minijson::json!({
-                    "architecture": name,
-                    "bandwidth_loss_pct": m.bandwidth_loss_pct,
-                    "max_dilation_hops": m.max_dilation,
-                    "upstream_repairs": m.upstream_repairs,
-                    "flows_examined": m.flows_examined,
-                })
-            })
-            .collect();
-        println!("{}", minijson::to_string_pretty(&json).expect("json"));
+        report::print_json(&rows);
         return;
     }
-
-    println!("Table 3 — measured performance characteristics (k={k}, one agg-core link failure)");
-    println!(
-        "{:<14} {:>18} {:>18} {:>19} {:>10}",
-        "architecture", "no bandwidth loss?", "no path dilation?", "no upstream repair?", "evidence"
+    report::print_header(
+        "Table 3 — measured performance characteristics (one agg-core link failure)",
+        &cli,
     );
-    for (name, m) in &rows {
-        println!(
-            "{:<14} {:>18} {:>18} {:>19}   loss={:.2}% dilation=+{} upstream={}/{}",
-            name,
-            if m.bandwidth_loss_pct == 0.0 { "yes" } else { "NO" },
-            if m.max_dilation == 0 { "yes" } else { "NO" },
-            if m.upstream_repairs == 0 { "yes" } else { "NO" },
-            m.bandwidth_loss_pct,
-            m.max_dilation,
-            m.upstream_repairs,
-            m.flows_examined,
-        );
-    }
-    println!(
-        "{:<14} {:>18} {:>18} {:>19}   (analytical: paper Table 3; Aspen not rebuilt)",
-        "Aspen Tree", "NO", "yes", "yes/NO"
-    );
+    print!("{}", report::table(&COLUMNS, &rows));
     println!();
-    println!("paper Table 3: ShareBackup yes/yes/yes; fat-tree NO/yes/NO; F10 NO/NO/yes.");
+    println!("Aspen Tree is not rebuilt; the paper's Table 3 gives it NO / yes / yes-or-NO.");
+    report::print_claims(&[
+        claim(
+            &rows[0],
+            "ShareBackup: no bandwidth loss, no path dilation, no upstream repair (yes/yes/yes)",
+            "yes/yes/yes",
+        ),
+        claim(
+            &rows[1],
+            "fat-tree (global reroute): NO/yes/NO",
+            "NO/yes/NO",
+        ),
+        claim(&rows[2], "F10 (local reroute): NO/NO/yes", "NO/NO/yes"),
+    ]);
+}
+
+const COLUMNS: [Column; 5] = [
+    Column::new("architecture", "architecture", Text),
+    Column::new("bandwidth loss", "bandwidth_loss_pct", Fixed(2, "%")),
+    Column::new("path dilation (hops)", "max_dilation_hops", Int),
+    Column::new("upstream repairs", "upstream_repairs", Int),
+    Column::new("flows examined", "flows_examined", Int),
+];
+
+/// One architecture's Table 3 cells, yes/NO for: no bandwidth loss? no path
+/// dilation? no upstream repair? — checked against `paper`'s.
+fn claim(row: &Value, claim: &'static str, paper: &str) -> Check {
+    let loss = num(row, "bandwidth_loss_pct");
+    let (dilation, upstream) = (num(row, "max_dilation_hops"), num(row, "upstream_repairs"));
+    let yes = |clean: bool| if clean { "yes" } else { "NO" };
+    let cells = format!(
+        "{}/{}/{}",
+        yes(loss == 0.0),
+        yes(dilation == 0.0),
+        yes(upstream == 0.0)
+    );
+    let measured = format!(
+        "{cells} (loss {loss:.2}%, dilation +{dilation}, upstream repairs {upstream} of {} flows)",
+        row["flows_examined"]
+    );
+    Check::new("Table 3", claim, cells == paper, measured)
 }

@@ -4,6 +4,8 @@
 //!
 //! Usage: `table_routing_size [flags]`; `--help` lists the flags and their defaults.
 
+use sharebackup_bench::report::Format::Int;
+use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::Cli;
 use sharebackup_routing::impersonation::GroupTables;
 
@@ -34,25 +36,30 @@ fn main() {
         .collect();
 
     if json {
-        println!(
-            "{}",
-            minijson::to_string_pretty(&minijson::Value::Array(rows)).expect("json")
-        );
+        report::print_json(&rows);
         return;
     }
-
-    println!("§4.3 — merged impersonation-table sizes (entries per switch)");
-    println!(
-        "{:>4} {:>9} {:>14} {:>15} {:>12} {:>11} {:>11}",
-        "k", "hosts", "edge in-bound", "edge out-bound", "edge total", "agg table", "core table"
+    report::print_header(
+        "§4.3 — merged impersonation-table sizes (entries per switch)",
+        &cli,
     );
-    for r in &rows {
-        println!(
-            "{:>4} {:>9} {:>14} {:>15} {:>12} {:>11} {:>11}",
-            r["k"], r["hosts"], r["inbound_entries"], r["outbound_entries"],
-            r["total_entries"], r["agg_group_entries"], r["core_group_entries"],
-        );
-    }
-    println!();
-    println!("paper: 1056 entries for k=64 (over 65k hosts) — within commodity TCAM.");
+    print!("{}", report::table(&COLUMNS, &rows));
+    let r = report::row(&rows, "k", 64);
+    let (entries, hosts) = (num(r, "total_entries"), num(r, "hosts"));
+    report::print_claims(&[Check::new(
+        "§4.3",
+        "1056 entries for k=64 (over 65k hosts), within commodity TCAM",
+        entries == 1056.0 && hosts > 65_000.0,
+        format!("{entries} entries, {hosts} hosts"),
+    )]);
 }
+
+const COLUMNS: [Column; 7] = [
+    Column::new("k", "k", Int),
+    Column::new("hosts", "hosts", Int),
+    Column::new("edge in-bound", "inbound_entries", Int),
+    Column::new("edge out-bound", "outbound_entries", Int),
+    Column::new("edge total", "total_entries", Int),
+    Column::new("agg table", "agg_group_entries", Int),
+    Column::new("core table", "core_group_entries", Int),
+];

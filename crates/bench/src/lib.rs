@@ -3,7 +3,9 @@
 //!
 //! Shared harness code for the per-figure/per-table binaries in `src/bin/`.
 //! Each binary regenerates one table or figure of the paper; see DESIGN.md
-//! for the experiment index and EXPERIMENTS.md for recorded results.
+//! for the experiment index and EXPERIMENTS.md for recorded results. Every
+//! binary prints its rows through [`report`]: as `--json`, or as a table
+//! followed by the paper's claims checked over them.
 
 // Unlike every other library crate, this one does not warn on
 // `clippy::expect_used`: in a benchmark harness, panicking on an impossible
@@ -15,6 +17,7 @@ pub mod args;
 pub mod fig1;
 pub mod parallel;
 pub mod racks;
+pub mod report;
 pub mod trace;
 
 pub use args::Cli;

@@ -120,7 +120,16 @@ impl<E> Engine<E> {
     /// Events beyond the horizon stay in the queue (so statistics about
     /// unfinished work remain available) but [`run`](Engine::run) returns once
     /// the next event would exceed it, with the clock advanced to the horizon.
+    ///
+    /// # Panics
+    /// Panics if `horizon` is before the current instant: stopping there
+    /// would move the clock back.
     pub fn set_horizon(&mut self, horizon: Time) {
+        assert!(
+            horizon >= self.now,
+            "horizon before the current instant: {horizon:?} < {:?}",
+            self.now
+        );
         self.horizon = horizon;
     }
 
@@ -164,9 +173,10 @@ impl<E> Engine<E> {
     /// every [`pop`](Engine::pop) looks at every lane head.
     ///
     /// # Panics
-    /// Panics if the event would be delivered before the lane's tail, which
-    /// only a clock moved back by a horizon below the current instant can
-    /// cause; the lane never reorders silently.
+    /// Panics if the event would be delivered before the lane's tail. The
+    /// clock never moves back ([`set_horizon`](Engine::set_horizon) refuses
+    /// a horizon below it), so this cannot happen; the check keeps the lane
+    /// from ever reordering silently.
     pub fn schedule_fixed(&mut self, delay: Duration, event: E) {
         let slot = self.reserve_in(delay);
         let i = match self.lanes.iter().position(|l| l.delay == delay) {
@@ -437,17 +447,39 @@ mod tests {
         assert_eq!(seen, vec![(1, 2), (2, 0), (2, 1), (2, 3)]);
     }
 
+    /// The one way to put a fixed-delay event before its lane's tail was a
+    /// horizon below the clock, which moved the clock back; that horizon is
+    /// now refused before anything else can happen.
     #[test]
-    #[should_panic(expected = "before its lane's tail")]
+    #[should_panic(expected = "horizon before the current instant")]
     fn fixed_delay_push_before_the_lane_tail_panics() {
         let mut engine: Engine<Ev> = Engine::new();
         engine.schedule(Time::from_secs(10), Ev::Stop);
         assert!(engine.pop().is_some());
         engine.schedule_fixed(Duration::from_secs(1), Ev::A(11));
-        // A horizon below the clock moves it back to 5 s.
         engine.set_horizon(Time::from_secs(5));
         assert!(engine.pop().is_none());
         engine.schedule_fixed(Duration::from_secs(1), Ev::A(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon before the current instant")]
+    fn a_horizon_below_the_clock_panics() {
+        let mut engine: Engine<Ev> = Engine::new();
+        engine.schedule(Time::from_secs(10), Ev::Stop);
+        assert!(engine.pop().is_some());
+        engine.set_horizon(Time::from_secs(5));
+    }
+
+    #[test]
+    fn a_horizon_at_the_clock_is_accepted() {
+        let mut engine: Engine<Ev> = Engine::new();
+        engine.schedule(Time::from_secs(10), Ev::Stop);
+        engine.schedule(Time::from_secs(11), Ev::Stop);
+        assert!(engine.pop().is_some());
+        engine.set_horizon(Time::from_secs(10));
+        assert!(engine.pop().is_none());
+        assert_eq!(engine.now(), Time::from_secs(10));
     }
 
     #[test]
