@@ -17,7 +17,7 @@ use sharebackup_cost::{CapacityAnalysis, ScalabilityLimits};
 use sharebackup_flowsim::properties::total_usable_capacity;
 use sharebackup_routing::impersonation::GroupTables;
 use sharebackup_sim::{SimRng, Time};
-use sharebackup_topo::{CircuitTech, GroupId, ShareBackup, ShareBackupConfig};
+use sharebackup_topo::{CircuitTech, CsId, GroupId, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{CoflowTrace, TraceConfig, TraceShape};
 
 fn checks() -> Vec<Check> {
@@ -146,6 +146,43 @@ fn checks() -> Vec<Check> {
             && ctl.stats.elections == 1
             && ctl.stats.recoveries_resumed >= 1
             && ctl.stats.control_retries >= 1,
+    );
+
+    // §5.1: a failed circuit switch shows up as a burst of link failures
+    // through it; past the threshold recovery halts until humans reboot it.
+    let mut ctl = Controller::new(
+        ShareBackup::build(ShareBackupConfig::new(8, 1)),
+        ControllerConfig::default(),
+    );
+    let cs = CsId::EdgeAgg { pod: 1, m: 0 };
+    ctl.sb.set_circuit_switch_up(cs, false);
+    let net = &ctl.sb.slots.net;
+    let downed = net.link_ids().filter(|&l| !net.link_usable(l)).count();
+    ctl.report_cs_suspicion(cs, downed as u32);
+    let halted = ctl.is_halted();
+    let slot = GroupId::edge(0).slot(0);
+    let victim = ctl.sb.occupant(slot);
+    ctl.sb.set_phys_healthy(victim, false);
+    let pool_before = ctl.sb.spares(slot.group).len();
+    let refused = !ctl.handle_node_failure(victim, Time::ZERO).fully_recovered();
+    let pool_after = ctl.sb.spares(slot.group).len();
+    ctl.sb.set_circuit_switch_up(cs, true);
+    ctl.resume_after_intervention();
+    let resumed = ctl.handle_node_failure(victim, Time::from_secs(1)).fully_recovered();
+    push(
+        "§5.1",
+        "circuit-switch failure halts recovery until humans intervene",
+        format!(
+            "downed={downed} escalations={} halted_fallbacks={} pool {pool_before}->{pool_after} \
+             recovered after resume={resumed}",
+            ctl.stats.escalations, ctl.stats.halted_fallbacks
+        ),
+        halted
+            && ctl.stats.escalations == 1
+            && refused
+            && ctl.stats.halted_fallbacks == 1
+            && pool_after == pool_before
+            && resumed,
     );
 
     // §5.1: capacity.

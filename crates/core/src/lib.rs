@@ -33,7 +33,6 @@ pub mod detection;
 pub mod diagnosis;
 pub mod failover;
 pub mod latency;
-pub mod maintenance;
 pub mod scenario;
 pub mod timeline;
 
@@ -46,7 +45,6 @@ pub use failover::{
 };
 pub use diagnosis::{diagnose, DiagnosisReport, Verdict};
 pub use latency::{RecoveryLatencyModel, RecoveryScheme};
-pub use maintenance::{RollingUpgrade, UpgradeStep};
 pub use scenario::{
     link_sb_event, map_chaos_schedule, F10World, FatTreeWorld, RecoveryMode, ShareBackupWorld,
 };

@@ -41,12 +41,6 @@ impl CapacityAnalysis {
         5 * self.k / 2
     }
 
-    /// Network-wide concurrent switch failures tolerated (if spread at most
-    /// n per group): n · 5k/2.
-    pub fn total_switch_failures(&self) -> usize {
-        self.n * self.failure_groups()
-    }
-
     /// Hosts in the underlying fat-tree: k³/4.
     pub fn hosts(&self) -> usize {
         self.k * self.k * self.k / 4
@@ -78,7 +72,6 @@ mod tests {
     fn group_counts() {
         let c = CapacityAnalysis::new(16, 2);
         assert_eq!(c.failure_groups(), 40);
-        assert_eq!(c.total_switch_failures(), 80);
         assert_eq!(c.switch_failures_per_group(), 2);
         assert_eq!(c.link_failures_per_group(), 32);
     }

@@ -119,18 +119,6 @@ pub fn one_to_one_additional(k: usize, p: Prices) -> CostBreakdown {
     }
 }
 
-/// Total cost of an architecture (fat-tree baseline included).
-pub fn total_cost(arch: Architecture, k: usize, medium: Medium) -> f64 {
-    let p = Prices::for_medium(medium);
-    let base = fat_tree_cost(k, p).total();
-    match arch {
-        Architecture::FatTree => base,
-        Architecture::ShareBackup { n } => base + sharebackup_additional(k, n, p).total(),
-        Architecture::AspenTree => base + aspen_additional(k, p).total(),
-        Architecture::OneToOneBackup => base + one_to_one_additional(k, p).total(),
-    }
-}
-
 /// Fig. 5's y-axis: additional cost relative to fat-tree, as a fraction
 /// (0.067 = 6.7%).
 pub fn relative_additional(arch: Architecture, k: usize, medium: Medium) -> f64 {
@@ -253,8 +241,8 @@ mod tests {
         let add = sharebackup_additional(16, 2, p);
         assert!(add.circuit_ports > 0.0);
         assert_eq!(
-            total_cost(Architecture::ShareBackup { n: 2 }, 16, Medium::Electrical),
-            b.total() + add.total()
+            relative_additional(Architecture::ShareBackup { n: 2 }, 16, Medium::Electrical),
+            add.total() / b.total()
         );
     }
 

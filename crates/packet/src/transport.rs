@@ -1,7 +1,7 @@
 //! A Reno-like window-based transport, as a pure state machine.
 //!
 //! One instance drives one flow's sender. The network simulator calls
-//! [`RenoFlow::on_ack`] / [`RenoFlow::on_rto`] / [`RenoFlow::take_sends`]
+//! [`RenoFlow::on_ack`] / [`RenoFlow::on_rto`] / [`RenoFlow::sends_into`]
 //! and owns all timing; this module owns only the congestion-control state:
 //!
 //! * slow start (cwnd += 1 MSS per ACK) until `ssthresh`;
@@ -27,7 +27,7 @@ pub struct RenoFlow {
     /// Slow-start threshold, bytes.
     ssthresh: f64,
     dupacks: u32,
-    /// Retransmissions queued by fast retransmit, drained by `take_sends`.
+    /// Retransmissions queued by fast retransmit, drained by `sends_into`.
     pending_rtx: Vec<(u64, u32)>,
     /// Monotone counter invalidating stale RTO timers.
     rto_generation: u64,
@@ -60,19 +60,9 @@ impl RenoFlow {
         }
     }
 
-    /// Bytes successfully acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
-        self.acked
-    }
-
     /// Whether every byte has been acknowledged.
     pub fn finished(&self) -> bool {
         self.acked >= self.total_bytes
-    }
-
-    /// Current congestion window in bytes.
-    pub fn cwnd_bytes(&self) -> f64 {
-        self.cwnd
     }
 
     /// Fast retransmissions performed.
@@ -95,18 +85,11 @@ impl RenoFlow {
         self.next_seq.saturating_sub(self.acked)
     }
 
-    /// Segments the window currently permits: `(seq, len)` pairs. Pending
-    /// retransmissions drain first; then fresh data up to the window. Call
-    /// after construction, after ACKs, and after RTOs; the caller turns
-    /// them into packets.
-    pub fn take_sends(&mut self) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        self.sends_into(&mut out);
-        out
-    }
-
-    /// [`RenoFlow::take_sends`], appending to a caller-owned buffer so a
-    /// simulator can reuse one allocation for every send burst.
+    /// Appends the segments the window currently permits to `out`, as
+    /// `(seq, len)` pairs. Pending retransmissions drain first; then fresh
+    /// data up to the window. Call after construction, after ACKs, and
+    /// after RTOs; the caller turns them into packets. The buffer is the
+    /// caller's, so a simulator reuses one allocation for every send burst.
     pub fn sends_into(&mut self, out: &mut Vec<(u64, u32)>) {
         out.append(&mut self.pending_rtx);
         while !self.finished()
@@ -124,7 +107,7 @@ impl RenoFlow {
     /// Process a cumulative ACK for byte `ack` (first unreceived byte at
     /// the receiver). Returns `true` on a *fast retransmit* trigger; the
     /// retransmitted segment is queued and will come out of the next
-    /// [`RenoFlow::take_sends`].
+    /// [`RenoFlow::sends_into`].
     pub fn on_ack(&mut self, ack: u64) -> bool {
         if ack > self.acked {
             // Fresh ACK: progress resets the RTO backoff.
@@ -253,27 +236,33 @@ impl Receiver {
 mod tests {
     use super::*;
 
+    fn take_sends(f: &mut RenoFlow) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        f.sends_into(&mut out);
+        out
+    }
+
     #[test]
     fn slow_start_doubles_window() {
         let mut f = RenoFlow::new(1_000_000, 1000);
-        let w0 = f.cwnd_bytes();
-        let sends = f.take_sends();
+        let w0 = f.cwnd;
+        let sends = take_sends(&mut f);
         assert_eq!(sends.len(), 2, "initial window = 2 MSS");
         // ACK both segments: window grows by ~1 MSS per ACK.
         f.on_ack(1000);
         f.on_ack(2000);
-        assert!(f.cwnd_bytes() >= w0 + 1900.0, "{}", f.cwnd_bytes());
+        assert!(f.cwnd >= w0 + 1900.0, "{}", f.cwnd);
     }
 
     #[test]
     fn sends_respect_window_and_total() {
         let mut f = RenoFlow::new(2500, 1000);
-        let sends = f.take_sends();
+        let sends = take_sends(&mut f);
         // 2 MSS window → segments (0,1000) and (1000,1000).
         assert_eq!(sends, vec![(0, 1000), (1000, 1000)]);
-        assert!(f.take_sends().is_empty(), "window exhausted");
+        assert!(take_sends(&mut f).is_empty(), "window exhausted");
         f.on_ack(2000);
-        let sends = f.take_sends();
+        let sends = take_sends(&mut f);
         assert_eq!(sends, vec![(2000, 500)], "runt final segment");
     }
 
@@ -281,47 +270,47 @@ mod tests {
     fn triple_dupack_triggers_fast_retransmit() {
         let mut f = RenoFlow::new(100_000, 1000);
         for _ in 0..10 {
-            f.take_sends();
-            let a = f.acked_bytes() + 1000;
+            take_sends(&mut f);
+            let a = f.acked + 1000;
             f.on_ack(a);
         }
-        let w = f.cwnd_bytes();
-        f.take_sends();
-        assert!(!f.on_ack(f.acked_bytes()));
-        assert!(!f.on_ack(f.acked_bytes()));
-        assert!(f.on_ack(f.acked_bytes()), "third dupack retransmits");
-        assert!(f.cwnd_bytes() <= w / 2.0 + 1.0);
+        let w = f.cwnd;
+        take_sends(&mut f);
+        assert!(!f.on_ack(f.acked));
+        assert!(!f.on_ack(f.acked));
+        assert!(f.on_ack(f.acked), "third dupack retransmits");
+        assert!(f.cwnd <= w / 2.0 + 1.0);
         assert_eq!(f.retransmits(), 1);
         // The queued retransmission targets the hole, once.
-        let sends = f.take_sends();
-        assert_eq!(sends[0], (f.acked_bytes(), 1000));
-        assert!(!f.take_sends().iter().any(|&(s, _)| s == f.acked_bytes()));
+        let sends = take_sends(&mut f);
+        assert_eq!(sends[0], (f.acked, 1000));
+        assert!(!take_sends(&mut f).iter().any(|&(s, _)| s == f.acked));
     }
 
     #[test]
     fn rto_collapses_window() {
         let mut f = RenoFlow::new(100_000, 1000);
         for _ in 0..8 {
-            f.take_sends();
-            let a = f.acked_bytes() + 1000;
+            take_sends(&mut f);
+            let a = f.acked + 1000;
             f.on_ack(a);
         }
-        f.take_sends();
+        take_sends(&mut f);
         let gen = f.rto_generation();
         f.on_rto();
-        assert_eq!(f.cwnd_bytes(), 1000.0);
+        assert_eq!(f.cwnd, 1000.0);
         assert_eq!(f.timeouts(), 1);
         assert!(f.rto_generation() > gen);
-        let sends = f.take_sends();
+        let sends = take_sends(&mut f);
         assert_eq!(sends.len(), 1, "one MSS window after RTO");
-        assert_eq!(sends[0].0, f.acked_bytes());
+        assert_eq!(sends[0].0, f.acked);
     }
 
     #[test]
     fn rto_backoff_grows_and_resets_on_progress() {
         let mut f = RenoFlow::new(100_000, 1000);
         assert_eq!(f.rto_multiplier(), 1);
-        f.take_sends();
+        take_sends(&mut f);
         f.on_rto();
         assert_eq!(f.rto_multiplier(), 2);
         f.on_rto();
@@ -333,7 +322,7 @@ mod tests {
         }
         assert_eq!(f.rto_multiplier(), 256);
         // Progress resets it.
-        f.take_sends();
+        take_sends(&mut f);
         f.on_ack(1000);
         assert_eq!(f.rto_multiplier(), 1);
     }
@@ -341,11 +330,11 @@ mod tests {
     #[test]
     fn finishes_exactly_at_total() {
         let mut f = RenoFlow::new(1500, 1000);
-        let sends = f.take_sends();
+        let sends = take_sends(&mut f);
         assert_eq!(sends, vec![(0, 1000), (1000, 500)]);
         f.on_ack(1500);
         assert!(f.finished());
-        assert!(f.take_sends().is_empty());
+        assert!(take_sends(&mut f).is_empty());
     }
 
     #[test]

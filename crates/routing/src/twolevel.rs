@@ -174,11 +174,6 @@ impl TwoLevelTables {
         self.k
     }
 
-    /// The table of edge position E_{pod,j}.
-    pub fn edge_table(&self, pod: usize, j: usize) -> &SwitchTable {
-        &self.edge_tables[pod][j]
-    }
-
     /// The table shared by all aggregation positions of `pod`.
     pub fn agg_table(&self, pod: usize) -> &SwitchTable {
         &self.agg_tables[pod]
@@ -278,7 +273,7 @@ mod tests {
     #[test]
     fn entry_counts_are_small() {
         let t = TwoLevelTables::build(16);
-        assert_eq!(t.edge_table(0, 0).entry_count(), 1 + 8);
+        assert_eq!(t.edge_tables[0][0].entry_count(), 1 + 8);
         assert_eq!(t.agg_table(0).entry_count(), 8 + 8);
         assert_eq!(t.core_table().entry_count(), 16);
     }

@@ -276,23 +276,6 @@ impl<E> Engine<E> {
             world.handle(self, at, event);
         }
     }
-
-    /// Run until at most `limit` more events have been delivered. Returns the
-    /// number actually delivered (less than `limit` iff the queue drained or
-    /// the horizon was reached).
-    pub fn run_steps(&mut self, world: &mut impl World<E>, limit: u64) -> u64 {
-        let mut delivered = 0;
-        while delivered < limit {
-            match self.pop() {
-                Some((at, event)) => {
-                    world.handle(self, at, event);
-                    delivered += 1;
-                }
-                None => break,
-            }
-        }
-        delivered
-    }
 }
 
 #[cfg(test)]
@@ -480,18 +463,5 @@ mod tests {
         engine.set_horizon(Time::from_secs(10));
         assert!(engine.pop().is_none());
         assert_eq!(engine.now(), Time::from_secs(10));
-    }
-
-    #[test]
-    fn run_steps_limits_delivery() {
-        let mut engine: Engine<Ev> = Engine::new();
-        for n in 0..10 {
-            engine.schedule(Time::from_secs(n as u64), Ev::A(n));
-        }
-        let delivered = engine.run_steps(&mut |_: &mut Engine<Ev>, _now, _ev: Ev| {}, 4);
-        assert_eq!(delivered, 4);
-        assert_eq!(engine.pending(), 6);
-        let rest = engine.run_steps(&mut |_: &mut Engine<Ev>, _now, _ev: Ev| {}, 100);
-        assert_eq!(rest, 6);
     }
 }

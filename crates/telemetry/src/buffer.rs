@@ -166,11 +166,6 @@ impl MemSink {
     pub fn buffer(&self) -> &TraceBuffer {
         &self.buf
     }
-
-    /// Spans currently open (begun but not ended).
-    pub fn open_spans(&self) -> usize {
-        self.depth
-    }
 }
 
 impl Sink for MemSink {
@@ -239,7 +234,7 @@ mod tests {
         s.span_begin(Time::from_secs(1), "a", "closed");
         s.span_end(Time::from_secs(2));
         s.span_begin(Time::from_secs(3), "a", "dangling");
-        assert_eq!(s.open_spans(), 1);
+        assert_eq!(s.depth, 1);
         let spans = s.take().spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "closed");
@@ -267,7 +262,7 @@ mod tests {
         s.span_begin(Time::ZERO, "a", "open");
         let first = s.take();
         assert_eq!(first.events.len(), 1);
-        assert_eq!(s.open_spans(), 0);
+        assert_eq!(s.depth, 0);
         assert_eq!(s.take(), TraceBuffer::default());
     }
 

@@ -87,12 +87,6 @@ impl CablingReport {
             side_cables: side_ends / 2,
         }
     }
-
-    /// All cables (each splicing one pre-ShareBackup cable into two halves,
-    /// which the paper prices as one original cable — §5.2).
-    pub fn total_cables(&self) -> usize {
-        self.switch_cables + self.host_cables + self.side_cables
-    }
 }
 
 #[cfg(test)]
@@ -120,10 +114,6 @@ mod tests {
         // pair (a ring of m nodes has m cables) — 3 rings per pod... the
         // ring is within (pod, layer): 3·k rings of k/2 cables.
         assert_eq!(r.side_cables, 3 * k * half);
-        assert_eq!(
-            r.total_cables(),
-            switches * k + k * k * k / 4 + 3 * k * half
-        );
     }
 
     #[test]

@@ -44,14 +44,6 @@ impl CircuitTech {
             CircuitTech::Mems2D => 32,
         }
     }
-
-    /// Per-port market price in dollars (paper Table 2).
-    pub fn per_port_cost(self) -> f64 {
-        match self {
-            CircuitTech::Crosspoint => 3.0,
-            CircuitTech::Mems2D => 10.0,
-        }
-    }
 }
 
 /// A port index on one circuit switch.
@@ -223,14 +215,6 @@ impl CircuitSwitch {
             }
         }
     }
-
-    /// Find the port to which `what` is attached, if any.
-    pub fn port_of(&self, what: Attachment) -> Option<CsPort> {
-        self.attachments
-            .iter()
-            .position(|&a| a == what)
-            .map(CsPort)
-    }
 }
 
 #[cfg(test)]
@@ -249,8 +233,6 @@ mod tests {
         );
         assert_eq!(CircuitTech::Mems2D.max_ports(), 32);
         assert_eq!(CircuitTech::Crosspoint.max_ports(), 256);
-        assert_eq!(CircuitTech::Crosspoint.per_port_cost(), 3.0);
-        assert_eq!(CircuitTech::Mems2D.per_port_cost(), 10.0);
     }
 
     #[test]
@@ -305,9 +287,7 @@ mod tests {
         };
         cs.attach(CsPort(1), att);
         assert_eq!(cs.attachment(CsPort(1)), att);
-        assert_eq!(cs.port_of(att), Some(CsPort(1)));
         assert_eq!(cs.attachment(CsPort(0)), Attachment::Empty);
-        assert_eq!(cs.port_of(Attachment::Host(NodeId(9))), None);
     }
 
     #[test]

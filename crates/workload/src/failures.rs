@@ -135,11 +135,6 @@ impl FailureInjector {
         FailureInjector { switches, links }
     }
 
-    /// Number of switch candidates.
-    pub fn switch_count(&self) -> usize {
-        self.switches.len()
-    }
-
     /// Number of link candidates.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -459,7 +454,7 @@ mod tests {
     fn candidates_counted_correctly() {
         let (_ft, inj) = inj();
         // k=4: 8 edge + 8 agg + 4 core switches, 16 + 32 links.
-        assert_eq!(inj.switch_count(), 20);
+        assert_eq!(inj.switches.len(), 20);
         assert_eq!(inj.link_count(), 48);
     }
 
@@ -532,11 +527,11 @@ mod tests {
         assert!(domains[..4].iter().all(|d| d.len() == 4));
         assert_eq!(domains[4].len(), 4);
         let total: usize = domains.iter().map(Vec::len).sum();
-        assert_eq!(total, inj.switch_count());
+        assert_eq!(total, inj.switches.len());
         let mut all: Vec<_> = domains.concat();
         all.sort();
         all.dedup();
-        assert_eq!(all.len(), inj.switch_count());
+        assert_eq!(all.len(), inj.switches.len());
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Control-plane integration scenarios: controller failover during
-//! recovery, circuit-switch escalation end-to-end, and rolling maintenance
-//! under live traffic.
+//! recovery and circuit-switch escalation end-to-end.
 
 use sharebackup::core::{
-    Controller, ControllerConfig, FailoverConfig, FailoverPlane, FailureReport, RollingUpgrade,
+    Controller, ControllerConfig, FailoverConfig, FailoverPlane, FailureReport,
 };
-use sharebackup::flowsim::{Environment, FlowSim, FlowSpec};
-use sharebackup::routing::FlowKey;
 use sharebackup::sim::{Duration, Time};
-use sharebackup::topo::{CsId, GroupId, HostAddr, ShareBackup, ShareBackupConfig};
+use sharebackup::topo::{CsId, GroupId, ShareBackup, ShareBackupConfig};
 
 #[test]
 fn primary_controller_failure_delays_recovery_by_one_election() {
@@ -126,76 +123,4 @@ fn circuit_switch_failure_escalates_and_humans_fix_it() {
     // Retry the blocked recovery.
     let r = ctl.handle_node_failure(victim, Time::from_secs(1));
     assert!(r.fully_recovered());
-}
-
-/// Environment wrapper: static ECMP over the controller's slot network,
-/// with an optional maintenance campaign stepped at each epoch.
-struct SbStatic {
-    ctl: Controller,
-    campaign_slot: Option<RollingUpgrade>,
-}
-
-impl Environment for SbStatic {
-    fn capacity(&self, l: sharebackup::topo::LinkId) -> f64 {
-        self.ctl.sb.slots.net.link(l).capacity_bps
-    }
-    fn link_between(
-        &self,
-        a: sharebackup::topo::NodeId,
-        b: sharebackup::topo::NodeId,
-    ) -> Option<sharebackup::topo::LinkId> {
-        self.ctl.sb.slots.net.link_between(a, b)
-    }
-    fn route(&mut self, flow: &FlowKey) -> Option<Vec<sharebackup::topo::NodeId>> {
-        let p = sharebackup::routing::ecmp_path(&self.ctl.sb.slots, flow);
-        self.ctl.sb.slots.net.path_usable(&p).then_some(p)
-    }
-    fn on_epoch(&mut self, index: usize, now: Time) {
-        // Each epoch = one maintenance step.
-        let mut campaign = std::mem::take(&mut self.campaign_slot);
-        if let Some(c) = campaign.as_mut() {
-            let _ = c.step(&mut self.ctl, now);
-            let _ = index;
-        }
-        self.campaign_slot = campaign;
-    }
-}
-
-impl SbStatic {
-    fn new(ctl: Controller) -> SbStatic {
-        SbStatic {
-            ctl,
-            campaign_slot: None,
-        }
-    }
-}
-
-#[test]
-fn rolling_maintenance_under_live_traffic() {
-    let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
-    let ctl = Controller::new(sb, ControllerConfig::default());
-    let mut env = SbStatic::new(ctl);
-    env.campaign_slot = Some(RollingUpgrade::new(
-        GroupId::agg(2),
-        Duration::from_secs(2),
-    ));
-
-    // Long-lived flows crossing pod 2's aggs while the whole group cycles
-    // through upgrades.
-    let src = env.ctl.sb.slots.host(HostAddr { pod: 2, edge: 0, host: 0 });
-    let dst = env.ctl.sb.slots.host(HostAddr { pod: 3, edge: 1, host: 1 });
-    let flows: Vec<FlowSpec> = (0..4)
-        .map(|id| FlowSpec {
-            key: FlowKey::new(src, dst, id),
-            bytes: 12_500_000_000, // 10 s at 10 Gbps aggregate
-            arrival: Time::ZERO,
-        })
-        .collect();
-    // Maintenance steps every 3 s.
-    let epochs: Vec<Time> = (1..8).map(|i| Time::from_secs(i * 3)).collect();
-    let out = FlowSim::with_horizon(Time::from_secs(120)).run(&mut env, &flows, &epochs);
-    // All traffic completes despite every agg of the pod being swapped out.
-    assert!(out.flows.iter().all(|f| f.completed.is_some()));
-    let campaign = env.campaign_slot.expect("campaign exists");
-    assert_eq!(campaign.upgraded().len(), 3, "k/2 + n members upgraded");
 }
