@@ -9,7 +9,9 @@
 //! `diagnosis_enabled` knob differs — and we measure switches out of
 //! service and recovery fallbacks (pool exhaustion). An arm skips a
 //! failure whose switch is already out, and the arm without diagnosis has
-//! more out, so each row records the link failures it handled.
+//! more out, so each row records the link failures it handled. Switches
+//! out of service are sampled at every trial's instant in both arms,
+//! handled or skipped, so the two means average the same instants.
 
 use minijson::Value;
 use sharebackup_bench::report::{
@@ -44,11 +46,11 @@ fn run(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Value {
         let a = (e + m) % half;
         let edge = ctl.sb.occupant(GroupId::edge(pod).slot(e));
         let agg = ctl.sb.occupant(GroupId::agg(pod).slot(a));
-        if !ctl.sb.phys(edge).healthy || !ctl.sb.phys(agg).healthy {
-            continue; // slot already down from an unrecovered failure
+        // A slot already down from an unrecovered failure skips the trial.
+        if ctl.sb.phys(edge).healthy && ctl.sb.phys(agg).healthy {
+            ctl.sb.set_iface_broken(edge, half + m, true);
+            let _ = ctl.handle_link_failure((edge, half + m), (agg, m), now);
         }
-        ctl.sb.set_iface_broken(edge, half + m, true);
-        let _ = ctl.handle_link_failure((edge, half + m), (agg, m), now);
         let out = ctl
             .sb
             .group_ids()
@@ -65,6 +67,7 @@ fn run(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Value {
         "exonerated": ctl.stats.exonerations,
         "convicted": ctl.stats.convictions,
         "fallbacks": ctl.stats.fallbacks,
+        "samples": out_samples.len(),
         "mean_switches_out": out_samples.iter().sum::<f64>() / out_samples.len().max(1) as f64,
         "peak_switches_out": peak,
     })
@@ -94,12 +97,13 @@ fn main() {
     report::print_claims(&claims(&rows[0], &rows[1]));
 }
 
-const COLUMNS: [Column; 7] = [
+const COLUMNS: [Column; 8] = [
     Column::new("diagnosis", "diagnosis", Text),
     Column::new("link failures", "link_failures", Int),
     Column::new("exonerated", "exonerated", Int),
     Column::new("convicted", "convicted", Int),
     Column::new("fallbacks", "fallbacks", Int),
+    Column::new("samples", "samples", Int),
     Column::new("mean sw out", "mean_switches_out", Fixed(2, "")),
     Column::new("peak sw out", "peak_switches_out", Int),
 ];

@@ -1,6 +1,7 @@
 //! `ablation_diagnosis` must account for every link failure each arm
 //! handled: without diagnosis each convicts both suspects, with it each
-//! convicts one and exonerates the other.
+//! convicts one and exonerates the other. Both arms must sample switches
+//! out of service at every trial's instant, so their means are paired.
 
 use std::process::Command;
 
@@ -32,6 +33,10 @@ fn each_arm_convicts_per_handled_link_failure() {
         )
     };
     assert_eq!(rows.len(), 2, "{text}");
+    // `--trials` defaults to 100; a skipped trial is still sampled.
+    for r in rows {
+        assert_eq!(r["samples"].as_i64(), Some(100), "{text}");
+    }
     let (failures, exonerated, convicted) = arm(true);
     assert!(failures > 0, "{text}");
     assert_eq!((exonerated, convicted), (failures, failures), "{text}");

@@ -5,6 +5,7 @@
 //! against a fresh filler's first solve.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use proptest::prelude::*;
 use sharebackup_flowsim::{max_min_rates, max_min_rates_reference, SolveStats, WaterFiller};
@@ -297,6 +298,18 @@ impl Lifecycle {
         self.model.keys().nth(n % self.model.len().max(1)).copied()
     }
 
+    /// The `n`-th flow (modulo their count) of those crossing links in
+    /// `region` only.
+    fn nth_in(&self, n: usize, region: &Range<u32>) -> Option<usize> {
+        let inside: Vec<usize> = self
+            .model
+            .iter()
+            .filter(|(_, f)| !f.links.is_empty() && f.links.iter().all(|l| region.contains(&l.0)))
+            .map(|(&fid, _)| fid)
+            .collect();
+        inside.get(n % inside.len().max(1)).copied()
+    }
+
     fn dense(&mut self, links: &[u32]) -> Vec<u32> {
         links
             .iter()
@@ -314,6 +327,17 @@ impl Lifecycle {
 
     /// Apply `op`, then solve and check.
     fn step(&mut self, op: Op) -> Result<(), String> {
+        self.apply(op, None)?;
+        self.solve_and_check()
+    }
+
+    /// Apply `op` without solving. With a `region`, removals, stalls and
+    /// re-routes pick among the flows confined to it.
+    fn apply(&mut self, op: Op, region: Option<&Range<u32>>) -> Result<(), String> {
+        let pick = |life: &Lifecycle, n: usize| match region {
+            Some(r) => life.nth_in(n, r),
+            None => life.nth(n),
+        };
         match op {
             Op::Add(links) => {
                 let dense = self.dense(&links);
@@ -324,19 +348,19 @@ impl Lifecycle {
                 self.model.insert(fid, ModelFlow { links, stalled: false });
             }
             Op::Remove(n) => {
-                if let Some(fid) = self.nth(n) {
+                if let Some(fid) = pick(self, n) {
                     self.wf.remove_flow(fid);
                     self.mutated.insert(fid);
                     self.model.remove(&fid);
                 }
             }
             Op::Stall(n, stalled) => {
-                if let Some(fid) = self.nth(n) {
+                if let Some(fid) = pick(self, n) {
                     self.set_stalled(fid, stalled);
                 }
             }
             Op::SetLinks(n, links) => {
-                if let Some(fid) = self.nth(n) {
+                if let Some(fid) = pick(self, n) {
                     let dense = self.dense(&links);
                     self.wf.set_links(fid, dense);
                     self.mutated.insert(fid);
@@ -366,7 +390,7 @@ impl Lifecycle {
                 }
             }
         }
-        self.solve_and_check()
+        Ok(())
     }
 
     /// Solve, then hold the long-lived filler to the reference solver
@@ -479,6 +503,122 @@ proptest! {
         // idle solves and links that empty and refill. After every solve its
         // rates must match the reference solver run from scratch on the
         // current running set, and equal a fresh filler's bit for bit.
+        let mut life = Lifecycle::new(scale);
+        for op in ops {
+            life.step(op)?;
+        }
+    }
+}
+
+/// The two regions of [`regional_lifecycles`]: no flow crosses both.
+const REGIONS: [Range<u32>; 2] = [0..6, 6..12];
+
+/// One mutation confined to `region`: arrivals and re-routes over one to
+/// three of its links, removals and stalls of its flows.
+fn regional_op(region: Range<u32>) -> impl Strategy<Value = Op> {
+    (
+        0u32..6,
+        0u32..64,
+        prop::collection::btree_set(region, 1..=3),
+        any::<bool>(),
+    )
+        .prop_map(|(kind, n, links, flag)| {
+            let links: Vec<u32> = links.into_iter().collect();
+            match kind {
+                0..=2 => Op::Add(links),
+                3 => Op::Remove(n as usize),
+                4 => Op::Stall(n as usize, flag),
+                _ => Op::SetLinks(n as usize, links),
+            }
+        })
+}
+
+/// Sequences of solves, each after one mutation in each region, at unit or
+/// Gb/s scale. The regions' batches interleave in level, so a solve must
+/// redo batches of both and keep the ones between.
+fn regional_lifecycles() -> impl Strategy<Value = (Vec<(Op, Op)>, f64)> {
+    (
+        prop::collection::vec(
+            (
+                regional_op(REGIONS[0].clone()),
+                regional_op(REGIONS[1].clone()),
+            ),
+            1..40,
+        ),
+        prop::sample::select(vec![1.0f64, 1e10]),
+    )
+}
+
+/// A flow `f` over links 0 and 1 and `others` flows over link 0 alone
+/// share link 0; `tied` flows over links 1 and 2 are held by link 2. Link 1
+/// has slack to begin with (its capacity exceeds what `f` and the tied
+/// flows take), so it saturates in no batch. Removing the others one at a
+/// time raises `f`'s rate until link 1's slack is gone and it saturates,
+/// capping `f` or the tied flows: a change that reaches them only through
+/// a link that never saturated. Noise flows over links 3 to 7 add batches
+/// around it. Returns the mutations and the scale.
+fn slack_lifecycles() -> impl Strategy<Value = (Vec<Op>, f64)> {
+    (
+        (
+            1.0f64..20.0,
+            1usize..6,
+            1.0f64..10.0,
+            1usize..4,
+            0.05f64..0.95,
+        ),
+        prop::collection::vec(prop::collection::btree_set(0u32..5, 1..=2), 0..6),
+        prop::sample::select(vec![1.0f64, 1e10]),
+    )
+        .prop_map(|((cx, others, cz, tied, slack), noise, scale)| {
+            // Link 1's spare capacity over what the tied flows and `f` use
+            // at first, as a fraction of what `f` gains once alone on link 0.
+            let first = cx / (others + 1) as f64;
+            let cy = cz + first + slack * (cx - first);
+            let mut ops = vec![
+                Op::Capacity(0, cx),
+                Op::Capacity(1, cy),
+                Op::Capacity(2, cz),
+            ];
+            ops.push(Op::Add(vec![0, 1]));
+            ops.extend((0..others).map(|_| Op::Add(vec![0])));
+            ops.extend((0..tied).map(|_| Op::Add(vec![1, 2])));
+            ops.extend(
+                noise
+                    .into_iter()
+                    .map(|links| Op::Add(links.into_iter().map(|l| l + 3).collect())),
+            );
+            // `f` holds the first id, the others the next ones: removing
+            // the model's second flow removes one of them each time.
+            ops.extend((0..others).map(|_| Op::Remove(1)));
+            (ops, scale)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn two_regions_mutated_in_one_solve_match_a_cold_solve(
+        (steps, scale) in regional_lifecycles()
+    ) {
+        // Each solve follows one mutation in each of two regions that share
+        // no link; after every solve the long-lived filler must equal a
+        // fresh filler bit for bit.
+        let mut life = Lifecycle::new(scale);
+        for (a, b) in steps {
+            life.apply(a, Some(&REGIONS[0]))?;
+            life.apply(b, Some(&REGIONS[1]))?;
+            life.solve_and_check()?;
+        }
+    }
+
+    #[test]
+    fn rate_rising_through_a_never_saturated_link_matches_a_cold_solve(
+        (ops, scale) in slack_lifecycles()
+    ) {
+        // The change reaches the tied flows only through link 1, which no
+        // batch of the log saturated: a walk that follows only saturated
+        // links keeps their stale rates.
         let mut life = Lifecycle::new(scale);
         for op in ops {
             life.step(op)?;
