@@ -34,8 +34,16 @@ fn main() {
     cli.finish();
     let model = RecoveryLatencyModel::default();
     let ft = FatTree::build(FatTreeConfig::new(4));
-    let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 0 });
+    let src = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 2,
+        edge: 1,
+        host: 0,
+    });
     let flow = FlowKey::new(src, dst, 1);
     let path = ecmp_path(&ft, &flow);
     let core = path[3];
@@ -44,8 +52,11 @@ fn main() {
     // Three independent packet-level runs (clean reference + one per
     // technology) share nothing but immutable inputs, so they fan out
     // across `--jobs` threads; index order fixes the row order.
-    let configs: [Option<CircuitTech>; 3] =
-        [None, Some(CircuitTech::Crosspoint), Some(CircuitTech::Mems2D)];
+    let configs: [Option<CircuitTech>; 3] = [
+        None,
+        Some(CircuitTech::Crosspoint),
+        Some(CircuitTech::Mems2D),
+    ];
     let rows = parallel_map_indexed(jobs, configs.len(), |i| {
         let (name, events) = match configs[i] {
             None => ("no failure".to_string(), vec![]),

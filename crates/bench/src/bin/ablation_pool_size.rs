@@ -116,7 +116,10 @@ fn main() {
                 .iter()
                 .find(|r| r["mtbf_s"] == mtbf && r["n"] == n)
                 .expect("row");
-            print!(" {:>9.1}%", 100.0 * r["unmasked_fraction"].as_f64().expect("v"));
+            print!(
+                " {:>9.1}%",
+                100.0 * r["unmasked_fraction"].as_f64().expect("v")
+            );
         }
         println!();
     }

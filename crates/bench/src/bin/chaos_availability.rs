@@ -931,7 +931,13 @@ mod tests {
                 panic!("a row is a JSON object");
             };
             let keys: BTreeSet<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
-            assert_eq!(keys.len(), members.len(), "{} {}", row.scn.name, mode_name(row.t.mode));
+            assert_eq!(
+                keys.len(),
+                members.len(),
+                "{} {}",
+                row.scn.name,
+                mode_name(row.t.mode)
+            );
         }
     }
 
@@ -940,7 +946,10 @@ mod tests {
         // Two traced trials of one cell: each trace carries the trial's
         // whole `controller.*` block, and their sum is the row's counters.
         let scns = scenarios();
-        let scn = scns.iter().find(|s| s.name == "full-chaos").expect("scenario");
+        let scn = scns
+            .iter()
+            .find(|s| s.name == "full-chaos")
+            .expect("scenario");
         let t = scn.treatments[1];
         let mut agg = TrialOut::default();
         let mut traced: BTreeMap<&str, u64> = BTreeMap::new();

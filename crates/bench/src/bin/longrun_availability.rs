@@ -19,9 +19,7 @@ use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::total_usable_capacity;
 use sharebackup_flowsim::Environment;
 use sharebackup_sim::{Duration, SimRng, Time};
-use sharebackup_topo::{
-    FatTree, FatTreeConfig, Network, NodeKind, ShareBackup, ShareBackupConfig,
-};
+use sharebackup_topo::{FatTree, FatTreeConfig, Network, NodeKind, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{FailureEvent, FailureInjector};
 
 const WEEK: u64 = 7 * 24 * 3600;
@@ -61,12 +59,7 @@ impl Tally {
 fn stranded_hosts(net: &Network) -> usize {
     net.node_ids()
         .filter(|&h| net.node(h).kind == NodeKind::Host)
-        .filter(|&h| {
-            !net
-                .incident(h)
-                .iter()
-                .any(|&l| net.link_usable(l))
-        })
+        .filter(|&h| !net.incident(h).iter().any(|&l| net.link_usable(l)))
         .count()
 }
 

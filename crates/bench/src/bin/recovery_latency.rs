@@ -28,8 +28,16 @@ use sharebackup_topo::{CircuitTech, FatTree, FatTreeConfig, HostAddr};
 /// alternate path — models rerouting).
 fn disrupted_transfer(recovery: Duration, reroute: bool) -> Time {
     let ft = FatTree::build(FatTreeConfig::new(4));
-    let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 0 });
+    let src = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 2,
+        edge: 1,
+        host: 0,
+    });
     let flow = FlowKey::new(src, dst, 1);
     let path = ecmp_path(&ft, &flow);
     let core = path[3];
@@ -86,7 +94,11 @@ fn main() {
             RecoveryScheme::ShareBackup(CircuitTech::Mems2D),
             false,
         ),
-        ("F10/Aspen local reroute", RecoveryScheme::LocalReroute, true),
+        (
+            "F10/Aspen local reroute",
+            RecoveryScheme::LocalReroute,
+            true,
+        ),
         (
             "fat-tree global reroute",
             RecoveryScheme::GlobalReroute {

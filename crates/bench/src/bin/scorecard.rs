@@ -31,7 +31,11 @@ fn checks() -> Vec<Check> {
     push(
         "§3",
         "5k/2 failure groups, 3k²/2 circuit switches",
-        format!("{} groups, {} CS at k=8", sb.group_ids().len(), sb.circuit_switch_count()),
+        format!(
+            "{} groups, {} CS at k=8",
+            sb.group_ids().len(),
+            sb.circuit_switch_count()
+        ),
         sb.group_ids().len() == 20 && sb.circuit_switch_count() == 96,
     );
     push(
@@ -96,7 +100,10 @@ fn checks() -> Vec<Check> {
     push(
         "§4.2",
         "healthy offline suspect passes a circuit-executed test",
-        format!("{}/{} configs passed", report.tests_passed, report.configs_tested),
+        format!(
+            "{}/{} configs passed",
+            report.tests_passed, report.configs_tested
+        ),
         report.verdict == Verdict::Healthy,
     );
 
@@ -117,7 +124,10 @@ fn checks() -> Vec<Check> {
     );
     let mut plane = FailoverPlane::with_chaos(
         FailoverConfig::default(),
-        ChaosConfig { control_loss_rate: 1.0, ..ChaosConfig::off() },
+        ChaosConfig {
+            control_loss_rate: 1.0,
+            ..ChaosConfig::off()
+        },
         SimRng::seed_from_u64(5).child("scorecard-control"),
     );
     let victim = ctl.sb.occupant(GroupId::agg(0).slot(0));
@@ -164,11 +174,15 @@ fn checks() -> Vec<Check> {
     let victim = ctl.sb.occupant(slot);
     ctl.sb.set_phys_healthy(victim, false);
     let pool_before = ctl.sb.spares(slot.group).len();
-    let refused = !ctl.handle_node_failure(victim, Time::ZERO).fully_recovered();
+    let refused = !ctl
+        .handle_node_failure(victim, Time::ZERO)
+        .fully_recovered();
     let pool_after = ctl.sb.spares(slot.group).len();
     ctl.sb.set_circuit_switch_up(cs, true);
     ctl.resume_after_intervention();
-    let resumed = ctl.handle_node_failure(victim, Time::from_secs(1)).fully_recovered();
+    let resumed = ctl
+        .handle_node_failure(victim, Time::from_secs(1))
+        .fully_recovered();
     push(
         "§5.1",
         "circuit-switch failure halts recovery until humans intervene",
@@ -190,7 +204,11 @@ fn checks() -> Vec<Check> {
     push(
         "§5.1",
         "k=48,n=1: 4.17% backup ratio, >400x headroom",
-        format!("{:.2}% ratio, {:.0}x", 100.0 * c.backup_ratio(), c.headroom_over(0.0001)),
+        format!(
+            "{:.2}% ratio, {:.0}x",
+            100.0 * c.backup_ratio(),
+            c.headroom_over(0.0001)
+        ),
         (c.backup_ratio() - 1.0 / 24.0).abs() < 1e-12 && c.headroom_over(0.0001) > 400.0,
     );
 
@@ -201,7 +219,12 @@ fn checks() -> Vec<Check> {
     push(
         "§5.2",
         "ShareBackup adds 6.7% (E-DC) / 13.3% (O-DC); 1:1 is 4x fat-tree",
-        format!("{:.1}% / {:.1}% / +{:.0}%", 100.0 * sb_e, 100.0 * sb_o, 100.0 * one),
+        format!(
+            "{:.1}% / {:.1}% / +{:.0}%",
+            100.0 * sb_e,
+            100.0 * sb_o,
+            100.0 * one
+        ),
         (sb_e - 0.067).abs() < 0.001 && (sb_o - 0.133).abs() < 0.001 && (one - 3.0).abs() < 1e-9,
     );
 
@@ -271,7 +294,10 @@ fn main() {
         return;
     }
 
-    println!("ShareBackup reproduction scorecard — {passed}/{} checks pass", checks.len());
+    println!(
+        "ShareBackup reproduction scorecard — {passed}/{} checks pass",
+        checks.len()
+    );
     report::print_claims(&checks);
     if passed != checks.len() {
         std::process::exit(1);

@@ -7,8 +7,7 @@ use minijson::Value;
 use sharebackup_bench::report::{self, num, Check};
 use sharebackup_bench::Cli;
 use sharebackup_cost::model::{
-    aspen_additional, fat_tree_cost, one_to_one_additional, sharebackup_additional, Medium,
-    Prices,
+    aspen_additional, fat_tree_cost, one_to_one_additional, sharebackup_additional, Medium, Prices,
 };
 
 fn main() {
@@ -60,7 +59,11 @@ fn main() {
             r["prices"]["b"],
             r["prices"]["c"]
         );
-        println!("  {:<14} ${:>14.0}", "fat-tree", r["fat_tree"].as_f64().expect("v"));
+        println!(
+            "  {:<14} ${:>14.0}",
+            "fat-tree",
+            r["fat_tree"].as_f64().expect("v")
+        );
         println!(
             "  {:<14} ${:>14.0}  (+{:.1}% over fat-tree)",
             "ShareBackup",

@@ -18,11 +18,10 @@ use sharebackup_bench::report::{self, num, Check, Column};
 use sharebackup_bench::Cli;
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::{total_usable_capacity, upstream_repair};
-use sharebackup_routing::{ecmp_path, ecmp::ecmp_path_f10, F10Router, FlowKey, GlobalReroute};
+use sharebackup_routing::{ecmp::ecmp_path_f10, ecmp_path, F10Router, FlowKey, GlobalReroute};
 use sharebackup_sim::Time;
 use sharebackup_topo::{
-    F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, NodeId, ShareBackup,
-    ShareBackupConfig,
+    F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, NodeId, ShareBackup, ShareBackupConfig,
 };
 
 /// Index in `path` of the node adjacent (source side) to the failed link
@@ -62,8 +61,16 @@ fn candidate_keys(k: usize, host: impl Fn(HostAddr) -> sharebackup_topo::NodeId)
             }
             for _ in 0..8 {
                 keys.push(FlowKey::new(
-                    host(HostAddr { pod: s, edge: 0, host: 0 }),
-                    host(HostAddr { pod: d, edge: 1, host: 1 }),
+                    host(HostAddr {
+                        pod: s,
+                        edge: 0,
+                        host: 0,
+                    }),
+                    host(HostAddr {
+                        pod: d,
+                        edge: 1,
+                        host: 1,
+                    }),
                     id,
                 ));
                 id += 1;

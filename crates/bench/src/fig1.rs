@@ -201,7 +201,11 @@ impl AbstractFailure {
                 TopoEvent::FailLink(l)
             }
             AbstractFailure::LinkHost { pod, e, h } => {
-                let host = ft.host(HostAddr { pod, edge: e, host: h });
+                let host = ft.host(HostAddr {
+                    pod,
+                    edge: e,
+                    host: h,
+                });
                 let l = ft
                     .net
                     .link_between(host, ft.edge(pod, e))
@@ -236,7 +240,11 @@ impl AbstractFailure {
                 TopoEvent::FailLink(l)
             }
             AbstractFailure::LinkHost { pod, e, h } => {
-                let host = f10.host(HostAddr { pod, edge: e, host: h });
+                let host = f10.host(HostAddr {
+                    pod,
+                    edge: e,
+                    host: h,
+                });
                 let l = f10
                     .net
                     .link_between(host, f10.edge(pod, e))
@@ -299,11 +307,7 @@ pub fn run_fattree_failure(
         TopoEvent::FailLink(l) => TopoEvent::RepairLink(l),
         _ => unreachable!("failures only"),
     };
-    let mut world = FatTreeWorld::new(
-        ft,
-        RecoveryMode::GlobalOptimal,
-        vec![fail_ev, repair_ev],
-    );
+    let mut world = FatTreeWorld::new(ft, RecoveryMode::GlobalOptimal, vec![fail_ev, repair_ev]);
     let epochs = [setup.fail_at, setup.fail_at + setup.outage];
     let out = FlowSim::new().run(&mut world, &trace.specs, &epochs);
     ccts(trace, &out)
@@ -318,11 +322,7 @@ pub fn run_f10_baseline(setup: &Fig1Setup, trace: &CoflowTrace) -> CctRun {
 }
 
 /// Run an F10 trial with one failure, local rerouting.
-pub fn run_f10_failure(
-    setup: &Fig1Setup,
-    trace: &CoflowTrace,
-    failure: AbstractFailure,
-) -> CctRun {
+pub fn run_f10_failure(setup: &Fig1Setup, trace: &CoflowTrace, failure: AbstractFailure) -> CctRun {
     let f10 = F10Topology::build(setup.ft_config());
     let fail_ev = failure.to_f10(&f10);
     let repair_ev = match fail_ev {
@@ -453,43 +453,34 @@ pub fn impact_sweep(
     let ft = FatTree::build(setup.ft_config());
     let mut results = Vec::new();
     for &count in failure_counts {
-        let fractions =
-            crate::parallel::parallel_map_indexed(jobs, trials, |trial| {
-                let trace = setup.trace(&ft, trial);
-                let paths: Vec<Vec<_>> = trace
-                    .specs
-                    .iter()
-                    .map(|s| ecmp_path(&ft, &s.key))
-                    .collect();
-                let mut net = ft.net.clone();
-                let mut rng = SimRng::seed_from_u64(setup.seed)
-                    .child(&format!("impact-{node_mode}-{count}-{trial}"));
-                for _ in 0..count {
-                    let f = if node_mode {
-                        AbstractFailure::sample_node(&mut rng, setup.k)
-                    } else {
-                        AbstractFailure::sample_link(&mut rng, setup.k)
-                    };
-                    match f.to_fattree(&ft) {
-                        TopoEvent::FailNode(n) => net.set_node_up(n, false),
-                        TopoEvent::FailLink(l) => net.set_link_up(l, false),
-                        _ => unreachable!(),
-                    }
+        let fractions = crate::parallel::parallel_map_indexed(jobs, trials, |trial| {
+            let trace = setup.trace(&ft, trial);
+            let paths: Vec<Vec<_>> = trace.specs.iter().map(|s| ecmp_path(&ft, &s.key)).collect();
+            let mut net = ft.net.clone();
+            let mut rng = SimRng::seed_from_u64(setup.seed)
+                .child(&format!("impact-{node_mode}-{count}-{trial}"));
+            for _ in 0..count {
+                let f = if node_mode {
+                    AbstractFailure::sample_node(&mut rng, setup.k)
+                } else {
+                    AbstractFailure::sample_link(&mut rng, setup.k)
+                };
+                match f.to_fattree(&ft) {
+                    TopoEvent::FailNode(n) => net.set_node_up(n, false),
+                    TopoEvent::FailLink(l) => net.set_link_up(l, false),
+                    _ => unreachable!(),
                 }
-                let report = impact::impact(&net, &paths, &trace.coflows);
-                (report.flow_fraction(), report.coflow_fraction())
-            });
+            }
+            let report = impact::impact(&net, &paths, &trace.coflows);
+            (report.flow_fraction(), report.coflow_fraction())
+        });
         let mut flow_sum = 0.0;
         let mut coflow_sum = 0.0;
         for (f, c) in fractions {
             flow_sum += f;
             coflow_sum += c;
         }
-        results.push((
-            count,
-            flow_sum / trials as f64,
-            coflow_sum / trials as f64,
-        ));
+        results.push((count, flow_sum / trials as f64, coflow_sum / trials as f64));
     }
     results
 }

@@ -41,12 +41,7 @@ mod tests {
     #[test]
     fn writes_both_files() {
         let (tracer, sink) = Tracer::recording();
-        tracer.span(
-            Time::from_micros(1),
-            Time::from_micros(5),
-            "test",
-            "span",
-        );
+        tracer.span(Time::from_micros(1), Time::from_micros(5), "test", "span");
         let buf = sink.borrow_mut().take();
         let dir = std::env::temp_dir().join("sharebackup-trace-test");
         std::fs::create_dir_all(&dir).expect("tmp dir");

@@ -15,9 +15,7 @@ use sharebackup_topo::{FatTreeConfig, GroupId, HostAddr, ShareBackup, ShareBacku
 fn old_to_sharebackup(f: &AbstractFailure, sb: &ShareBackup) -> SbEvent {
     let half = sb.k() / 2;
     match *f {
-        AbstractFailure::Edge(p, j) => {
-            SbEvent::NodeFail(sb.occupant(GroupId::edge(p).slot(j)))
-        }
+        AbstractFailure::Edge(p, j) => SbEvent::NodeFail(sb.occupant(GroupId::edge(p).slot(j))),
         AbstractFailure::Agg(p, j) => SbEvent::NodeFail(sb.occupant(GroupId::agg(p).slot(j))),
         AbstractFailure::Core(c) => {
             let u = c % half;
@@ -49,7 +47,11 @@ fn old_to_sharebackup(f: &AbstractFailure, sb: &ShareBackup) -> SbEvent {
             // controller's host-link procedure replaces the switch
             // (§4.2), which fixes it in milliseconds.
             SbEvent::HostLinkFail {
-                host: sb.slots.host(HostAddr { pod, edge: e, host: h }),
+                host: sb.slots.host(HostAddr {
+                    pod,
+                    edge: e,
+                    host: h,
+                }),
                 switch_side: true,
             }
         }
@@ -89,7 +91,11 @@ fn to_sharebackup_matches_the_hand_wired_mapping() {
             let ft = FatTreeConfig::new(k).with_oversubscription(oversubscription);
             let sb = ShareBackup::build(ShareBackupConfig::for_fattree(ft, 1));
             for f in positions(k) {
-                assert_eq!(f.to_sharebackup(&sb), old_to_sharebackup(&f, &sb), "k={k} {f:?}");
+                assert_eq!(
+                    f.to_sharebackup(&sb),
+                    old_to_sharebackup(&f, &sb),
+                    "k={k} {f:?}"
+                );
                 checked += 1;
             }
         }

@@ -419,7 +419,11 @@ impl Controller {
         t.span_end(fail_t + detection);
         t.span_begin(fail_t + detection, "recovery", "diagnosis");
         t.span_end(fail_t + detection + diagnosis);
-        t.span_begin(fail_t + detection + diagnosis, "recovery", "reconfiguration");
+        t.span_begin(
+            fail_t + detection + diagnosis,
+            "recovery",
+            "reconfiguration",
+        );
         t.span_end(now);
         t.instant(now, "recovery", "restored");
         t.span_end(now);
@@ -632,7 +636,10 @@ impl Controller {
             let l = net.incident(host)[0];
             net.link(l).other(host)
         };
-        #[expect(clippy::expect_used, reason = "hosts attach to edge slots by construction")]
+        #[expect(
+            clippy::expect_used,
+            reason = "hosts attach to edge slots by construction"
+        )]
         let slot = self
             .sb
             .node_slot(edge_node)
@@ -826,12 +833,11 @@ mod tests {
         assert!(!c.sb.spares(edge_slot.group).contains(&edge_phys));
         // Data plane fully restored.
         assert!(r.fully_recovered());
-        let link = c
-            .sb
-            .slots
-            .net
-            .link_between(c.sb.slots.edge(0, 0), c.sb.slots.agg(0, 0))
-            .expect("link");
+        let link =
+            c.sb.slots
+                .net
+                .link_between(c.sb.slots.edge(0, 0), c.sb.slots.agg(0, 0))
+                .expect("link");
         assert!(c.sb.slots.net.link_usable(link));
     }
 
@@ -868,7 +874,11 @@ mod tests {
         let slot = GroupId::edge(1).slot(1);
         let suspect = c.sb.occupant(slot);
         let r = c.handle_host_link_failure(host, Time::ZERO);
-        assert_eq!(r.replaced.len(), 1, "switch replaced first (assumed faulty)");
+        assert_eq!(
+            r.replaced.len(),
+            1,
+            "switch replaced first (assumed faulty)"
+        );
         // Replacement did NOT fix it → switch exonerated, host trouble-shot.
         assert!(c.sb.phys(suspect).healthy);
         assert!(c.sb.spares(slot.group).contains(&suspect));
@@ -950,9 +960,7 @@ mod tests {
             assert_eq!(child.depth, 1);
         }
         // ...and the phase durations sum exactly to Recovery::latency.
-        let total = det.end.since(det.begin)
-            + dia.end.since(dia.begin)
-            + cfg.end.since(cfg.begin);
+        let total = det.end.since(det.begin) + dia.end.since(dia.begin) + cfg.end.since(cfg.begin);
         assert_eq!(total, r.latency);
         // The restored instant marks the end.
         assert!(buf.events.iter().any(|e| matches!(
@@ -1051,7 +1059,10 @@ mod tests {
         let mut sum = a;
         sum += b;
         sum.assert_consistent();
-        assert_eq!(sum.recovery_attempts, a.recovery_attempts + b.recovery_attempts);
+        assert_eq!(
+            sum.recovery_attempts,
+            a.recovery_attempts + b.recovery_attempts
+        );
         assert_eq!(sum.control_reports, b.control_reports);
         assert_eq!(sum.pool_exhausted, a.pool_exhausted);
 
@@ -1119,7 +1130,9 @@ mod tests {
         assert_eq!(r.penalty, round * 2);
         // Both DOA backups went to repair; after repair the pool refills
         // and a fresh failure recovers on the first try at rate 0.
-        let due = c.next_repair_due().expect("DOA backups scheduled for repair");
+        let due = c
+            .next_repair_due()
+            .expect("DOA backups scheduled for repair");
         c.poll_repairs(Time::from_secs(3600));
         assert!(due <= Time::from_secs(3600));
         // The repaired victim re-occupies its slot (it was never replaced),
@@ -1242,7 +1255,10 @@ mod tests {
         let r = c.handle_node_failure(healthy, Time::ZERO);
         assert!(r.fully_recovered());
         assert_eq!(c.stats.spurious_reports, 1);
-        assert_eq!(c.stats.replacements, 1, "controller cannot tell, swaps anyway");
+        assert_eq!(
+            c.stats.replacements, 1,
+            "controller cannot tell, swaps anyway"
+        );
         // The evicted healthy switch is instantly a spare again; no repair
         // job was scheduled for it.
         assert!(c.sb.spares(slot.group).contains(&healthy));
@@ -1266,7 +1282,9 @@ mod tests {
         c.sb.set_phys_healthy(v0, false);
         assert!(c.handle_node_failure(v0, Time::ZERO).fully_recovered());
         c.sb.set_phys_healthy(v1, false);
-        assert!(!c.handle_node_failure(v1, Time::from_secs(1)).fully_recovered());
+        assert!(!c
+            .handle_node_failure(v1, Time::from_secs(1))
+            .fully_recovered());
         assert_eq!(c.degraded_slots().count(), 1);
         // v0's repair (scheduled at t=0) refills the pool first.
         let due = c.next_repair_due().expect("repair scheduled");
@@ -1281,9 +1299,8 @@ mod tests {
     #[test]
     fn latency_depends_on_circuit_technology() {
         use sharebackup_topo::CircuitTech;
-        let sb_mems = ShareBackup::build(
-            ShareBackupConfig::new(4, 1).with_tech(CircuitTech::Mems2D),
-        );
+        let sb_mems =
+            ShareBackup::build(ShareBackupConfig::new(4, 1).with_tech(CircuitTech::Mems2D));
         let mut c_mems = Controller::new(sb_mems, ControllerConfig::default());
         let mut c_xp = controller(4, 1);
         let v1 = c_mems.sb.occupant(GroupId::edge(0).slot(0));

@@ -251,7 +251,10 @@ mod tests {
         let s = detection_latency_samples(slow, &mut rng, 300);
         let fm: f64 = f.iter().sum::<f64>() / f.len() as f64;
         let sm: f64 = s.iter().sum::<f64>() / s.len() as f64;
-        assert!(sm > fm * 2.0, "threshold 3 must be much slower: {sm} vs {fm}");
+        assert!(
+            sm > fm * 2.0,
+            "threshold 3 must be much slower: {sm} vs {fm}"
+        );
     }
 
     #[test]
@@ -282,7 +285,10 @@ mod tests {
             );
             // Load-bearing: a "simplified" bound without the alignment
             // term is violated by this very schedule.
-            assert!(lat > cfg.silence_limit(), "silence limit alone is too small");
+            assert!(
+                lat > cfg.silence_limit(),
+                "silence limit alone is too small"
+            );
         }
     }
 

@@ -716,7 +716,11 @@ mod tests {
         let done = plane.take_completed();
         assert_eq!(done.len(), 1);
         assert!(done[0].recovery.fully_recovered());
-        assert_eq!(done[0].completed_at, Time::from_secs(1), "no penalty when inert");
+        assert_eq!(
+            done[0].completed_at,
+            Time::from_secs(1),
+            "no penalty when inert"
+        );
         assert_eq!(plane.pending_count(), 0);
         assert_eq!(ctl.stats.control_reports, 1);
         assert_eq!(ctl.stats.elections, 0);
@@ -893,11 +897,20 @@ mod tests {
         let t1 = Time::from_secs(2);
         plane.restore_replica(&mut ctl, 0, t1).expect("in range");
         let elected = t1 + plane.cfg.election_time;
-        assert_eq!(plane.available_at(), elected, "restoring into a headless plane elects");
-        plane.restore_replica(&mut ctl, 0, t1).expect("idempotent duplicate");
+        assert_eq!(
+            plane.available_at(),
+            elected,
+            "restoring into a headless plane elects"
+        );
+        plane
+            .restore_replica(&mut ctl, 0, t1)
+            .expect("idempotent duplicate");
         assert_eq!(plane.primary(), Some(0));
         assert_eq!(ctl.stats.elections, elections + 1, "no second election");
-        assert_eq!(ctl.stats.controller_restores, 1, "duplicate restore uncounted");
+        assert_eq!(
+            ctl.stats.controller_restores, 1,
+            "duplicate restore uncounted"
+        );
         assert_eq!(plane.available_at(), elected);
         ctl.stats.assert_consistent();
     }
@@ -936,7 +949,9 @@ mod tests {
         // A duplicate crash report for the already-dead former primary:
         // free, electorally silent, state unchanged.
         let t1 = Time::from_secs(2);
-        plane.crash_replica(&mut ctl, 0, t1).expect("idempotent duplicate");
+        plane
+            .crash_replica(&mut ctl, 0, t1)
+            .expect("idempotent duplicate");
         assert_eq!(ctl.stats.elections, 1, "no second election charged");
         assert_eq!(ctl.stats.controller_crashes, 1, "duplicate crash uncounted");
         assert_eq!(plane.available_at(), blackout_end, "no second blackout");
@@ -1034,7 +1049,10 @@ mod tests {
             "one retry mark per counted retry"
         );
         assert!(count("control-retry") > 0, "lossy act really retried");
-        assert_eq!(count("control-exhausted") as u64, ctl.stats.control_exhausted);
+        assert_eq!(
+            count("control-exhausted") as u64,
+            ctl.stats.control_exhausted
+        );
         assert_eq!(
             count("recovery-resumed") as u64,
             ctl.stats.recoveries_resumed
@@ -1078,13 +1096,18 @@ mod tests {
         let mut plane = FailoverPlane::new(FailoverConfig::default());
         let t0 = Time::from_secs(1);
         plane.crash_replica(&mut ctl, 2, t0).expect("in range");
-        plane.crash_replica(&mut ctl, 2, t0).expect("idempotent duplicate");
+        plane
+            .crash_replica(&mut ctl, 2, t0)
+            .expect("idempotent duplicate");
         assert_eq!(ctl.stats.controller_crashes, 1, "duplicate crash uncounted");
         assert_eq!(ctl.stats.elections, 0);
         assert!(plane.available(t0), "follower crash causes no blackout");
         assert!(matches!(
             plane.crash_replica(&mut ctl, 99, t0),
-            Err(ReplicaOutOfRange { id: 99, replicas: 3 })
+            Err(ReplicaOutOfRange {
+                id: 99,
+                replicas: 3
+            })
         ));
         let report = kill_one(&mut ctl);
         plane.submit(&mut ctl, report, t0);

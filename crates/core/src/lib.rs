@@ -37,13 +37,13 @@ pub mod scenario;
 pub mod timeline;
 
 pub use chaos::ChaosConfig;
-pub use detection::{detection_latency_samples, simulate_detection, DetectionConfig};
 pub use controller::{Controller, ControllerConfig, ControllerStats, Recovery};
+pub use detection::{detection_latency_samples, simulate_detection, DetectionConfig};
+pub use diagnosis::{diagnose, DiagnosisReport, Verdict};
 pub use failover::{
     simulate_election, CompletedRecovery, ElectionTimeline, FailoverConfig, FailoverPlane,
     FailureReport, PendingRecovery, RecoveryPhase, ReplicaOutOfRange,
 };
-pub use diagnosis::{diagnose, DiagnosisReport, Verdict};
 pub use latency::{RecoveryLatencyModel, RecoveryScheme};
 pub use scenario::{
     link_sb_event, map_chaos_schedule, F10World, FatTreeWorld, RecoveryMode, ShareBackupWorld,

@@ -128,7 +128,11 @@ impl Environment for FatTreeWorld {
         }
     }
     fn on_epoch(&mut self, index: usize, _now: Time) {
-        apply_topo_event(&mut self.ft.net, &mut self.failures_active, self.events[index]);
+        apply_topo_event(
+            &mut self.ft.net,
+            &mut self.failures_active,
+            self.events[index],
+        );
     }
 }
 
@@ -166,7 +170,11 @@ impl Environment for F10World {
         F10Router::route(&self.f10, flow)
     }
     fn on_epoch(&mut self, index: usize, _now: Time) {
-        apply_topo_event(&mut self.f10.net, &mut self.failures_active, self.events[index]);
+        apply_topo_event(
+            &mut self.f10.net,
+            &mut self.failures_active,
+            self.events[index],
+        );
     }
 }
 
@@ -344,7 +352,9 @@ impl Environment for ShareBackupWorld {
                 self.pending.push(FailureReport::Node(p));
             }
             SbEvent::LinkFail { faulty, other } => {
-                self.controller.sb.set_iface_broken(faulty.0, faulty.1, true);
+                self.controller
+                    .sb
+                    .set_iface_broken(faulty.0, faulty.1, true);
                 self.pending.push(FailureReport::Link { faulty, other });
             }
             SbEvent::HostLinkFail { host, switch_side } => {
@@ -437,7 +447,10 @@ pub fn link_sb_event(sb: &ShareBackup, net: &Network, l: LinkId) -> SbEvent {
             switch_side: true,
         },
         (NodeKind::Edge, NodeKind::Agg) => {
-            #[expect(clippy::expect_used, reason = "every edge switch has a pod by construction")]
+            #[expect(
+                clippy::expect_used,
+                reason = "every edge switch has a pod by construction"
+            )]
             let pod = nlo.pod.expect("edge has a pod");
             let (j, agg) = (nlo.index, nhi.index);
             let m = (agg + half - j) % half;
@@ -447,7 +460,10 @@ pub fn link_sb_event(sb: &ShareBackup, net: &Network, l: LinkId) -> SbEvent {
             }
         }
         (NodeKind::Agg, NodeKind::Core) => {
-            #[expect(clippy::expect_used, reason = "every agg switch has a pod by construction")]
+            #[expect(
+                clippy::expect_used,
+                reason = "every agg switch has a pod by construction"
+            )]
             let pod = nlo.pod.expect("agg has a pod");
             let (j, core) = (nlo.index, nhi.index);
             let u = core % half;
@@ -542,8 +558,16 @@ mod tests {
         (0..n)
             .map(|id| FlowSpec {
                 key: FlowKey::new(
-                    ft.host(HostAddr { pod: 0, edge: 0, host: (id % 2) as usize }),
-                    ft.host(HostAddr { pod: 2, edge: 1, host: (id % 2) as usize }),
+                    ft.host(HostAddr {
+                        pod: 0,
+                        edge: 0,
+                        host: (id % 2) as usize,
+                    }),
+                    ft.host(HostAddr {
+                        pod: 2,
+                        edge: 1,
+                        host: (id % 2) as usize,
+                    }),
                     id,
                 ),
                 bytes,
@@ -571,8 +595,18 @@ mod tests {
         );
         let out = FlowSim::new().run(&mut world, &flows, &[Time::from_millis(10)]);
         assert!(out.flows.iter().all(|f| f.completed.is_some()));
-        let t_base = base.flows.iter().filter_map(|f| f.completed).max().expect("flows ran");
-        let t_fail = out.flows.iter().filter_map(|f| f.completed).max().expect("flows ran");
+        let t_base = base
+            .flows
+            .iter()
+            .filter_map(|f| f.completed)
+            .max()
+            .expect("flows ran");
+        let t_fail = out
+            .flows
+            .iter()
+            .filter_map(|f| f.completed)
+            .max()
+            .expect("flows ran");
         // Global optimal rerouting *rebalances all flows* at the failure
         // epoch, so it can even beat the hash-ECMP baseline despite the
         // lost capacity; only gross speedups would indicate a bug.
@@ -585,8 +619,16 @@ mod tests {
     #[test]
     fn f10_world_routes_through_detours() {
         let f10 = F10Topology::build(FatTreeConfig::new(4));
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 1, edge: 1, host: 0 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 0,
+        });
         let flows: Vec<FlowSpec> = (0..2)
             .map(|id| FlowSpec {
                 key: FlowKey::new(src, dst, id),
@@ -607,8 +649,16 @@ mod tests {
         let controller = Controller::new(sb, ControllerConfig::default());
         let mut world = ShareBackupWorld::new(controller, vec![]);
 
-        let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
+        let src = world.sb().slots.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = world.sb().slots.host(HostAddr {
+            pod: 2,
+            edge: 1,
+            host: 0,
+        });
         let flow = FlowKey::new(src, dst, 7);
         let original = world.route(&flow).expect("healthy route");
         // Fail the aggregation slot on the flow's path.
@@ -656,8 +706,16 @@ mod tests {
         )];
         let (events, times) = sharebackup_timeline(&world, &failures);
         world.events = events;
-        let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = world.sb().slots.host(HostAddr { pod: 1, edge: 0, host: 0 });
+        let src = world.sb().slots.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = world.sb().slots.host(HostAddr {
+            pod: 1,
+            edge: 0,
+            host: 0,
+        });
         let flows: Vec<FlowSpec> = (0..4)
             .map(|id| FlowSpec {
                 key: FlowKey::new(src, dst, id),
@@ -675,10 +733,7 @@ mod tests {
     #[test]
     fn timeline_builder_interleaves_and_sorts() {
         let sb = ShareBackup::build(ShareBackupConfig::new(4, 1));
-        let world = ShareBackupWorld::new(
-            Controller::new(sb, ControllerConfig::default()),
-            vec![],
-        );
+        let world = ShareBackupWorld::new(Controller::new(sb, ControllerConfig::default()), vec![]);
         let p = world.sb().occupant(GroupId::edge(0).slot(0));
         let q = world.sb().occupant(GroupId::edge(1).slot(0));
         let failures = vec![
@@ -714,7 +769,10 @@ mod tests {
         };
         let exhaust = |world: &mut ShareBackupWorld| {
             let g = GroupId::agg(0);
-            let (v0, v1) = (world.sb().occupant(g.slot(0)), world.sb().occupant(g.slot(1)));
+            let (v0, v1) = (
+                world.sb().occupant(g.slot(0)),
+                world.sb().occupant(g.slot(1)),
+            );
             world.events = vec![
                 SbEvent::NodeFail(v0),
                 SbEvent::Recover,
@@ -725,14 +783,25 @@ mod tests {
                 world.on_epoch(i, Time::from_millis(ms));
             }
             assert!(world.recoveries[0].recovery.fully_recovered());
-            assert!(!world.recoveries[1].recovery.fully_recovered(), "pool exhausted");
+            assert!(
+                !world.recoveries[1].recovery.fully_recovered(),
+                "pool exhausted"
+            );
             g.slot(1)
         };
 
         // A flow whose static ECMP path crosses the dead agg slot.
         let pick_flow = |world: &ShareBackupWorld, dead: sharebackup_topo::SlotId| {
-            let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-            let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
+            let src = world.sb().slots.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            });
+            let dst = world.sb().slots.host(HostAddr {
+                pod: 2,
+                edge: 1,
+                host: 0,
+            });
             let dead_node = world.sb().slot_node(dead);
             (0..64)
                 .map(|id| FlowKey::new(src, dst, id))
@@ -765,8 +834,13 @@ mod tests {
 
         // After the victims' repairs, the flow returns to its static path
         // and the degraded spell closes.
-        let due = reroute.controller.next_repair_due().expect("repairs pending");
-        reroute.controller.poll_repairs(due + Duration::from_secs(1));
+        let due = reroute
+            .controller
+            .next_repair_due()
+            .expect("repairs pending");
+        reroute
+            .controller
+            .poll_repairs(due + Duration::from_secs(1));
         reroute.now = due + Duration::from_secs(1);
         let back = reroute.route(&flow).expect("healed");
         assert_eq!(back, ecmp_path(&reroute.sb().slots, &flow));
@@ -777,8 +851,16 @@ mod tests {
     #[test]
     fn no_reroute_mode_stalls_until_repair() {
         let ft = FatTree::build(FatTreeConfig::new(4));
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 1, edge: 0, host: 0 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 1,
+            edge: 0,
+            host: 0,
+        });
         let flow = FlowKey::new(src, dst, 0);
         let path = ecmp_path(&ft, &flow);
         let core = path[3];
@@ -818,17 +900,41 @@ mod tests {
             world.sb().occupant(GroupId::agg(1).slot(0)),
         );
         let core = world.sb().occupant(GroupId::core(0).slot(0));
-        let host = world.sb().slots.host(HostAddr { pod: 3, edge: 0, host: 1 });
+        let host = world.sb().slots.host(HostAddr {
+            pod: 3,
+            edge: 0,
+            host: 1,
+        });
         let failures = vec![
             (Time::from_millis(10), SbEvent::NodeFail(agg)),
-            (Time::from_millis(20), SbEvent::LinkFail { faulty: (edge, 2), other: (agg1, 0) }),
-            (Time::from_millis(30), SbEvent::HostLinkFail { host, switch_side: false }),
+            (
+                Time::from_millis(20),
+                SbEvent::LinkFail {
+                    faulty: (edge, 2),
+                    other: (agg1, 0),
+                },
+            ),
+            (
+                Time::from_millis(30),
+                SbEvent::HostLinkFail {
+                    host,
+                    switch_side: false,
+                },
+            ),
             (Time::from_millis(40), SbEvent::SpuriousReport(core)),
         ];
         let (events, times) = sharebackup_timeline(&world, &failures);
         world.events = events;
-        let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
+        let src = world.sb().slots.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = world.sb().slots.host(HostAddr {
+            pod: 2,
+            edge: 1,
+            host: 0,
+        });
         let flows = vec![FlowSpec {
             key: FlowKey::new(src, dst, 7),
             bytes: 125_000_000,
@@ -839,7 +945,10 @@ mod tests {
 
         assert_eq!(world.recoveries.len(), failures.len());
         for done in &world.recoveries {
-            assert_eq!(done.completed_at, done.reported_at, "no control-plane dwell");
+            assert_eq!(
+                done.completed_at, done.reported_at,
+                "no control-plane dwell"
+            );
             assert_eq!(done.recovery.penalty, Duration::ZERO);
             assert_eq!(done.recovery.latency, world.recovery_latency());
         }
@@ -868,8 +977,16 @@ mod tests {
         let blackout = plane.cfg.blackout();
         let mut world = ShareBackupWorld::new(controller, vec![]).with_failover(plane);
 
-        let src = world.sb().slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = world.sb().slots.host(HostAddr { pod: 2, edge: 1, host: 0 });
+        let src = world.sb().slots.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = world.sb().slots.host(HostAddr {
+            pod: 2,
+            edge: 1,
+            host: 0,
+        });
         let flow = FlowKey::new(src, dst, 7);
         let original = world.route(&flow).expect("healthy route");
         let victim = world

@@ -160,8 +160,7 @@ impl World<Ev> for TimelineWorld {
                     return;
                 }
                 let silence = now.saturating_since(self.last_seen);
-                let limit =
-                    self.detection.probe_interval * self.detection.miss_threshold as u64;
+                let limit = self.detection.probe_interval * self.detection.miss_threshold as u64;
                 if self.died_at.is_some() && silence > limit {
                     self.detected_at = Some(now);
                     self.events.push((now, TimelineEvent::Detected));
@@ -305,11 +304,20 @@ pub fn simulate_recovery(
 
     let tl = Timeline {
         events: world.events,
-        #[expect(clippy::expect_used, reason = "all three milestones fired during the run")]
+        #[expect(
+            clippy::expect_used,
+            reason = "all three milestones fired during the run"
+        )]
         died_at: world.died_at.expect("died"),
-        #[expect(clippy::expect_used, reason = "all three milestones fired during the run")]
+        #[expect(
+            clippy::expect_used,
+            reason = "all three milestones fired during the run"
+        )]
         detected_at: world.detected_at.expect("detected"),
-        #[expect(clippy::expect_used, reason = "all three milestones fired during the run")]
+        #[expect(
+            clippy::expect_used,
+            reason = "all three milestones fired during the run"
+        )]
         recovered_at: world.recovered_at.expect("recovered"),
     };
     tl.record_spans(tracer);
@@ -395,10 +403,7 @@ mod tests {
         let t2 = simulate_recovery(&mut b, slot, Time::from_millis(7), phase, &Tracer::off());
         assert_eq!(t1.detection_latency(), t2.detection_latency());
         let delta = t2.repair_latency() - t1.repair_latency();
-        assert_eq!(
-            delta,
-            Duration::from_micros(40) - Duration::from_nanos(70)
-        );
+        assert_eq!(delta, Duration::from_micros(40) - Duration::from_nanos(70));
     }
 
     #[test]
@@ -492,9 +497,7 @@ mod tests {
         assert_eq!(det.end, dia.begin);
         assert_eq!(dia.end, cfg.begin);
         assert_eq!(cfg.end, rec.end);
-        let sum = det.end.since(det.begin)
-            + dia.end.since(dia.begin)
-            + cfg.end.since(cfg.begin);
+        let sum = det.end.since(det.begin) + dia.end.since(dia.begin) + cfg.end.since(cfg.begin);
         assert_eq!(sum, tl.total_latency());
     }
 

@@ -54,17 +54,19 @@ fn profile() -> impl Strategy<Value = ChaosProfile> {
         1.0f64..=4.0,
         0usize..=2,
     )
-        .prop_map(|(poisson, node_frac, burst, burst_size, flaps)| ChaosProfile {
-            poisson_interarrival: poisson.map(Duration::from_secs),
-            poisson_node_fraction: node_frac,
-            burst_interarrival: burst.map(Duration::from_secs),
-            mean_burst_size: burst_size,
-            flapping_links: flaps,
-            flap_up_dwell: Duration::from_secs(20),
-            flap_down_dwell: Duration::from_secs(5),
-            mean_duration: Duration::from_secs(60),
-            ..ChaosProfile::quiet()
-        })
+        .prop_map(
+            |(poisson, node_frac, burst, burst_size, flaps)| ChaosProfile {
+                poisson_interarrival: poisson.map(Duration::from_secs),
+                poisson_node_fraction: node_frac,
+                burst_interarrival: burst.map(Duration::from_secs),
+                mean_burst_size: burst_size,
+                flapping_links: flaps,
+                flap_up_dwell: Duration::from_secs(20),
+                flap_down_dwell: Duration::from_secs(5),
+                mean_duration: Duration::from_secs(60),
+                ..ChaosProfile::quiet()
+            },
+        )
 }
 
 /// Build a chaos-configured world plus its failure schedule (including

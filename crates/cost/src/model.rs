@@ -37,8 +37,16 @@ impl Prices {
     /// Table 2's prices for the given medium.
     pub fn for_medium(m: Medium) -> Prices {
         match m {
-            Medium::Electrical => Prices { a: 3.0, b: 60.0, c: 81.0 },
-            Medium::Optical => Prices { a: 10.0, b: 60.0, c: 40.0 },
+            Medium::Electrical => Prices {
+                a: 3.0,
+                b: 60.0,
+                c: 81.0,
+            },
+            Medium::Optical => Prices {
+                a: 10.0,
+                b: 60.0,
+                c: 40.0,
+            },
         }
     }
 }
@@ -162,11 +170,7 @@ mod tests {
     fn paper_headline_percentages_at_k48_n1() {
         // §5.2: additional cost of ShareBackup at k=48, n=1 is 6.7% (E-DC)
         // and 13.3% (O-DC) of fat-tree.
-        let e = relative_additional(
-            Architecture::ShareBackup { n: 1 },
-            48,
-            Medium::Electrical,
-        );
+        let e = relative_additional(Architecture::ShareBackup { n: 1 }, 48, Medium::Electrical);
         assert!((e - 0.067).abs() < 0.001, "E-DC: {e}");
         let o = relative_additional(Architecture::ShareBackup { n: 1 }, 48, Medium::Optical);
         assert!((o - 0.133).abs() < 0.001, "O-DC: {o}");
@@ -175,11 +179,7 @@ mod tests {
     #[test]
     fn aspen_costs_6_5x_and_3_2x_sharebackup() {
         // §5.2: "Aspen Tree costs 6.5× and 3.2× as much [additional cost]".
-        let sb_e = relative_additional(
-            Architecture::ShareBackup { n: 1 },
-            48,
-            Medium::Electrical,
-        );
+        let sb_e = relative_additional(Architecture::ShareBackup { n: 1 }, 48, Medium::Electrical);
         let asp_e = relative_additional(Architecture::AspenTree, 48, Medium::Electrical);
         assert!((asp_e / sb_e - 6.5).abs() < 0.1, "{}", asp_e / sb_e);
         let sb_o = relative_additional(Architecture::ShareBackup { n: 1 }, 48, Medium::Optical);
@@ -193,11 +193,8 @@ mod tests {
         // (backups shared by more switches).
         let mut last = f64::INFINITY;
         for k in [8, 16, 24, 32, 48, 64] {
-            let rel = relative_additional(
-                Architecture::ShareBackup { n: 1 },
-                k,
-                Medium::Electrical,
-            );
+            let rel =
+                relative_additional(Architecture::ShareBackup { n: 1 }, k, Medium::Electrical);
             assert!(rel < last, "k={k}: {rel} !< {last}");
             last = rel;
         }

@@ -92,17 +92,40 @@ mod tests {
         // flows plus 4 singleton coflows.
         let paths: Vec<Vec<_>> = (0..8)
             .map(|i| {
-                let src = ft.host(HostAddr { pod: 0, edge: (i / 2) % 2, host: i % 2 });
-                let dst = ft.host(HostAddr { pod: 1, edge: i % 2, host: (i / 2) % 2 });
+                let src = ft.host(HostAddr {
+                    pod: 0,
+                    edge: (i / 2) % 2,
+                    host: i % 2,
+                });
+                let dst = ft.host(HostAddr {
+                    pod: 1,
+                    edge: i % 2,
+                    host: (i / 2) % 2,
+                });
                 ft.host_path(src, dst, i % 4)
             })
             .collect();
         let coflows = vec![
-            Coflow { id: CoflowId(0), flows: vec![0, 1, 2, 3] },
-            Coflow { id: CoflowId(1), flows: vec![4] },
-            Coflow { id: CoflowId(2), flows: vec![5] },
-            Coflow { id: CoflowId(3), flows: vec![6] },
-            Coflow { id: CoflowId(4), flows: vec![7] },
+            Coflow {
+                id: CoflowId(0),
+                flows: vec![0, 1, 2, 3],
+            },
+            Coflow {
+                id: CoflowId(1),
+                flows: vec![4],
+            },
+            Coflow {
+                id: CoflowId(2),
+                flows: vec![5],
+            },
+            Coflow {
+                id: CoflowId(3),
+                flows: vec![6],
+            },
+            Coflow {
+                id: CoflowId(4),
+                flows: vec![7],
+            },
         ];
         // No failure: nothing affected.
         let r = impact(&ft.net, &paths, &coflows);
@@ -132,8 +155,16 @@ mod tests {
     #[test]
     fn link_failure_affects_exactly_traversing_flows() {
         let mut ft = FatTree::build(FatTreeConfig::new(4));
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 2, edge: 0, host: 0 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 2,
+            edge: 0,
+            host: 0,
+        });
         let paths = [ft.host_path(src, dst, 0), ft.host_path(src, dst, 3)];
         // Cut a link on path 0 that path 3 does not use.
         let l = ft.net.link_between(paths[0][2], paths[0][3]).expect("link");

@@ -491,7 +491,10 @@ impl WaterFiller {
         for &li in links {
             let m = &mut members[li as usize];
             #[expect(clippy::expect_used, reason = "a running flow is on its links' lists")]
-            let pos = m.iter().position(|&g| g == fid).expect("flow on its link's list");
+            let pos = m
+                .iter()
+                .position(|&g| g == fid)
+                .expect("flow on its link's list");
             m.swap_remove(pos);
             if m.is_empty() {
                 *links_used -= 1;
@@ -1065,13 +1068,7 @@ mod tests {
         // capacity) and max-min optimality witness (every flow is blocked by
         // some saturated link).
         let flows: Vec<Vec<LinkId>> = (0..20)
-            .map(|i| {
-                vec![
-                    l(i % 5),
-                    l(5 + (i * 7) % 3),
-                    l(8 + (i * 3) % 4),
-                ]
-            })
+            .map(|i| vec![l(i % 5), l(5 + (i * 7) % 3), l(8 + (i * 3) % 4)])
             .collect();
         let cap = |link: LinkId| 1.0 + (link.0 % 4) as f64;
         let rates = max_min_rates(&flows, cap);
@@ -1087,9 +1084,7 @@ mod tests {
         }
         // Max-min witness: every flow crosses a saturated link.
         for links in &flows {
-            let blocked = links
-                .iter()
-                .any(|link| usage[link] >= cap(*link) - 1e-6);
+            let blocked = links.iter().any(|link| usage[link] >= cap(*link) - 1e-6);
             assert!(blocked, "flow not blocked by any saturated link");
         }
     }
@@ -1098,12 +1093,7 @@ mod tests {
     fn fair_share_respects_weights_of_path_length() {
         // A long flow crossing two congested links gets the min of its
         // bottleneck shares, not less.
-        let flows = vec![
-            vec![l(0), l(1)],
-            vec![l(0)],
-            vec![l(0)],
-            vec![l(1)],
-        ];
+        let flows = vec![vec![l(0), l(1)], vec![l(0)], vec![l(0)], vec![l(1)]];
         let rates = max_min_rates(&flows, |_| 3.0);
         // Link 0: three flows → share 1 each; link 1: long flow frozen at 1,
         // flow 3 takes remaining 2.

@@ -157,8 +157,7 @@ mod tests {
             .map(|_| vec![l(0)])
             .chain([vec![l(1)]])
             .collect();
-        let rates =
-            max_min_rates_reference(&flows, |link| if link.0 == 0 { cap0 } else { 4e10 });
+        let rates = max_min_rates_reference(&flows, |link| if link.0 == 0 { cap0 } else { 4e10 });
         assert!(
             (rates[shared] / 4e10 - 1.0).abs() < 1e-6,
             "solo flow got {}, want ~4e10",

@@ -180,11 +180,7 @@ impl Default for FlowSim {
 /// Intern every link of `path` into `wf`, returning dense link indices.
 /// Capacities are refreshed as a side effect, so a post-epoch re-route
 /// also picks up capacity changes.
-fn dense_links_of_path(
-    env: &impl Environment,
-    wf: &mut WaterFiller,
-    path: &[NodeId],
-) -> Vec<u32> {
+fn dense_links_of_path(env: &impl Environment, wf: &mut WaterFiller, path: &[NodeId]) -> Vec<u32> {
     path.windows(2)
         .map(|w| {
             // A non-adjacent hop is a routing bug that must surface
@@ -321,16 +317,12 @@ impl FlowSim {
                     soonest = soonest.min(secs);
                 }
             }
-            let completion = (soonest < f64::INFINITY).then(|| {
-                now + Duration::from_secs_f64(soonest).max(Duration::from_nanos(1))
-            });
+            let completion = (soonest < f64::INFINITY)
+                .then(|| now + Duration::from_secs_f64(soonest).max(Duration::from_nanos(1)));
             let arrival = order.get(next_arrival).map(|&i| flows[i].arrival);
             let epoch = epochs.get(next_epoch).copied();
 
-            let next_t = [completion, arrival, epoch]
-                .into_iter()
-                .flatten()
-                .min();
+            let next_t = [completion, arrival, epoch].into_iter().flatten().min();
             let Some(next_t) = next_t else {
                 break; // nothing will ever happen again
             };
@@ -426,7 +418,10 @@ impl FlowSim {
             }
 
             // 3. Arrivals due now.
-            if order.get(next_arrival).is_some_and(|&i| flows[i].arrival <= now) {
+            if order
+                .get(next_arrival)
+                .is_some_and(|&i| flows[i].arrival <= now)
+            {
                 tracer.add("flowsim.cause.arrival", 1);
             }
             while next_arrival < order.len() && flows[order[next_arrival]].arrival <= now {
@@ -734,7 +729,10 @@ mod tests {
         let (tracer, sink) = sharebackup_telemetry::Tracer::recording();
         let (mut env, _) = make();
         let traced = FlowSim::new().run_traced(&mut env, &flows, &epochs, &tracer);
-        assert_eq!(plain.flows, traced.flows, "tracing must not perturb the sim");
+        assert_eq!(
+            plain.flows, traced.flows,
+            "tracing must not perturb the sim"
+        );
         assert_eq!(plain.events, traced.events);
 
         let buf = sink.borrow_mut().take();

@@ -14,10 +14,7 @@ use sharebackup_topo::LinkId;
 /// Random instance: up to 40 flows over up to 12 links, 1-4 links each.
 fn instances() -> impl Strategy<Value = (Vec<Vec<LinkId>>, Vec<f64>)> {
     let caps = prop::collection::vec(1.0f64..100.0, 12);
-    let flows = prop::collection::vec(
-        prop::collection::btree_set(0u32..12, 1..=4),
-        1..40,
-    );
+    let flows = prop::collection::vec(prop::collection::btree_set(0u32..12, 1..=4), 1..40);
     (flows, caps).prop_map(|(flows, caps)| {
         let flows = flows
             .into_iter()
@@ -32,11 +29,8 @@ fn instances() -> impl Strategy<Value = (Vec<Vec<LinkId>>, Vec<f64>)> {
 /// increment-scaled saturation test passes the unit-scale suite and
 /// silently corrupts allocations here.
 fn scaled_instances() -> impl Strategy<Value = (Vec<Vec<LinkId>>, Vec<f64>)> {
-    (instances(), prop::sample::select(vec![1.0f64, 1e10])).prop_map(
-        |((flows, caps), scale)| {
-            (flows, caps.into_iter().map(|c| c * scale).collect())
-        },
-    )
+    (instances(), prop::sample::select(vec![1.0f64, 1e10]))
+        .prop_map(|((flows, caps), scale)| (flows, caps.into_iter().map(|c| c * scale).collect()))
 }
 
 /// Check the two max-min witnesses: feasibility (no link oversubscribed
@@ -345,7 +339,13 @@ impl Lifecycle {
                 self.mutated.insert(fid);
                 prop_assert!(!self.model.contains_key(&fid), "id {fid} handed out twice");
                 let links = links.into_iter().map(LinkId).collect();
-                self.model.insert(fid, ModelFlow { links, stalled: false });
+                self.model.insert(
+                    fid,
+                    ModelFlow {
+                        links,
+                        stalled: false,
+                    },
+                );
             }
             Op::Remove(n) => {
                 if let Some(fid) = pick(self, n) {
@@ -412,7 +412,11 @@ impl Lifecycle {
         // takes in every flow not mutated since the last solve whose rate
         // moved.
         let refrozen: BTreeSet<usize> = wf.refrozen().iter().copied().collect();
-        prop_assert_eq!(refrozen.len(), wf.refrozen().len(), "refrozen() repeats a flow");
+        prop_assert_eq!(
+            refrozen.len(),
+            wf.refrozen().len(),
+            "refrozen() repeats a flow"
+        );
         for fid in &refrozen {
             let f = model.get(fid);
             prop_assert!(
@@ -431,7 +435,10 @@ impl Lifecycle {
                 );
             }
         }
-        *solved = model.keys().map(|&fid| (fid, wf.rate(fid).to_bits())).collect();
+        *solved = model
+            .keys()
+            .map(|&fid| (fid, wf.rate(fid).to_bits()))
+            .collect();
         mutated.clear();
 
         let running: Vec<usize> = model
@@ -439,8 +446,7 @@ impl Lifecycle {
             .filter(|(_, f)| !f.stalled)
             .map(|(&fid, _)| fid)
             .collect();
-        let flows: Vec<Vec<LinkId>> =
-            running.iter().map(|fid| model[fid].links.clone()).collect();
+        let flows: Vec<Vec<LinkId>> = running.iter().map(|fid| model[fid].links.clone()).collect();
         let want = max_min_rates_reference(&flows, |l| caps[l.0 as usize]);
         for (fid, f) in model.iter() {
             if f.stalled {
@@ -473,7 +479,14 @@ impl Lifecycle {
         cold.solve();
         for (fid, cold_fid) in running.iter().zip(cold_fids) {
             let (warm, cold) = (wf.rate(*fid), cold.rate(cold_fid));
-            prop_assert_eq!(warm.to_bits(), cold.to_bits(), "flow {}: warm {} vs cold {}", fid, warm, cold);
+            prop_assert_eq!(
+                warm.to_bits(),
+                cold.to_bits(),
+                "flow {}: warm {} vs cold {}",
+                fid,
+                warm,
+                cold
+            );
         }
         let (warm, cold) = (wf.last_solve_stats(), cold.last_solve_stats());
         prop_assert_eq!(cold.replayed, 0, "a first solve replays nothing");

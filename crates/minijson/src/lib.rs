@@ -35,9 +35,7 @@ impl Value {
     /// Look up a member of an object by key (first match).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -494,7 +492,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 impl std::error::Error for ParseError {}
@@ -648,8 +650,8 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates map to the replacement character.
@@ -663,8 +665,7 @@ impl Parser<'_> {
                 Some(_) => {
                     // Advance over one UTF-8 scalar.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8"))?;
+                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
                     let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -760,7 +761,10 @@ mod tests {
     #[test]
     fn integers_survive_exactly() {
         let v = from_str("[9007199254740993]").expect("parse");
-        assert_eq!(v.as_array().and_then(|a| a[0].as_i64()), Some(9007199254740993));
+        assert_eq!(
+            v.as_array().and_then(|a| a[0].as_i64()),
+            Some(9007199254740993)
+        );
     }
 
     #[test]

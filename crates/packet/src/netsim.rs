@@ -302,7 +302,10 @@ impl NetWorld {
     }
 
     fn start_tx(&mut self, engine: &mut Engine<Ev>, dir: usize) {
-        #[expect(clippy::expect_used, reason = "callers check the queue before starting tx")]
+        #[expect(
+            clippy::expect_used,
+            reason = "callers check the queue before starting tx"
+        )]
         let wire = self.dirs[dir]
             .queue
             .front()
@@ -523,8 +526,12 @@ mod tests {
             bytes: 1_250_000, // 0.1 s at 100 Mbps
             start: Time::ZERO,
         }];
-        let (out, _drops) =
-            PacketSim::new(PacketNetConfig::default()).run(&net, &flows, vec![], Time::from_secs(10));
+        let (out, _drops) = PacketSim::new(PacketNetConfig::default()).run(
+            &net,
+            &flows,
+            vec![],
+            Time::from_secs(10),
+        );
         let t = out[0].completed.expect("finishes");
         let goodput = 1_250_000.0 * 8.0 / t.as_secs_f64();
         assert!(
@@ -585,7 +592,10 @@ mod tests {
             Time::from_secs(30),
         );
         let t = out[0].completed.expect("finishes after repair");
-        assert!(t > Time::from_millis(250), "cannot finish while down: {t:?}");
+        assert!(
+            t > Time::from_millis(250),
+            "cannot finish while down: {t:?}"
+        );
         assert!(out[0].timeouts >= 1, "RTO must fire during the outage");
         assert!(drops > 0);
         assert_eq!(out[0].delivered, 2_500_000);

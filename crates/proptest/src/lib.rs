@@ -66,7 +66,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 impl TestRng {
     /// The generator for case `case` of the property named `name`.
     pub fn for_case(name: &str, case: u32) -> TestRng {
-        let mut sm = fnv1a64(name.as_bytes()) ^ (u64::from(case)).wrapping_mul(0xa076_1d64_78bd_642f);
+        let mut sm =
+            fnv1a64(name.as_bytes()) ^ (u64::from(case)).wrapping_mul(0xa076_1d64_78bd_642f);
         TestRng {
             state: [
                 splitmix64(&mut sm),

@@ -34,8 +34,16 @@ mod tests {
     fn choice_is_stable() {
         let ft = FatTree::build(FatTreeConfig::new(8));
         let flow = FlowKey::new(
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 3, edge: 1, host: 2 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 3,
+                edge: 1,
+                host: 2,
+            }),
             42,
         );
         let a = ecmp_path(&ft, &flow);
@@ -47,8 +55,16 @@ mod tests {
     #[test]
     fn different_flows_spread_over_cores() {
         let ft = FatTree::build(FatTreeConfig::new(8));
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 3, edge: 1, host: 2 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 3,
+            edge: 1,
+            host: 2,
+        });
         let mut cores = std::collections::BTreeSet::new();
         for id in 0..256 {
             let p = ecmp_path(&ft, &FlowKey::new(src, dst, id));
@@ -60,8 +76,16 @@ mod tests {
     #[test]
     fn f10_ecmp_paths_are_valid() {
         let f10 = F10Topology::build(FatTreeConfig::new(6));
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 1, edge: 1, host: 1 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 1,
+        });
         for id in 0..32 {
             let p = ecmp_path_f10(&f10, &FlowKey::new(src, dst, id));
             assert!(f10.net.path_usable(&p));

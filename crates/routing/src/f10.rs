@@ -79,9 +79,7 @@ impl F10Router {
                 for a2 in (0..half).filter(|&x| x != a) {
                     let agg2 = f10.agg(s.pod, a2);
                     if usable(via, agg2) && usable(agg2, de) {
-                        return Some(vec![
-                            flow.src, se, agg, via, agg2, de, flow.dst,
-                        ]);
+                        return Some(vec![flow.src, se, agg, via, agg2, de, flow.dst]);
                     }
                 }
             }
@@ -157,9 +155,8 @@ impl F10Router {
                     let a2b_idx = f10.agg_for_core(d.pod, c2);
                     let a2b = f10.agg(d.pod, a2b_idx);
                     if usable(core2, a2b) && usable(a2b, de) {
-                        candidates.push(vec![
-                            flow.src, se, a1, core, via, core2, a2b, de, flow.dst,
-                        ]);
+                        candidates
+                            .push(vec![flow.src, se, a1, core, via, core2, a2b, de, flow.dst]);
                     }
                 }
                 salt += 1;
@@ -183,9 +180,7 @@ impl F10Router {
             for a2b in (0..half).filter(|&x| x != a2_idx) {
                 let agg2 = f10.agg(d.pod, a2b);
                 if usable(via, agg2) && usable(agg2, de) {
-                    candidates.push(vec![
-                        flow.src, se, a1, core, a2, via, agg2, de, flow.dst,
-                    ]);
+                    candidates.push(vec![flow.src, se, a1, core, a2, via, agg2, de, flow.dst]);
                 }
             }
         }
@@ -210,8 +205,16 @@ mod tests {
     fn healthy_routes_are_shortest() {
         let f10 = f10_6();
         let f = FlowKey::new(
-            f10.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            f10.host(HostAddr { pod: 3, edge: 1, host: 1 }),
+            f10.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            f10.host(HostAddr {
+                pod: 3,
+                edge: 1,
+                host: 1,
+            }),
             5,
         );
         let p = F10Router::route(&f10, &f).expect("connected");
@@ -222,8 +225,16 @@ mod tests {
     #[test]
     fn upward_failure_recovers_without_dilation() {
         let mut f10 = f10_6();
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 3, edge: 1, host: 1 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 3,
+            edge: 1,
+            host: 1,
+        });
         // Kill one agg in the source pod: flows re-pick a parent, same length.
         let dead = f10.agg(0, 0);
         f10.net.set_node_up(dead, false);
@@ -238,8 +249,16 @@ mod tests {
     #[test]
     fn downward_core_link_failure_takes_three_hop_detour() {
         let mut f10 = f10_6();
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 1, edge: 1, host: 1 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 1,
+        });
         // Find the flow's core and cut its link into the destination pod.
         let healthy = F10Router::route(&f10, &FlowKey::new(src, dst, 9)).expect("connected");
         let core = healthy[3];
@@ -256,8 +275,16 @@ mod tests {
     #[test]
     fn downward_agg_edge_link_failure_detours_in_pod() {
         let mut f10 = f10_6();
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 1, edge: 1, host: 1 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 1,
+        });
         let healthy = F10Router::route(&f10, &FlowKey::new(src, dst, 3)).expect("connected");
         let a2 = healthy[4];
         let de = healthy[5];
@@ -272,8 +299,16 @@ mod tests {
     #[test]
     fn intra_pod_agg_failure_repairs_locally() {
         let mut f10 = f10_6();
-        let src = f10.host(HostAddr { pod: 2, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 2, edge: 2, host: 1 });
+        let src = f10.host(HostAddr {
+            pod: 2,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 2,
+            edge: 2,
+            host: 1,
+        });
         for a in 0..2 {
             f10.net.set_node_up(f10.agg(2, a), false);
         }
@@ -291,17 +326,33 @@ mod tests {
         // dies, the agg picks another core — the path prefix up to and
         // including the agg is unchanged (no upstream repair).
         let mut f10 = f10_6();
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
         for id in 0..24 {
             let f10_fresh = f10_6();
-            let flow = FlowKey::new(src, f10_fresh.host(HostAddr { pod: 2, edge: 1, host: 1 }), id);
+            let flow = FlowKey::new(
+                src,
+                f10_fresh.host(HostAddr {
+                    pod: 2,
+                    edge: 1,
+                    host: 1,
+                }),
+                id,
+            );
             let before = F10Router::route(&f10_fresh, &flow).expect("healthy");
             let (a1, core) = (before[2], before[3]);
             let l = f10.net.link_between(a1, core);
             let Some(l) = l else { continue };
             f10.net.set_link_up(l, false);
             let after = F10Router::route(&f10, &flow).expect("recoverable");
-            assert_eq!(&after[..3], &before[..3], "prefix through the agg unchanged");
+            assert_eq!(
+                &after[..3],
+                &before[..3],
+                "prefix through the agg unchanged"
+            );
             assert_ne!(after[3], core, "the agg picked another core");
             f10.net.set_link_up(l, true);
         }
@@ -310,8 +361,16 @@ mod tests {
     #[test]
     fn edge_failure_is_unrecoverable() {
         let mut f10 = f10_6();
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 1, edge: 1, host: 1 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 1,
+        });
         f10.net.set_node_up(f10.edge(1, 1), false);
         assert_eq!(F10Router::route(&f10, &FlowKey::new(src, dst, 0)), None);
     }
@@ -319,8 +378,16 @@ mod tests {
     #[test]
     fn same_edge_traffic_untouched_by_fabric_failures() {
         let mut f10 = f10_6();
-        let src = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = f10.host(HostAddr { pod: 0, edge: 0, host: 2 });
+        let src = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 2,
+        });
         // Kill every agg in the pod: same-edge traffic must not care.
         for a in 0..3 {
             f10.net.set_node_up(f10.agg(0, a), false);

@@ -40,7 +40,11 @@ impl FlowKey {
     /// splitmix64 avalanche finalizer is applied — still fully deterministic
     /// and platform-independent.
     pub fn ecmp_hash(&self) -> u64 {
-        splitmix64(fnv1a64_words(&[self.src.0 as u64, self.dst.0 as u64, self.id]))
+        splitmix64(fnv1a64_words(&[
+            self.src.0 as u64,
+            self.dst.0 as u64,
+            self.id,
+        ]))
     }
 
     /// Pick one of `n` equal-cost choices.

@@ -134,7 +134,9 @@ impl GroupTables {
     /// Build all merged tables for a fat-tree of parameter `k`.
     pub fn build(k: usize) -> GroupTables {
         let tables = TwoLevelTables::build(k);
-        let edge_groups = (0..k).map(|pod| EdgeGroupTable::build(&tables, pod)).collect();
+        let edge_groups = (0..k)
+            .map(|pod| EdgeGroupTable::build(&tables, pod))
+            .collect();
         GroupTables {
             tables,
             edge_groups,
@@ -194,7 +196,11 @@ mod tests {
                 for dpod in 0..k {
                     for dedge in 0..half {
                         for dhost in 0..half {
-                            let dst = HostAddr { pod: dpod, edge: dedge, host: dhost };
+                            let dst = HostAddr {
+                                pod: dpod,
+                                edge: dedge,
+                                host: dhost,
+                            };
                             let want = gt.tables.edge_next(pod, j, dst);
                             let got = merged.lookup(Some(j), dst);
                             assert_eq!(got, want, "pod {pod} vlan {j} dst {dst:?}");
@@ -203,7 +209,11 @@ mod tests {
                 }
                 // In-bound behaviour: local deliveries.
                 for dhost in 0..half {
-                    let dst = HostAddr { pod, edge: j, host: dhost };
+                    let dst = HostAddr {
+                        pod,
+                        edge: j,
+                        host: dhost,
+                    };
                     assert_eq!(merged.lookup(None, dst), NextHop::HostPort(dhost));
                 }
             }
@@ -231,7 +241,11 @@ mod tests {
             for pod in 0..4 {
                 for e in 0..2 {
                     for h in 0..2 {
-                        let dst = HostAddr { pod, edge: e, host: h };
+                        let dst = HostAddr {
+                            pod,
+                            edge: e,
+                            host: h,
+                        };
                         assert_eq!(t1.lookup(Some(v), dst), t2.lookup(Some(v), dst));
                     }
                 }
@@ -244,7 +258,11 @@ mod tests {
         // dst (pod 0, edge 0, host 1): local for VLAN 0, upward for VLAN 1.
         let gt = GroupTables::build(4);
         let merged = gt.edge_group(0);
-        let dst = HostAddr { pod: 0, edge: 0, host: 1 };
+        let dst = HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 1,
+        };
         assert_eq!(merged.lookup(Some(0), dst), NextHop::HostPort(1));
         assert!(matches!(merged.lookup(Some(1), dst), NextHop::Up(_)));
     }

@@ -65,9 +65,8 @@ impl GlobalReroute {
             clippy::expect_used,
             reason = "paths come from the topology, so every hop is adjacent"
         )]
-        let link_of = |a: NodeId, b: NodeId| -> LinkId {
-            ft.net.link_between(a, b).expect("path link")
-        };
+        let link_of =
+            |a: NodeId, b: NodeId| -> LinkId { ft.net.link_between(a, b).expect("path link") };
         let mut load = vec![0u64; ft.net.link_count()];
         let mut path = Vec::with_capacity(7);
         let mut out = Vec::with_capacity(flows.len());
@@ -121,8 +120,16 @@ mod tests {
     fn healthy_network_routes_on_shortest_paths() {
         let ft = ft4();
         let f = FlowKey::new(
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 2, edge: 1, host: 1 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 2,
+                edge: 1,
+                host: 1,
+            }),
             1,
         );
         let p = GlobalReroute::route(&ft, &f).expect("connected");
@@ -132,8 +139,16 @@ mod tests {
     #[test]
     fn core_failure_avoided() {
         let mut ft = ft4();
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 1 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 2,
+            edge: 1,
+            host: 1,
+        });
         // Kill core 0; all flows must avoid it but stay 6 hops.
         let c0 = ft.core(0);
         ft.net.set_node_up(c0, false);
@@ -148,8 +163,16 @@ mod tests {
     #[test]
     fn edge_failure_is_unrecoverable() {
         let mut ft = ft4();
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 1 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 2,
+            edge: 1,
+            host: 1,
+        });
         ft.net.set_node_up(ft.edge(2, 1), false);
         assert_eq!(GlobalReroute::route(&ft, &FlowKey::new(src, dst, 0)), None);
     }
@@ -157,8 +180,16 @@ mod tests {
     #[test]
     fn bfs_fallback_when_no_shortest_path_survives() {
         let mut ft = ft4();
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 0, edge: 1, host: 0 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 0,
+            edge: 1,
+            host: 0,
+        });
         // Cut both direct edge→agg paths from edge(0,0)'s side upward —
         // intra-pod shortest paths all die, but a 6-hop detour via cores of
         // another pod edge... actually cutting agg(0,0) and agg(0,1) down
@@ -176,8 +207,16 @@ mod tests {
     #[test]
     fn route_all_balances_load() {
         let ft = ft4();
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 2, edge: 0, host: 0 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 2,
+            edge: 0,
+            host: 0,
+        });
         let flows: Vec<FlowKey> = (0..4).map(|id| FlowKey::new(src, dst, id)).collect();
         let routed = GlobalReroute::route_all(&ft, &flows);
         // Four flows between the same pair: load-aware assignment uses all
@@ -192,8 +231,16 @@ mod tests {
     #[test]
     fn route_all_handles_disconnected_flows() {
         let mut ft = ft4();
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 1, edge: 0, host: 0 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 1,
+            edge: 0,
+            host: 0,
+        });
         ft.net.set_node_up(ft.edge(1, 0), false);
         let routed = GlobalReroute::route_all(&ft, &[FlowKey::new(src, dst, 0)]);
         assert_eq!(routed, vec![None]);

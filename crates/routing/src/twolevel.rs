@@ -142,9 +142,7 @@ impl TwoLevelTables {
                         next: NextHop::ToEdge(e),
                     })
                     .collect();
-                let suffixes = (0..half)
-                    .map(|h| SuffixEntry { host: h, up: h })
-                    .collect();
+                let suffixes = (0..half).map(|h| SuffixEntry { host: h, up: h }).collect();
                 SwitchTable { prefixes, suffixes }
             })
             .collect();
@@ -305,20 +303,44 @@ mod tests {
         let t = TwoLevelTables::build(6);
         let same_edge = t.forward_path(
             &ft,
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 0, edge: 0, host: 2 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 2,
+            }),
         );
         assert_eq!(same_edge.len(), 3);
         let same_pod = t.forward_path(
             &ft,
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 0, edge: 1, host: 0 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 1,
+                host: 0,
+            }),
         );
         assert_eq!(same_pod.len(), 5);
         let cross = t.forward_path(
             &ft,
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 5, edge: 2, host: 1 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 5,
+                edge: 2,
+                host: 1,
+            }),
         );
         assert_eq!(cross.len(), 7);
     }
@@ -329,7 +351,17 @@ mod tests {
         // on different uplinks.
         let t = TwoLevelTables::build(8);
         let ups: Vec<NextHop> = (0..4)
-            .map(|h| t.edge_next(0, 0, HostAddr { pod: 5, edge: 0, host: h }))
+            .map(|h| {
+                t.edge_next(
+                    0,
+                    0,
+                    HostAddr {
+                        pod: 5,
+                        edge: 0,
+                        host: h,
+                    },
+                )
+            })
             .collect();
         let distinct: std::collections::BTreeSet<_> =
             ups.iter().map(|n| format!("{n:?}")).collect();
@@ -341,7 +373,11 @@ mod tests {
         // The +j skew: the same destination suffix leaves different edge
         // switches on different uplinks (Al-Fares' diffusion optimization).
         let t = TwoLevelTables::build(8);
-        let dst = HostAddr { pod: 5, edge: 0, host: 2 };
+        let dst = HostAddr {
+            pod: 5,
+            edge: 0,
+            host: 2,
+        };
         let per_switch: std::collections::BTreeSet<_> = (0..4)
             .map(|j| format!("{:?}", t.edge_next(0, j, dst)))
             .collect();
@@ -355,7 +391,11 @@ mod tests {
         let reference = t.agg_table(3);
         // agg_next is the pod-level function — verify it only depends on pod.
         for dst_pod in 0..8 {
-            let dst = HostAddr { pod: dst_pod, edge: 1, host: 3 };
+            let dst = HostAddr {
+                pod: dst_pod,
+                edge: 1,
+                host: 3,
+            };
             let n = t.agg_next(3, dst);
             if dst_pod == 3 {
                 assert_eq!(n, NextHop::ToEdge(1));
@@ -370,7 +410,11 @@ mod tests {
     fn core_table_is_universal() {
         let t = TwoLevelTables::build(8);
         for pod in 0..8 {
-            let dst = HostAddr { pod, edge: 0, host: 0 };
+            let dst = HostAddr {
+                pod,
+                edge: 0,
+                host: 0,
+            };
             assert_eq!(t.core_next(dst), NextHop::ToPod(pod));
         }
     }
@@ -378,10 +422,18 @@ mod tests {
     #[test]
     fn local_delivery_beats_suffix_match() {
         let t = TwoLevelTables::build(4);
-        let here = HostAddr { pod: 1, edge: 1, host: 0 };
+        let here = HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 0,
+        };
         assert_eq!(t.edge_next(1, 1, here), NextHop::HostPort(0));
         // Same suffix, different edge: must go up, not deliver.
-        let elsewhere = HostAddr { pod: 1, edge: 0, host: 0 };
+        let elsewhere = HostAddr {
+            pod: 1,
+            edge: 0,
+            host: 0,
+        };
         assert!(matches!(t.edge_next(1, 1, elsewhere), NextHop::Up(_)));
     }
 }

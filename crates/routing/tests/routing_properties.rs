@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 
 use sharebackup_routing::{
-    ecmp_path, impersonation::GroupTables, F10Router, FlowKey,
-    GlobalReroute, TwoLevelTables,
+    ecmp_path, impersonation::GroupTables, F10Router, FlowKey, GlobalReroute, TwoLevelTables,
 };
 use sharebackup_topo::{F10Topology, FatTree, FatTreeConfig, HostAddr, NodeKind};
 

@@ -283,7 +283,10 @@ mod tests {
 
     #[test]
     fn mul_f64_rounds() {
-        assert_eq!(Duration::from_nanos(10).mul_f64(0.25), Duration::from_nanos(3));
+        assert_eq!(
+            Duration::from_nanos(10).mul_f64(0.25),
+            Duration::from_nanos(3)
+        );
         assert_eq!(Duration::from_secs(1).mul_f64(2.0), Duration::from_secs(2));
     }
 

@@ -118,9 +118,7 @@ impl TraceBuffer {
         self.events
             .iter()
             .filter_map(|ev| match ev {
-                TraceEvent::Mark { at, cat: c, name } if *c == cat => {
-                    Some((name.clone(), *at))
-                }
+                TraceEvent::Mark { at, cat: c, name } if *c == cat => Some((name.clone(), *at)),
                 _ => None,
             })
             .collect()
@@ -218,11 +216,21 @@ mod tests {
         let spans = s.take().spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(
-            (spans[0].name.as_str(), spans[0].begin, spans[0].end, spans[0].depth),
+            (
+                spans[0].name.as_str(),
+                spans[0].begin,
+                spans[0].end,
+                spans[0].depth
+            ),
             ("outer", Time::from_secs(1), Time::from_secs(4), 0)
         );
         assert_eq!(
-            (spans[1].name.as_str(), spans[1].begin, spans[1].end, spans[1].depth),
+            (
+                spans[1].name.as_str(),
+                spans[1].begin,
+                spans[1].end,
+                spans[1].depth
+            ),
             ("inner", Time::from_secs(2), Time::from_secs(3), 1)
         );
     }

@@ -111,7 +111,12 @@ mod tests {
     fn sample_buffer() -> TraceBuffer {
         let (t, sink) = Tracer::recording();
         t.span_begin(Time::from_millis(1), "recovery", "recovery");
-        t.span(Time::from_millis(1), Time::from_millis(2), "recovery", "detection");
+        t.span(
+            Time::from_millis(1),
+            Time::from_millis(2),
+            "recovery",
+            "detection",
+        );
         t.instant(Time::from_millis(3), "recovery", "restored");
         t.span_end(Time::from_millis(3));
         t.add("engine.events", 4);

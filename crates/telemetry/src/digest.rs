@@ -33,7 +33,12 @@ pub fn text_digest(buffers: &[(u64, &TraceBuffer)]) -> String {
         for ev in &buf.events {
             match ev {
                 TraceEvent::Begin { at, cat, name } => {
-                    let _ = writeln!(out, "{:>14}  {}B {cat}/{name}", at.to_string(), "  ".repeat(depth));
+                    let _ = writeln!(
+                        out,
+                        "{:>14}  {}B {cat}/{name}",
+                        at.to_string(),
+                        "  ".repeat(depth)
+                    );
                     depth += 1;
                 }
                 TraceEvent::End { at } => {
@@ -41,7 +46,12 @@ pub fn text_digest(buffers: &[(u64, &TraceBuffer)]) -> String {
                     let _ = writeln!(out, "{:>14}  {}E", at.to_string(), "  ".repeat(depth));
                 }
                 TraceEvent::Mark { at, cat, name } => {
-                    let _ = writeln!(out, "{:>14}  {}i {cat}/{name}", at.to_string(), "  ".repeat(depth));
+                    let _ = writeln!(
+                        out,
+                        "{:>14}  {}i {cat}/{name}",
+                        at.to_string(),
+                        "  ".repeat(depth)
+                    );
                 }
             }
         }
@@ -131,7 +141,12 @@ mod tests {
     fn digest_shows_nesting_counters_and_histograms() {
         let (t, sink) = Tracer::recording();
         t.span_begin(Time::from_millis(30), "recovery", "recovery");
-        t.span(Time::from_millis(30), Time::from_millis(31), "recovery", "detection");
+        t.span(
+            Time::from_millis(30),
+            Time::from_millis(31),
+            "recovery",
+            "detection",
+        );
         t.span_end(Time::from_millis(31));
         t.add("engine.events", 7);
         t.record("flowsim.solve.rounds", 2);
@@ -170,7 +185,12 @@ mod tests {
     fn summary_pairs_spans_per_track_with_per_name_stats() {
         let (t, sink) = Tracer::recording();
         t.span_begin(Time::from_millis(1), "recovery", "recovery");
-        t.span(Time::from_millis(1), Time::from_millis(2), "recovery", "detection");
+        t.span(
+            Time::from_millis(1),
+            Time::from_millis(2),
+            "recovery",
+            "detection",
+        );
         t.instant(Time::from_millis(3), "recovery", "restored");
         t.span_end(Time::from_millis(3));
         let first = sink.borrow_mut().take();

@@ -176,6 +176,9 @@ mod tests {
         // spans() reports in begin order: outer first.
         assert_eq!(spans[0].name, "outer");
         assert_eq!(spans[1].name, "inner");
-        assert_eq!(spans[0].end.since(spans[0].begin), Time::from_millis(3).since(Time::ZERO));
+        assert_eq!(
+            spans[0].end.since(spans[0].begin),
+            Time::from_millis(3).since(Time::ZERO)
+        );
     }
 }

@@ -69,10 +69,7 @@ impl CablingReport {
         }
         // Conservation: every cabled interface/NIC appears exactly once.
         for ((p, port), count) in &switch_ends {
-            assert_eq!(
-                *count, 1,
-                "interface {port} of {p:?} cabled {count} times"
-            );
+            assert_eq!(*count, 1, "interface {port} of {p:?} cabled {count} times");
         }
         for (h, count) in &host_ends {
             assert_eq!(*count, 1, "host {h:?} cabled {count} times");

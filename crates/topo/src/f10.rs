@@ -14,9 +14,9 @@
 //! rerouting baseline; the detour construction itself lives in
 //! `sharebackup-routing`.
 
+use crate::fattree::{shortest_path_count, FatTreeConfig, HostAddr};
 use crate::graph::{Network, NodeKind};
 use crate::ids::NodeId;
-use crate::fattree::{shortest_path_count, FatTreeConfig, HostAddr};
 
 /// The two striping types of F10 pods.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,7 +47,10 @@ impl F10Topology {
     /// Panics if `k` is odd or less than 4.
     #[allow(clippy::needless_range_loop)] // indices double as addresses
     pub fn build(cfg: FatTreeConfig) -> F10Topology {
-        assert!(cfg.k >= 4 && cfg.k.is_multiple_of(2), "k must be even and >= 4");
+        assert!(
+            cfg.k >= 4 && cfg.k.is_multiple_of(2),
+            "k must be even and >= 4"
+        );
         let k = cfg.k;
         let half = k / 2;
         let mut net = Network::new();
@@ -71,7 +74,11 @@ impl F10Topology {
             );
             for e in 0..half {
                 for h in 0..half {
-                    let addr = HostAddr { pod, edge: e, host: h };
+                    let addr = HostAddr {
+                        pod,
+                        edge: e,
+                        host: h,
+                    };
                     let id = net.add_node(NodeKind::Host, Some(pod), addr.to_index(k));
                     hosts.push(id);
                 }
@@ -82,7 +89,12 @@ impl F10Topology {
         for pod in 0..k {
             for e in 0..half {
                 for h in 0..half {
-                    let idx = HostAddr { pod, edge: e, host: h }.to_index(k);
+                    let idx = HostAddr {
+                        pod,
+                        edge: e,
+                        host: h,
+                    }
+                    .to_index(k);
                     net.add_link(hosts[idx], edges[pod][e], cfg.host_link_bps);
                 }
             }
@@ -301,8 +313,16 @@ mod tests {
     #[test]
     fn cross_pod_paths_valid_and_complete() {
         let f10 = F10Topology::build(FatTreeConfig::new(4));
-        let a = f10.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let b = f10.host(HostAddr { pod: 1, edge: 1, host: 0 });
+        let a = f10.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let b = f10.host(HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 0,
+        });
         let paths = f10.host_paths(a, b);
         assert_eq!(paths.len(), 4);
         for p in &paths {

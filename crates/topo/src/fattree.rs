@@ -105,7 +105,10 @@ impl FatTree {
     /// Panics if `k` is odd or less than 4.
     #[allow(clippy::needless_range_loop)] // indices double as addresses
     pub fn build(cfg: FatTreeConfig) -> FatTree {
-        assert!(cfg.k >= 4 && cfg.k.is_multiple_of(2), "k must be even and >= 4");
+        assert!(
+            cfg.k >= 4 && cfg.k.is_multiple_of(2),
+            "k must be even and >= 4"
+        );
         let k = cfg.k;
         let half = k / 2;
         let mut net = Network::new();
@@ -355,22 +358,46 @@ mod tests {
     fn paths_have_expected_multiplicity_and_length() {
         let ft = FatTree::build(FatTreeConfig::new(6));
         let same_edge = ft.host_paths(
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 0, edge: 0, host: 1 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 1,
+            }),
         );
         assert_eq!(same_edge.len(), 1);
         assert_eq!(same_edge[0].len(), 3);
 
         let same_pod = ft.host_paths(
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 0, edge: 2, host: 1 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 2,
+                host: 1,
+            }),
         );
         assert_eq!(same_pod.len(), 3);
         assert!(same_pod.iter().all(|p| p.len() == 5));
 
         let cross_pod = ft.host_paths(
-            ft.host(HostAddr { pod: 0, edge: 0, host: 0 }),
-            ft.host(HostAddr { pod: 3, edge: 2, host: 1 }),
+            ft.host(HostAddr {
+                pod: 0,
+                edge: 0,
+                host: 0,
+            }),
+            ft.host(HostAddr {
+                pod: 3,
+                edge: 2,
+                host: 1,
+            }),
         );
         assert_eq!(cross_pod.len(), 9);
         assert!(cross_pod.iter().all(|p| p.len() == 7));
@@ -392,10 +419,22 @@ mod tests {
     #[test]
     fn bfs_distance_matches_enumerated_paths() {
         let ft = FatTree::build(FatTreeConfig::new(4));
-        let a = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let b = ft.host(HostAddr { pod: 1, edge: 1, host: 1 });
+        let a = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let b = ft.host(HostAddr {
+            pod: 1,
+            edge: 1,
+            host: 1,
+        });
         assert_eq!(ft.net.distance(a, b), Some(6));
-        let c = ft.host(HostAddr { pod: 0, edge: 1, host: 0 });
+        let c = ft.host(HostAddr {
+            pod: 0,
+            edge: 1,
+            host: 0,
+        });
         assert_eq!(ft.net.distance(a, c), Some(4));
     }
 
@@ -403,7 +442,11 @@ mod tests {
     fn oversubscription_scales_uplinks_only() {
         let cfg = FatTreeConfig::new(8).with_oversubscription(10.0);
         let ft = FatTree::build(cfg);
-        let host = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
+        let host = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
         let edge = ft.edge(0, 0);
         let agg = ft.agg(0, 0);
         let hl = ft.net.link_between(host, edge).expect("host link");

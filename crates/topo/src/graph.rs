@@ -296,10 +296,7 @@ mod tests {
     fn link_failure_forces_detour() {
         let (mut net, n, l) = triangle();
         net.set_link_up(l[2], false); // cut c-a
-        assert_eq!(
-            net.bfs_path(n[0], n[3]),
-            Some(vec![n[0], n[1], n[2], n[3]])
-        );
+        assert_eq!(net.bfs_path(n[0], n[3]), Some(vec![n[0], n[1], n[2], n[3]]));
         assert!(!net.link_usable(l[2]));
     }
 

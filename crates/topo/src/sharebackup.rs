@@ -301,7 +301,11 @@ impl ShareBackup {
                     },
                 );
                 for j in 0..half {
-                    let host = sb.slots.host(HostAddr { pod, edge: j, host: m });
+                    let host = sb.slots.host(HostAddr {
+                        pod,
+                        edge: j,
+                        host: m,
+                    });
                     cs.attach(CsPort(south0 + j), Attachment::Host(host));
                 }
                 sb.cs1.push(cs);
@@ -311,16 +315,25 @@ impl ShareBackup {
                 for (w, &p) in edge_members.iter().enumerate() {
                     cs.attach(
                         CsPort(w),
-                        Attachment::Switch { switch: p, port: half + m },
+                        Attachment::Switch {
+                            switch: p,
+                            port: half + m,
+                        },
                     );
                 }
                 cs.attach(
                     CsPort(side0),
-                    Attachment::Side { cs: (m + half - 1) % half, port: CsPort(side1) },
+                    Attachment::Side {
+                        cs: (m + half - 1) % half,
+                        port: CsPort(side1),
+                    },
                 );
                 cs.attach(
                     CsPort(side1),
-                    Attachment::Side { cs: (m + 1) % half, port: CsPort(side0) },
+                    Attachment::Side {
+                        cs: (m + 1) % half,
+                        port: CsPort(side0),
+                    },
                 );
                 let agg_members = sb.groups[&GroupId::agg(pod)].clone();
                 for (w, &p) in agg_members.iter().enumerate() {
@@ -338,22 +351,34 @@ impl ShareBackup {
                 for (w, &p) in agg_members.iter().enumerate() {
                     cs.attach(
                         CsPort(w),
-                        Attachment::Switch { switch: p, port: half + u },
+                        Attachment::Switch {
+                            switch: p,
+                            port: half + u,
+                        },
                     );
                 }
                 cs.attach(
                     CsPort(side0),
-                    Attachment::Side { cs: (u + half - 1) % half, port: CsPort(side1) },
+                    Attachment::Side {
+                        cs: (u + half - 1) % half,
+                        port: CsPort(side1),
+                    },
                 );
                 cs.attach(
                     CsPort(side1),
-                    Attachment::Side { cs: (u + 1) % half, port: CsPort(side0) },
+                    Attachment::Side {
+                        cs: (u + 1) % half,
+                        port: CsPort(side0),
+                    },
                 );
                 let core_members = sb.groups[&GroupId::core(u)].clone();
                 for (w, &p) in core_members.iter().enumerate() {
                     cs.attach(
                         CsPort(south0 + w),
-                        Attachment::Switch { switch: p, port: pod },
+                        Attachment::Switch {
+                            switch: p,
+                            port: pod,
+                        },
                     );
                 }
                 sb.cs3.push(cs);
@@ -652,7 +677,11 @@ impl ShareBackup {
                 let edge_occ = self.occupancy[&GroupId::edge(pod).slot(j)];
                 for m in 0..half {
                     // Host link: host(pod, j, m) ↔ edge slot j via CS1[pod][m].
-                    let host = self.slots.host(HostAddr { pod, edge: j, host: m });
+                    let host = self.slots.host(HostAddr {
+                        pod,
+                        edge: j,
+                        host: m,
+                    });
                     let up = self.cs1[pod * half + m].is_up()
                         && !self.iface_broken(edge_occ, m)
                         && !self.host_nic_broken.get(&host).copied().unwrap_or(false);
@@ -672,11 +701,7 @@ impl ShareBackup {
                     let up = self.cs3[pod * half + u].is_up()
                         && !self.iface_broken(agg_occ, half + u)
                         && !self.iface_broken(core_occ, pod);
-                    updates.push((
-                        self.slots.agg(pod, j),
-                        self.slots.core(j * half + u),
-                        up,
-                    ));
+                    updates.push((self.slots.agg(pod, j), self.slots.core(j * half + u), up));
                 }
             }
         }
@@ -933,7 +958,13 @@ impl ShareBackup {
                 if iface < half {
                     (CsId::HostEdge { pod, m: iface }, CsPort(w))
                 } else {
-                    (CsId::EdgeAgg { pod, m: iface - half }, CsPort(w))
+                    (
+                        CsId::EdgeAgg {
+                            pod,
+                            m: iface - half,
+                        },
+                        CsPort(w),
+                    )
                 }
             }
             GroupKind::Agg => {
@@ -942,12 +973,24 @@ impl ShareBackup {
                     let south0 = self.cfg.group_size_for(GroupKind::Edge) + 2;
                     (CsId::EdgeAgg { pod, m: iface }, CsPort(south0 + w))
                 } else {
-                    (CsId::AggCore { pod, u: iface - half }, CsPort(w))
+                    (
+                        CsId::AggCore {
+                            pod,
+                            u: iface - half,
+                        },
+                        CsPort(w),
+                    )
                 }
             }
             GroupKind::Core => {
                 let south0 = self.cfg.group_size_for(GroupKind::Agg) + 2;
-                (CsId::AggCore { pod: iface, u: me.group.index }, CsPort(south0 + w))
+                (
+                    CsId::AggCore {
+                        pod: iface,
+                        u: me.group.index,
+                    },
+                    CsPort(south0 + w),
+                )
             }
         }
     }
@@ -1031,9 +1074,8 @@ impl ShareBackup {
             }
             self.circuit_switch_mut(cs_a).connect(port_a, sa);
             self.circuit_switch_mut(cs_b).connect(sb, port_b);
-            let ok = self.circuit_switch(cs_a).is_up()
-                && self.circuit_switch(cs_b).is_up()
-                && healthy;
+            let ok =
+                self.circuit_switch(cs_a).is_up() && self.circuit_switch(cs_b).is_up() && healthy;
             self.circuit_switch_mut(cs_a).disconnect(port_a);
             self.circuit_switch_mut(cs_b).disconnect(port_b);
             ok
@@ -1179,13 +1221,21 @@ mod tests {
         sb.set_circuit_switch_up(CsId::HostEdge { pod: 0, m: 1 }, false);
         // Host 1 of every edge in pod 0 loses its link.
         for j in 0..2 {
-            let host = sb.slots.host(HostAddr { pod: 0, edge: j, host: 1 });
+            let host = sb.slots.host(HostAddr {
+                pod: 0,
+                edge: j,
+                host: 1,
+            });
             let edge = sb.slots.edge(0, j);
             let l = sb.slots.net.link_between(host, edge).expect("link");
             assert!(!sb.slots.net.link_usable(l));
         }
         // Hosts with index 0 are unaffected.
-        let host = sb.slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
+        let host = sb.slots.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
         let edge = sb.slots.edge(0, 0);
         let l = sb.slots.net.link_between(host, edge).expect("link");
         assert!(sb.slots.net.link_usable(l));
@@ -1194,7 +1244,11 @@ mod tests {
     #[test]
     fn host_nic_failure_downs_host_link() {
         let mut sb = build(4, 1);
-        let host = sb.slots.host(HostAddr { pod: 1, edge: 0, host: 0 });
+        let host = sb.slots.host(HostAddr {
+            pod: 1,
+            edge: 0,
+            host: 0,
+        });
         sb.set_host_nic_broken(host, true);
         let edge = sb.slots.edge(1, 0);
         let l = sb.slots.net.link_between(host, edge).expect("link");

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 
 use sharebackup_topo::{
-    CircuitSwitch, CircuitTech, CsPort, F10Topology, FatTree, FatTreeConfig, GroupId,
-    HostAddr, NodeKind, ShareBackup, ShareBackupConfig,
+    CircuitSwitch, CircuitTech, CsPort, F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr,
+    NodeKind, ShareBackup, ShareBackupConfig,
 };
 
 fn ks() -> impl Strategy<Value = usize> {

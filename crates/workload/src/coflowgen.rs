@@ -102,8 +102,7 @@ impl CoflowTrace {
                 // Truncating the heavy-tailed sample to whole bytes is the
                 // intended rounding; clamp bounds the value either way.
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let per_flow =
-                    ((total / mappers as f64) as u64).clamp(1, cfg.max_flow_bytes);
+                let per_flow = ((total / mappers as f64) as u64).clamp(1, cfg.max_flow_bytes);
                 for &m in &mapper_racks {
                     if m == r {
                         // Same-rack shuffle portion never enters the fabric.

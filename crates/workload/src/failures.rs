@@ -177,8 +177,7 @@ impl FailureInjector {
             if at > horizon {
                 break;
             }
-            let duration =
-                Duration::from_secs_f64(rng.exponential(mean_duration.as_secs_f64()));
+            let duration = Duration::from_secs_f64(rng.exponential(mean_duration.as_secs_f64()));
             let kind = if rng.chance(node_fraction) {
                 FailureKind::Node(self.sample_nodes(rng, 1)[0])
             } else {
@@ -256,12 +255,9 @@ impl FailureInjector {
             }
             let victims = rng.sample_indices(domain.len(), size);
             for i in victims {
-                let offset = Duration::from_secs_f64(
-                    rng.f64() * spread.as_secs_f64(),
-                );
-                let duration = Duration::from_secs_f64(
-                    rng.exponential(mean_duration.as_secs_f64()),
-                );
+                let offset = Duration::from_secs_f64(rng.f64() * spread.as_secs_f64());
+                let duration =
+                    Duration::from_secs_f64(rng.exponential(mean_duration.as_secs_f64()));
                 events.push(FailureEvent {
                     kind: FailureKind::Node(domain[i]),
                     at: at + offset,
@@ -616,10 +612,7 @@ mod tests {
         // Per link, down periods never overlap (up dwell separates them).
         for &link in &links {
             let mut last_repair = Time::ZERO;
-            for e in events
-                .iter()
-                .filter(|e| e.kind == FailureKind::Link(link))
-            {
+            for e in events.iter().filter(|e| e.kind == FailureKind::Link(link)) {
                 assert!(e.at >= last_repair, "flap starts after previous repair");
                 last_repair = e.repaired_at();
             }

@@ -39,11 +39,7 @@ impl TraceShape {
     /// Panics on a trace with no coflows.
     pub fn of(trace: &CoflowTrace) -> TraceShape {
         assert!(!trace.coflows.is_empty(), "empty trace");
-        let mut widths: Vec<f64> = trace
-            .coflows
-            .iter()
-            .map(|c| c.flows.len() as f64)
-            .collect();
+        let mut widths: Vec<f64> = trace.coflows.iter().map(|c| c.flows.len() as f64).collect();
         widths.sort_by(f64::total_cmp);
         let mut sizes: Vec<f64> = trace
             .coflows
@@ -166,7 +162,10 @@ mod tests {
                     arrival: Time::ZERO,
                 });
             }
-            coflows.push(Coflow { id: CoflowId(c), flows: members });
+            coflows.push(Coflow {
+                id: CoflowId(c),
+                flows: members,
+            });
         }
         let shape = TraceShape::of(&CoflowTrace { specs, coflows });
         assert!(!shape.is_heavy_tailed());

@@ -152,10 +152,7 @@ impl BenchmarkTrace {
     /// Instantiate as a simulable [`CoflowTrace`]: the per-reducer volume is
     /// split evenly across mappers (the benchmark's convention), same-rack
     /// portions are skipped, and racks map to hosts via `rack_to_host`.
-    pub fn instantiate(
-        &self,
-        mut rack_to_host: impl FnMut(usize, u64) -> NodeId,
-    ) -> CoflowTrace {
+    pub fn instantiate(&self, mut rack_to_host: impl FnMut(usize, u64) -> NodeId) -> CoflowTrace {
         let mut specs = Vec::new();
         let mut coflows = Vec::new();
         let mut flow_id = 0u64;
@@ -166,8 +163,7 @@ impl BenchmarkTrace {
                 // Truncating megabyte sizes to whole bytes is the intended
                 // rounding (sub-byte remainders are meaningless here).
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let per_flow =
-                    ((mb * 1e6 / cf.mappers.len().max(1) as f64) as u64).max(1);
+                let per_flow = ((mb * 1e6 / cf.mappers.len().max(1) as f64) as u64).max(1);
                 for &m_rack in &cf.mappers {
                     if m_rack == r_rack {
                         continue;

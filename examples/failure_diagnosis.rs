@@ -27,11 +27,7 @@ fn main() {
     println!("(the controller does not know which side — yet)\n");
 
     // Fast recovery first (§4.1): both suspect switches are replaced.
-    let recovery = controller.handle_link_failure(
-        (edge, edge_iface),
-        (agg, agg_iface),
-        Time::ZERO,
-    );
+    let recovery = controller.handle_link_failure((edge, edge_iface), (agg, agg_iface), Time::ZERO);
     println!("fast recovery ({}):", recovery.latency);
     for (slot, old, new) in &recovery.replaced {
         println!("  {slot:?}: {old:?} -> backup {new:?}");

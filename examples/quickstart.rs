@@ -25,8 +25,16 @@ fn main() {
     let mut controller = Controller::new(network, ControllerConfig::default());
 
     // A flow between two pods, routed by ECMP over the slot fat-tree.
-    let src = controller.sb.slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = controller.sb.slots.host(HostAddr { pod: 5, edge: 2, host: 1 });
+    let src = controller.sb.slots.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = controller.sb.slots.host(HostAddr {
+        pod: 5,
+        edge: 2,
+        host: 1,
+    });
     let flow = FlowKey::new(src, dst, 7);
     let path_before = ecmp_path(&controller.sb.slots, &flow);
     println!("flow path: {path_before:?}");

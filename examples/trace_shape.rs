@@ -69,11 +69,7 @@ fn main() {
                     mappers: vec![0],
                     reducers: vec![(
                         1,
-                        cf.flows
-                            .iter()
-                            .map(|&i| trace.specs[i].bytes)
-                            .sum::<u64>() as f64
-                            / 1e6,
+                        cf.flows.iter().map(|&i| trace.specs[i].bytes).sum::<u64>() as f64 / 1e6,
                     )],
                 }
             })

@@ -27,7 +27,10 @@ fn primary_controller_failure_delays_recovery_by_one_election() {
         .expect("replica 0 exists");
     assert_eq!(plane.primary(), Some(1), "replica 1 takes over");
     plane.submit(&mut ctl, FailureReport::Node(victim), Time::ZERO);
-    assert!(plane.take_completed().is_empty(), "nothing recovers mid-election");
+    assert!(
+        plane.take_completed().is_empty(),
+        "nothing recovers mid-election"
+    );
 
     plane.poll(&mut ctl, Time::ZERO + plane.cfg.blackout());
     let done = plane.take_completed();
@@ -66,7 +69,11 @@ fn total_controller_loss_blocks_recovery_until_restore() {
     let slot = GroupId::core(0).slot(1);
     let victim = ctl.sb.occupant(slot);
     ctl.sb.set_phys_healthy(victim, false);
-    plane.submit(&mut ctl, FailureReport::Node(victim), Time::from_millis(500));
+    plane.submit(
+        &mut ctl,
+        FailureReport::Node(victim),
+        Time::from_millis(500),
+    );
     assert!(plane.take_completed().is_empty());
     assert_eq!(plane.pending_count(), 1);
     assert!(!ctl.sb.slots.net.node(ctl.sb.slot_node(slot)).up);

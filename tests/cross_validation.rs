@@ -29,29 +29,53 @@ impl Environment for StaticFt {
 #[test]
 fn single_flow_completion_agrees() {
     let ft = FatTree::build(FatTreeConfig::new(4));
-    let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 0 });
+    let src = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 2,
+        edge: 1,
+        host: 0,
+    });
     let key = FlowKey::new(src, dst, 1);
     let bytes = 50_000_000u64; // 40 ms at 10 Gbps
 
     // Fluid model: exactly bytes·8/rate.
-    let specs = vec![FlowSpec { key, bytes, arrival: Time::ZERO }];
-    let mut env = StaticFt { ft: FatTree::build(FatTreeConfig::new(4)) };
+    let specs = vec![FlowSpec {
+        key,
+        bytes,
+        arrival: Time::ZERO,
+    }];
+    let mut env = StaticFt {
+        ft: FatTree::build(FatTreeConfig::new(4)),
+    };
     let fluid = FlowSim::new().run(&mut env, &specs, &[]);
-    let t_fluid = fluid.flows[0].completed.expect("fluid finishes").as_secs_f64();
+    let t_fluid = fluid.flows[0]
+        .completed
+        .expect("fluid finishes")
+        .as_secs_f64();
 
     // Packet model: slow start + header overhead make it slower, but the
     // same order.
     let path = ecmp_path(&ft, &key);
     let (pkt, _) = PacketSim::new(PacketNetConfig::default()).run(
         &ft.net,
-        &[PktFlowSpec { path, bytes, start: Time::ZERO }],
+        &[PktFlowSpec {
+            path,
+            bytes,
+            start: Time::ZERO,
+        }],
         vec![],
         Time::from_secs(30),
     );
     let t_pkt = pkt[0].completed.expect("packet finishes").as_secs_f64();
 
-    assert!(t_pkt >= t_fluid * 0.95, "packet sim can't beat the fluid bound");
+    assert!(
+        t_pkt >= t_fluid * 0.95,
+        "packet sim can't beat the fluid bound"
+    );
     assert!(
         t_pkt <= t_fluid * 2.0,
         "packet sim within 2x of fluid: {t_pkt} vs {t_fluid}"
@@ -65,17 +89,35 @@ fn shared_bottleneck_fairness_agrees() {
     // may not collide, so force a single shared host link by using the same
     // destination host — the receiver link is the bottleneck either way.
     let ft = FatTree::build(FatTreeConfig::new(4));
-    let src_a = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let src_b = ft.host(HostAddr { pod: 0, edge: 1, host: 0 });
-    let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 0 });
+    let src_a = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let src_b = ft.host(HostAddr {
+        pod: 0,
+        edge: 1,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 2,
+        edge: 1,
+        host: 0,
+    });
     let bytes = 25_000_000u64;
     let keys = [FlowKey::new(src_a, dst, 1), FlowKey::new(src_b, dst, 2)];
 
     let specs: Vec<FlowSpec> = keys
         .iter()
-        .map(|&key| FlowSpec { key, bytes, arrival: Time::ZERO })
+        .map(|&key| FlowSpec {
+            key,
+            bytes,
+            arrival: Time::ZERO,
+        })
         .collect();
-    let mut env = StaticFt { ft: FatTree::build(FatTreeConfig::new(4)) };
+    let mut env = StaticFt {
+        ft: FatTree::build(FatTreeConfig::new(4)),
+    };
     let fluid = FlowSim::new().run(&mut env, &specs, &[]);
     let t_fluid: Vec<f64> = (0..2)
         .map(|i| fluid.flows[i].completed.expect("finishes").as_secs_f64())
@@ -123,8 +165,16 @@ fn failover_blip_agrees_between_models() {
     // the outage, not the transfer length.
     use sharebackup::packet::PktEvent;
     let ft = FatTree::build(FatTreeConfig::new(4));
-    let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 0 });
+    let src = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 2,
+        edge: 1,
+        host: 0,
+    });
     let key = FlowKey::new(src, dst, 1);
     let path = ecmp_path(&ft, &key);
     let core = path[3];
@@ -138,7 +188,11 @@ fn failover_blip_agrees_between_models() {
     })
     .run(
         &ft.net,
-        &[PktFlowSpec { path: path.clone(), bytes, start: Time::ZERO }],
+        &[PktFlowSpec {
+            path: path.clone(),
+            bytes,
+            start: Time::ZERO,
+        }],
         vec![
             (fail, PktEvent::FailNode(core)),
             (back, PktEvent::RepairNode(core)),

@@ -12,9 +12,7 @@
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
 use std::fmt::Write as _;
 
-use sharebackup::core::scenario::{
-    sharebackup_timeline, SbEvent, ShareBackupWorld,
-};
+use sharebackup::core::scenario::{sharebackup_timeline, SbEvent, ShareBackupWorld};
 use sharebackup::core::{simulate_recovery, Controller, ControllerConfig};
 use sharebackup::flowsim::FlowSim;
 use sharebackup::sim::{Duration, SimRng, Time};
@@ -94,7 +92,10 @@ fn recovery_transcript(seed: u64) -> String {
 fn seeded_recovery_runs_are_bit_identical() {
     let a = recovery_transcript(SEED);
     let b = recovery_transcript(SEED);
-    assert!(!a.is_empty() && a.contains("Recovered"), "transcript has substance");
+    assert!(
+        !a.is_empty() && a.contains("Recovered"),
+        "transcript has substance"
+    );
     assert!(
         a.lines().count() > 20,
         "transcript covers timeline, flows, links, and counters"
@@ -109,12 +110,18 @@ fn different_seeds_change_the_workload_not_the_recovery() {
     // The recovery timeline is seed-independent (the failure is injected
     // deterministically)…
     let timeline = |t: &str| {
-        t.split("== flows ==").next().map(str::to_owned).unwrap_or_default()
+        t.split("== flows ==")
+            .next()
+            .map(str::to_owned)
+            .unwrap_or_default()
     };
     assert_eq!(timeline(&a), timeline(&b));
     // …while the seeded workload actually differs, proving the transcript
     // is sensitive enough to catch divergence.
-    assert_ne!(a, b, "different seeds must change the flow-level transcript");
+    assert_ne!(
+        a, b,
+        "different seeds must change the flow-level transcript"
+    );
 }
 
 /// The lint scope holds for every crate, including ones added later: each
@@ -136,14 +143,20 @@ fn lint_scope_covers_every_library_and_no_external_crate() {
     for lib in &roots {
         let text = std::fs::read_to_string(lib).expect("crate root is readable");
         assert!(
-            text.lines().any(|l| l.trim() == "#![warn(clippy::expect_used)]"),
+            text.lines()
+                .any(|l| l.trim() == "#![warn(clippy::expect_used)]"),
             "{} must carry `#![warn(clippy::expect_used)]`",
             lib.display()
         );
     }
 
     let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("Cargo.lock");
-    let external: Vec<&str> =
-        lock.lines().filter(|l| l.trim_start().starts_with("source =")).collect();
-    assert!(external.is_empty(), "Cargo.lock names external crates: {external:?}");
+    let external: Vec<&str> = lock
+        .lines()
+        .filter(|l| l.trim_start().starts_with("source ="))
+        .collect();
+    assert!(
+        external.is_empty(),
+        "Cargo.lock names external crates: {external:?}"
+    );
 }

@@ -11,8 +11,7 @@ use sharebackup::flowsim::{FlowSim, FlowSpec};
 use sharebackup::routing::FlowKey;
 use sharebackup::sim::{SimRng, Time};
 use sharebackup::topo::{
-    F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, ShareBackup,
-    ShareBackupConfig,
+    F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, ShareBackup, ShareBackupConfig,
 };
 use sharebackup::workload::{CoflowTrace, TraceConfig};
 
@@ -31,7 +30,11 @@ fn build_trace(ft: &FatTree) -> CoflowTrace {
     })
 }
 
-fn total_cct(trace: &CoflowTrace, specs: &[FlowSpec], out: &sharebackup::flowsim::SimOutcome) -> f64 {
+fn total_cct(
+    trace: &CoflowTrace,
+    specs: &[FlowSpec],
+    out: &sharebackup::flowsim::SimOutcome,
+) -> f64 {
     trace
         .coflows
         .iter()
@@ -54,14 +57,20 @@ fn same_failure_three_systems_ordering() {
     // agg(pod, a), so the rerouting-vs-replacement contrast is guaranteed
     // to be exercised.
     let mut trace = trace;
-    let probe_src = base_ft.host(HostAddr { pod, edge: 0, host: 0 });
-    let probe_dst = base_ft.host(HostAddr { pod: 4, edge: 2, host: 1 });
+    let probe_src = base_ft.host(HostAddr {
+        pod,
+        edge: 0,
+        host: 0,
+    });
+    let probe_dst = base_ft.host(HostAddr {
+        pod: 4,
+        edge: 2,
+        host: 1,
+    });
     let probe_id = (0..10_000u64)
         .find(|&id| {
-            let p = sharebackup::routing::ecmp_path(
-                &base_ft,
-                &FlowKey::new(probe_src, probe_dst, id),
-            );
+            let p =
+                sharebackup::routing::ecmp_path(&base_ft, &FlowKey::new(probe_src, probe_dst, id));
             p[2] == base_ft.agg(pod, a)
         })
         .expect("some id hashes through the target agg");
@@ -120,19 +129,18 @@ fn same_failure_three_systems_ordering() {
     let mut env = F10World::new(F10Topology::build(ft_cfg), vec![]);
     let base_f10_run = FlowSim::new().run(&mut env, &trace.specs, &[]);
 
-    let max_slowdown = |fail: &sharebackup::flowsim::SimOutcome,
-                        base: &sharebackup::flowsim::SimOutcome|
-     -> f64 {
-        trace
-            .coflows
-            .iter()
-            .filter_map(|cf| {
-                let f = cf.cct(&trace.specs, fail)?.as_secs_f64();
-                let b = cf.cct(&trace.specs, base)?.as_secs_f64();
-                (b > 0.0).then(|| f / b)
-            })
-            .fold(0.0, f64::max)
-    };
+    let max_slowdown =
+        |fail: &sharebackup::flowsim::SimOutcome, base: &sharebackup::flowsim::SimOutcome| -> f64 {
+            trace
+                .coflows
+                .iter()
+                .filter_map(|cf| {
+                    let f = cf.cct(&trace.specs, fail)?.as_secs_f64();
+                    let b = cf.cct(&trace.specs, base)?.as_secs_f64();
+                    (b > 0.0).then(|| f / b)
+                })
+                .fold(0.0, f64::max)
+        };
     let worst_ft = max_slowdown(&out_ft, &base_ft_run);
     let worst_f10 = max_slowdown(&out_f10, &base_f10_run);
     let worst_sb = max_slowdown(&out_sb, &base_ft_run);
@@ -177,8 +185,16 @@ fn edge_failure_strands_reroute_but_not_sharebackup() {
     let fail_at = Time::from_millis(100);
 
     let ft = FatTree::build(ft_cfg);
-    let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = ft.host(HostAddr { pod: 1, edge: 0, host: 0 });
+    let src = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 1,
+        edge: 0,
+        host: 0,
+    });
     let specs = vec![FlowSpec {
         key: FlowKey::new(src, dst, 1),
         bytes: 1_000_000_000, // ~8 s at the 1 Gbps oversubscribed uplinks
@@ -199,8 +215,16 @@ fn edge_failure_strands_reroute_but_not_sharebackup() {
     let sb = ShareBackup::build(ShareBackupConfig::for_fattree(ft_cfg, 1));
     let controller = Controller::new(sb, ControllerConfig::default());
     let mut world = ShareBackupWorld::new(controller, vec![]);
-    let src = world.controller.sb.slots.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = world.controller.sb.slots.host(HostAddr { pod: 1, edge: 0, host: 0 });
+    let src = world.controller.sb.slots.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = world.controller.sb.slots.host(HostAddr {
+        pod: 1,
+        edge: 0,
+        host: 0,
+    });
     let specs = vec![FlowSpec {
         key: FlowKey::new(src, dst, 1),
         bytes: 1_000_000_000,
@@ -220,8 +244,16 @@ fn global_hash_mode_also_recovers_fabric_failures() {
     // surviving shortest paths without load awareness.
     let ft_cfg = FatTreeConfig::new(4);
     let ft = FatTree::build(ft_cfg);
-    let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = ft.host(HostAddr { pod: 2, edge: 0, host: 0 });
+    let src = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 2,
+        edge: 0,
+        host: 0,
+    });
     let core = ft.core(0);
     let flows: Vec<FlowSpec> = (0..8)
         .map(|id| FlowSpec {

@@ -7,9 +7,7 @@ use proptest::prelude::*;
 use sharebackup::core::{Controller, ControllerConfig};
 use sharebackup::routing::{ecmp_path, FlowKey};
 use sharebackup::sim::Time;
-use sharebackup::topo::{
-    GroupId, GroupKind, NodeId, ShareBackup, ShareBackupConfig,
-};
+use sharebackup::topo::{GroupId, GroupKind, NodeId, ShareBackup, ShareBackupConfig};
 
 /// Every slot always has exactly one occupant; every physical switch
 /// occupies at most one slot; spares + occupants = all members per group.

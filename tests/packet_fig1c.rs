@@ -15,8 +15,16 @@ const FAIL_AT: Time = Time(5_000_000); // 5 ms
 
 fn run(outage: Duration, recovery: Recovery) -> (Time, u64) {
     let ft = FatTree::build(FatTreeConfig::new(4));
-    let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-    let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 0 });
+    let src = ft.host(HostAddr {
+        pod: 0,
+        edge: 0,
+        host: 0,
+    });
+    let dst = ft.host(HostAddr {
+        pod: 2,
+        edge: 1,
+        host: 0,
+    });
     let flow = FlowKey::new(src, dst, 9);
     let path = ecmp_path(&ft, &flow);
     let agg = path[2];
@@ -33,7 +41,10 @@ fn run(outage: Duration, recovery: Recovery) -> (Time, u64) {
                 .expect("alternate path");
             events.push((
                 FAIL_AT + outage,
-                PktEvent::SetPath { flow: 0, path: Some(alt) },
+                PktEvent::SetPath {
+                    flow: 0,
+                    path: Some(alt),
+                },
             ));
         }
         Recovery::None => {}
@@ -44,14 +55,15 @@ fn run(outage: Duration, recovery: Recovery) -> (Time, u64) {
     };
     let (out, _) = PacketSim::new(cfg).run(
         &ft.net,
-        &[PktFlowSpec { path, bytes: BYTES, start: Time::ZERO }],
+        &[PktFlowSpec {
+            path,
+            bytes: BYTES,
+            start: Time::ZERO,
+        }],
         events,
         Time::from_secs(5),
     );
-    (
-        out[0].completed.unwrap_or(Time::MAX),
-        out[0].delivered,
-    )
+    (out[0].completed.unwrap_or(Time::MAX), out[0].delivered)
 }
 
 enum Recovery {
@@ -100,8 +112,16 @@ fn sharebackup_failover_loses_only_in_flight_packets() {
     // Clean transfer is ~28 ms with slow start; the blip adds a few ms.
     let clean = {
         let ft = FatTree::build(FatTreeConfig::new(4));
-        let src = ft.host(HostAddr { pod: 0, edge: 0, host: 0 });
-        let dst = ft.host(HostAddr { pod: 2, edge: 1, host: 0 });
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 2,
+            edge: 1,
+            host: 0,
+        });
         let path = ecmp_path(&ft, &FlowKey::new(src, dst, 9));
         let (out, _) = PacketSim::new(PacketNetConfig {
             rto: Duration::from_millis(2),
@@ -109,7 +129,11 @@ fn sharebackup_failover_loses_only_in_flight_packets() {
         })
         .run(
             &ft.net,
-            &[PktFlowSpec { path, bytes: BYTES, start: Time::ZERO }],
+            &[PktFlowSpec {
+                path,
+                bytes: BYTES,
+                start: Time::ZERO,
+            }],
             vec![],
             Time::from_secs(5),
         );

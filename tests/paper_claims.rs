@@ -1,9 +1,9 @@
 //! The paper's quantitative claims, pinned as integration tests. Each test
 //! cites the section it checks.
 
+use sharebackup::core::{RecoveryLatencyModel, RecoveryScheme};
 use sharebackup::cost::model::{relative_additional, Architecture, Medium};
 use sharebackup::cost::{CapacityAnalysis, ScalabilityLimits};
-use sharebackup::core::{RecoveryLatencyModel, RecoveryScheme};
 use sharebackup::routing::impersonation::GroupTables;
 use sharebackup::sim::Duration;
 use sharebackup::topo::{CircuitTech, ShareBackup, ShareBackupConfig};
