@@ -61,7 +61,7 @@ impl Cli {
     /// A command line `argv` (without the program name) for binary `bin`.
     /// A token starting with `--` (or `-h`) is a flag; the token after it
     /// is its value unless it is itself a flag.
-    fn new(bin: &str, argv: impl IntoIterator<Item = String>) -> Cli {
+    pub fn new(bin: &str, argv: impl IntoIterator<Item = String>) -> Cli {
         let mut given: Vec<(String, Option<String>)> = Vec::new();
         let mut stray = None;
         for token in argv {

@@ -15,6 +15,7 @@
 
 pub mod args;
 pub mod fig1;
+pub mod harness;
 pub mod parallel;
 pub mod racks;
 pub mod report;

@@ -1,4 +1,4 @@
-//! The one place a harness's text output is printed.
+//! The one place a harness's text output is rendered.
 //!
 //! A harness builds its rows once, as the [`Value`] objects `--json` prints.
 //! The text output is read off the same rows: a title, the
@@ -185,25 +185,18 @@ pub fn claims(checks: &[Check]) -> String {
         .collect()
 }
 
-/// Print a harness's first lines: the title, then the `args:` stamp when
-/// the harness read a flag that shapes its rows.
-pub fn print_header(title: &str, cli: &Cli) {
-    println!("{title}");
-    if let Some(stamp) = cli.stamp() {
-        println!("{stamp}");
+/// A harness's first lines: the title, then the `args:` stamp when the
+/// harness read a flag that shapes its rows.
+pub fn header(title: &str, cli: &Cli) -> String {
+    match cli.stamp() {
+        Some(stamp) => format!("{title}\n{stamp}\n"),
+        None => format!("{title}\n"),
     }
 }
 
-/// Print the claims after a blank line.
-pub fn print_claims(checks: &[Check]) {
-    println!();
-    print!("{}", claims(checks));
-}
-
-/// Print `rows` as the `--json` output: one pretty-printed array.
-pub fn print_json(rows: &[Value]) {
-    let text = minijson::to_string_pretty(rows).expect("json");
-    println!("{text}");
+/// `rows` as the `--json` output: one pretty-printed array.
+pub fn json(rows: &[Value]) -> String {
+    minijson::to_string_pretty(rows).expect("json") + "\n"
 }
 
 #[cfg(test)]

@@ -16,15 +16,23 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The format strings of the `print!`/`println!` calls in `text`, up to
-/// their first escaped or closing quote.
+/// The format strings of the `print!`/`println!` (and `eprint…!`) and
+/// `write!`/`writeln!` calls in `text`, up to their first escaped or
+/// closing quote, from their first character that is not whitespace.
 fn printed_literals(text: &str) -> Vec<&str> {
-    text.match_indices("print")
-        .filter_map(|(i, _)| {
-            let rest = &text[i + "print".len()..];
-            let rest = rest.strip_prefix("ln").unwrap_or(rest).strip_prefix("!(")?;
-            let literal = rest.trim_start().strip_prefix('"')?;
-            literal.split(['"', '\\']).next()
+    (0..text.len())
+        .filter_map(|i| {
+            let rest = text.get(i..)?;
+            let (rest, to_writer) = match rest.strip_prefix("print") {
+                Some(rest) => (rest, false),
+                None => (rest.strip_prefix("write")?, true),
+            };
+            let mut args = rest.strip_prefix("ln").unwrap_or(rest).strip_prefix("!(")?;
+            if to_writer {
+                args = args.split_once(',')?.1;
+            }
+            let literal = args.trim_start().strip_prefix('"')?;
+            literal.split(['"', '\\']).next().map(str::trim_start)
         })
         .collect()
 }
@@ -53,9 +61,19 @@ fn no_harness_prints_an_unchecked_claim() {
 #[test]
 fn the_scan_sees_every_print_form() {
     let text = r#"println!("expected: a"); print!(
-        "paper b"); eprintln!("c {}", 1); println!(); print!("{x}")"#;
+        "paper b"); eprintln!("c {}", 1); println!(); print!("{x}");
+        let _ = writeln!(text, "expected: d"); write!(
+            out,
+            "paper e {}", 2); std::fs::write(path, "f"); writeln!(text);"#;
     assert_eq!(
         printed_literals(text),
-        ["expected: a", "paper b", "c {}", "{x}"]
+        [
+            "expected: a",
+            "paper b",
+            "c {}",
+            "{x}",
+            "expected: d",
+            "paper e {}"
+        ]
     );
 }

@@ -401,10 +401,10 @@ impl WaterFiller {
 
     /// Replace a flow's path. Only a changed path moves anything.
     pub fn set_links(&mut self, fid: usize, links: Vec<u32>) {
-        self.touched += 1;
         if self.flows[fid].links == links {
             return;
         }
+        self.touched += 1;
         if self.flows[fid].running {
             self.leave(fid);
             self.flows[fid].links = links;
@@ -940,16 +940,14 @@ impl WaterFiller {
             usize::try_from(self.active).unwrap_or(usize::MAX),
             "max-min: the log does not hold every running flow once"
         );
-        for l in 0..self.link_of.len() {
+        for (l, &link) in self.link_of.iter().enumerate() {
             assert!(
                 !self.dirty[l] && self.pending_on[l] == 0,
-                "max-min: link {:?} left dirty or with flows pending",
-                self.link_of[l]
+                "max-min: link {link:?} left dirty or with flows pending"
             );
             assert!(
                 load[l] <= self.capacity[l] * (1.0 + 1e-6),
-                "max-min: link {:?} carries {} over capacity {}",
-                self.link_of[l],
+                "max-min: link {link:?} carries {} over capacity {}",
                 load[l],
                 self.capacity[l]
             );
@@ -1234,6 +1232,7 @@ mod tests {
         wf.set_stalled(f0, true);
         wf.set_stalled(f0, true); // no-op: already stalled, not a touch
         wf.set_links(f0, vec![a]);
+        wf.set_links(f0, vec![a]); // no-op: same path, not a touch
         wf.remove_flow(f2);
         wf.solve();
         assert_eq!(wf.last_solve_stats().flows_touched, 3);
