@@ -178,7 +178,8 @@ impl AbstractFailure {
         }
     }
 
-    /// The fat-tree topology event for this failure.
+    /// The topology event for this failure in `ft`; an agg uplink `m`
+    /// resolves under `ft`'s striping.
     pub fn to_fattree(&self, ft: &FatTree) -> TopoEvent {
         let half = ft.k() / 2;
         match *self {
@@ -196,7 +197,7 @@ impl AbstractFailure {
             AbstractFailure::LinkAggUp { pod, a, m } => {
                 let l = ft
                     .net
-                    .link_between(ft.agg(pod, a), ft.core(a * half + m))
+                    .link_between(ft.agg(pod, a), ft.core(ft.core_index(pod, a, m)))
                     .expect("agg-core link");
                 TopoEvent::FailLink(l)
             }
@@ -215,43 +216,10 @@ impl AbstractFailure {
         }
     }
 
-    /// The F10 topology event for this failure (same structural position;
-    /// F10's core wiring differs, so uplink `m` resolves per its striping).
+    /// The F10 topology event for this failure: the same structural
+    /// position, with uplink `m` resolved under F10's striping.
     pub fn to_f10(&self, f10: &F10Topology) -> TopoEvent {
-        let half = f10.k() / 2;
-        match *self {
-            AbstractFailure::Edge(p, j) => TopoEvent::FailNode(f10.edge(p, j)),
-            AbstractFailure::Agg(p, j) => TopoEvent::FailNode(f10.agg(p, j)),
-            AbstractFailure::Core(c) => TopoEvent::FailNode(f10.core(c)),
-            AbstractFailure::LinkEdgeUp { pod, e, m } => {
-                let a = (e + m) % half;
-                let l = f10
-                    .net
-                    .link_between(f10.edge(pod, e), f10.agg(pod, a))
-                    .expect("edge-agg link");
-                TopoEvent::FailLink(l)
-            }
-            AbstractFailure::LinkAggUp { pod, a, m } => {
-                let c = f10.cores_of_agg(pod, a)[m];
-                let l = f10
-                    .net
-                    .link_between(f10.agg(pod, a), f10.core(c))
-                    .expect("agg-core link");
-                TopoEvent::FailLink(l)
-            }
-            AbstractFailure::LinkHost { pod, e, h } => {
-                let host = f10.host(HostAddr {
-                    pod,
-                    edge: e,
-                    host: h,
-                });
-                let l = f10
-                    .net
-                    .link_between(host, f10.edge(pod, e))
-                    .expect("host link");
-                TopoEvent::FailLink(l)
-            }
-        }
+        self.to_fattree(f10)
     }
 
     /// The ShareBackup injection for this failure (against the physical

@@ -19,12 +19,13 @@ use crate::Cli;
 use minijson::Value;
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_flowsim::properties::{total_usable_capacity, upstream_repair};
-use sharebackup_routing::{ecmp::ecmp_path_f10, ecmp_path, F10Router, FlowKey, GlobalReroute};
+use sharebackup_routing::{ecmp_path, F10Router, FlowKey, GlobalReroute};
 use sharebackup_sim::Time;
 use sharebackup_topo::{
     F10Topology, FatTree, FatTreeConfig, GroupId, HostAddr, NodeId, ShareBackup, ShareBackupConfig,
 };
 use std::fmt::Write;
+use std::ops::DerefMut;
 
 /// Index in `path` of the node adjacent (source side) to the failed link
 /// `(x, y)`; the divergence point of a *local* repair.
@@ -82,59 +83,30 @@ fn candidate_keys(k: usize, host: impl Fn(HostAddr) -> sharebackup_topo::NodeId)
     keys
 }
 
-fn measure_fattree(k: usize) -> Measured {
-    let mut ft = FatTree::build(FatTreeConfig::new(k));
-    let before_cap = total_usable_capacity(&ft.net);
-    let keys = candidate_keys(k, |a| ft.host(a));
-    let before: Vec<Vec<_>> = keys.iter().map(|f| ecmp_path(&ft, f)).collect();
-    // Fail agg(0,0) -> core(0).
-    let (fx, fy) = (ft.agg(0, 0), ft.core(0));
-    let l = ft.net.link_between(fx, fy).expect("agg-core link");
-    ft.net.set_link_up(l, false);
-    let after_cap = total_usable_capacity(&ft.net);
+/// Fail agg(0,0)'s link to core 0 in `tree` and reroute every flow that
+/// crossed it with `route`. Pod 0 is type A in both trees, so the link is
+/// the same agg uplink in a fat-tree and a downward core link into pod 0
+/// in F10.
+fn measure_reroute<T: DerefMut<Target = FatTree>>(
+    mut tree: T,
+    route: fn(&T, &FlowKey) -> Option<Vec<NodeId>>,
+) -> Measured {
+    let before_cap = total_usable_capacity(&tree.net);
+    let keys = candidate_keys(tree.k(), |a| tree.host(a));
+    let before: Vec<Vec<_>> = keys.iter().map(|f| ecmp_path(&tree, f)).collect();
+    let (fx, fy) = (tree.agg(0, 0), tree.core(0));
+    let l = tree.net.link_between(fx, fy).expect("agg-core link");
+    tree.net.set_link_up(l, false);
+    let after_cap = total_usable_capacity(&tree.net);
     let mut max_dilation = 0usize;
     let mut upstream = 0usize;
     let mut examined = 0usize;
     for (f, b) in keys.iter().zip(&before) {
-        if ft.net.path_usable(b) {
+        if tree.net.path_usable(b) {
             continue; // unaffected flow
         }
         examined += 1;
-        let a = GlobalReroute::route(&ft, f).expect("core-link failure is recoverable");
-        max_dilation = max_dilation.max(a.len().saturating_sub(b.len()));
-        let failed_at = failure_position(b, fx, fy).expect("affected flow crosses the link");
-        if upstream_repair(b, &a, failed_at) {
-            upstream += 1;
-        }
-    }
-    Measured {
-        bandwidth_loss_pct: 100.0 * (before_cap - after_cap) / before_cap,
-        max_dilation,
-        upstream_repairs: upstream,
-        flows_examined: examined,
-    }
-}
-
-fn measure_f10(k: usize) -> Measured {
-    let mut f10 = F10Topology::build(FatTreeConfig::new(k));
-    let before_cap = total_usable_capacity(&f10.net);
-    let keys = candidate_keys(k, |a| f10.host(a));
-    let before: Vec<Vec<_>> = keys.iter().map(|f| ecmp_path_f10(&f10, f)).collect();
-    // Fail core(0)'s link *into* pod 0 (a downward failure → detour).
-    let a0 = f10.agg_for_core(0, 0);
-    let (fx, fy) = (f10.core(0), f10.agg(0, a0));
-    let l = f10.net.link_between(fx, fy).expect("core-agg link");
-    f10.net.set_link_up(l, false);
-    let after_cap = total_usable_capacity(&f10.net);
-    let mut max_dilation = 0usize;
-    let mut upstream = 0usize;
-    let mut examined = 0usize;
-    for (f, b) in keys.iter().zip(&before) {
-        if f10.net.path_usable(b) {
-            continue;
-        }
-        examined += 1;
-        let a = F10Router::route(&f10, f).expect("detour exists");
+        let a = route(&tree, f).expect("an agg-core link failure is recoverable");
         max_dilation = max_dilation.max(a.len().saturating_sub(b.len()));
         let failed_at = failure_position(b, fx, fy).expect("affected flow crosses the link");
         if upstream_repair(b, &a, failed_at) {
@@ -195,8 +167,14 @@ pub fn run(cli: &mut Cli) -> Output {
 
     let rows = [
         measure_sharebackup(k).row("ShareBackup"),
-        measure_fattree(k).row("Fat-tree"),
-        measure_f10(k).row("F10"),
+        measure_reroute(&mut FatTree::build(FatTreeConfig::new(k)), |ft, f| {
+            GlobalReroute::route(ft, f)
+        })
+        .row("Fat-tree"),
+        measure_reroute(F10Topology::build(FatTreeConfig::new(k)), |f10, f| {
+            F10Router::route(f10, f)
+        })
+        .row("F10"),
     ];
     if json {
         return Output::json(&rows);

@@ -16,8 +16,7 @@
 
 use sharebackup_flowsim::Environment;
 use sharebackup_routing::{
-    ecmp::ecmp_path_f10, ecmp_path, DegradedMode, DegradedTracker, F10Router, FlowKey,
-    GlobalReroute,
+    ecmp_path, DegradedMode, DegradedTracker, F10Router, FlowKey, GlobalReroute,
 };
 use sharebackup_sim::{Duration, Time};
 use sharebackup_topo::{
@@ -165,7 +164,7 @@ impl Environment for F10World {
     }
     fn route(&mut self, flow: &FlowKey) -> Option<Vec<NodeId>> {
         if self.failures_active == 0 {
-            return Some(ecmp_path_f10(&self.f10, flow));
+            return Some(ecmp_path(&self.f10, flow));
         }
         F10Router::route(&self.f10, flow)
     }

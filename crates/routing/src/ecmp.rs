@@ -5,11 +5,12 @@
 //! flow key, so it never flaps, and only the chosen path is built: the hash
 //! indexes the topology's path order ([`FatTree::host_path`]) directly.
 
-use sharebackup_topo::{F10Topology, FatTree, NodeId};
+use sharebackup_topo::{FatTree, NodeId};
 
 use crate::flow::FlowKey;
 
-/// The ECMP path of `flow` in a healthy fat-tree.
+/// The ECMP path of `flow` in a healthy fat-tree, under its striping (an
+/// F10 AB tree derefs to its [`FatTree`]).
 ///
 /// Failure state is intentionally ignored: this is the *static* route that
 /// fat-tree forwards along until a rerouting mechanism intervenes, and the
@@ -19,16 +20,10 @@ pub fn ecmp_path(ft: &FatTree, flow: &FlowKey) -> Vec<NodeId> {
     ft.host_path(flow.src, flow.dst, pick)
 }
 
-/// The ECMP path of `flow` in a healthy F10 network.
-pub fn ecmp_path_f10(f10: &F10Topology, flow: &FlowKey) -> Vec<NodeId> {
-    let pick = flow.pick(f10.host_path_count(flow.src, flow.dst));
-    f10.host_path(flow.src, flow.dst, pick)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharebackup_topo::{FatTreeConfig, HostAddr};
+    use sharebackup_topo::{F10Topology, FatTreeConfig, HostAddr};
 
     #[test]
     fn choice_is_stable() {
@@ -87,7 +82,7 @@ mod tests {
             host: 1,
         });
         for id in 0..32 {
-            let p = ecmp_path_f10(&f10, &FlowKey::new(src, dst, id));
+            let p = ecmp_path(&f10, &FlowKey::new(src, dst, id));
             assert!(f10.net.path_usable(&p));
         }
     }

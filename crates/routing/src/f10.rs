@@ -310,7 +310,8 @@ mod tests {
             host: 1,
         });
         for a in 0..2 {
-            f10.net.set_node_up(f10.agg(2, a), false);
+            let agg = f10.agg(2, a);
+            f10.net.set_node_up(agg, false);
         }
         // One agg left: all flows converge on it, same length.
         for id in 0..8 {
@@ -371,7 +372,8 @@ mod tests {
             edge: 1,
             host: 1,
         });
-        f10.net.set_node_up(f10.edge(1, 1), false);
+        let edge = f10.edge(1, 1);
+        f10.net.set_node_up(edge, false);
         assert_eq!(F10Router::route(&f10, &FlowKey::new(src, dst, 0)), None);
     }
 
@@ -390,7 +392,8 @@ mod tests {
         });
         // Kill every agg in the pod: same-edge traffic must not care.
         for a in 0..3 {
-            f10.net.set_node_up(f10.agg(0, a), false);
+            let agg = f10.agg(0, a);
+            f10.net.set_node_up(agg, false);
         }
         let p = F10Router::route(&f10, &FlowKey::new(src, dst, 0)).expect("connected");
         assert_eq!(p.len(), 3);

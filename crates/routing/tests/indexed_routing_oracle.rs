@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use sharebackup_routing::{ecmp::ecmp_path_f10, ecmp_path, FlowKey, GlobalReroute};
+use sharebackup_routing::{ecmp_path, FlowKey, GlobalReroute};
 use sharebackup_topo::{F10Topology, FatTree, FatTreeConfig, LinkId, Network, NodeId};
 
 // ---- The replaced implementations (oracle) --------------------------------
@@ -148,7 +148,7 @@ proptest! {
         let mut f10 = F10Topology::build(FatTreeConfig::new(k));
         fail(&mut f10.net, &nodes, &links);
         for flow in &flows_from(f10.hosts(), &draws) {
-            prop_assert_eq!(ecmp_path_f10(&f10, flow), old_ecmp_path_f10(&f10, flow));
+            prop_assert_eq!(ecmp_path(&f10, flow), old_ecmp_path_f10(&f10, flow));
         }
     }
 }

@@ -10,266 +10,53 @@
 //! reaches an *alternate* core that enters the target pod through a
 //! different aggregation switch.
 //!
+//! The striping is the only difference, so [`F10Topology`] is a
+//! [`FatTree`] built with the AB striping; every accessor and path function
+//! is the fat-tree's, reached through `Deref`. The type itself is what tells
+//! F10's router and world that the tree is AB-striped.
+//!
 //! The paper's §2.2 uses F10 with its local rerouting as the second
 //! rerouting baseline; the detour construction itself lives in
 //! `sharebackup-routing`.
 
-use crate::fattree::{shortest_path_count, FatTreeConfig, HostAddr};
-use crate::graph::{Network, NodeKind};
-use crate::ids::NodeId;
+use std::ops::{Deref, DerefMut};
 
-/// The two striping types of F10 pods.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PodType {
-    /// Consecutive striping: agg `a` → cores `a·k/2 + m`.
-    A,
-    /// Transposed striping: agg `a` → cores `m·k/2 + a`.
-    B,
-}
+use crate::fattree::{FatTree, FatTreeConfig};
 
-/// A built F10 network.
+/// A built F10 network: a [`FatTree`] whose odd pods are type B.
 #[derive(Clone, Debug)]
-pub struct F10Topology {
-    /// The configuration (shared with plain fat-trees).
-    pub cfg: FatTreeConfig,
-    /// The underlying graph.
-    pub net: Network,
-    hosts: Vec<NodeId>,
-    edges: Vec<Vec<NodeId>>,
-    aggs: Vec<Vec<NodeId>>,
-    cores: Vec<NodeId>,
-}
+pub struct F10Topology(FatTree);
 
 impl F10Topology {
     /// Build an F10 AB fat-tree; even pods are type A, odd pods type B.
     ///
     /// # Panics
     /// Panics if `k` is odd or less than 4.
-    #[allow(clippy::needless_range_loop)] // indices double as addresses
     pub fn build(cfg: FatTreeConfig) -> F10Topology {
-        assert!(
-            cfg.k >= 4 && cfg.k.is_multiple_of(2),
-            "k must be even and >= 4"
-        );
-        let k = cfg.k;
-        let half = k / 2;
-        let mut net = Network::new();
-
-        let cores: Vec<NodeId> = (0..cfg.core_count())
-            .map(|j| net.add_node(NodeKind::Core, None, j))
-            .collect();
-        let mut edges = Vec::with_capacity(k);
-        let mut aggs = Vec::with_capacity(k);
-        let mut hosts = Vec::with_capacity(cfg.host_count());
-        for pod in 0..k {
-            edges.push(
-                (0..half)
-                    .map(|j| net.add_node(NodeKind::Edge, Some(pod), j))
-                    .collect::<Vec<_>>(),
-            );
-            aggs.push(
-                (0..half)
-                    .map(|j| net.add_node(NodeKind::Agg, Some(pod), j))
-                    .collect::<Vec<_>>(),
-            );
-            for e in 0..half {
-                for h in 0..half {
-                    let addr = HostAddr {
-                        pod,
-                        edge: e,
-                        host: h,
-                    };
-                    let id = net.add_node(NodeKind::Host, Some(pod), addr.to_index(k));
-                    hosts.push(id);
-                }
-            }
-        }
-
-        let uplink = cfg.uplink_bps();
-        for pod in 0..k {
-            for e in 0..half {
-                for h in 0..half {
-                    let idx = HostAddr {
-                        pod,
-                        edge: e,
-                        host: h,
-                    }
-                    .to_index(k);
-                    net.add_link(hosts[idx], edges[pod][e], cfg.host_link_bps);
-                }
-            }
-            for e in 0..half {
-                for a in 0..half {
-                    net.add_link(edges[pod][e], aggs[pod][a], uplink);
-                }
-            }
-            for a in 0..half {
-                for m in 0..half {
-                    net.add_link(aggs[pod][a], cores[Self::core_of(k, pod, a, m)], uplink);
-                }
-            }
-        }
-
-        F10Topology {
-            cfg,
-            net,
-            hosts,
-            edges,
-            aggs,
-            cores,
-        }
+        F10Topology(FatTree::build_ab(cfg))
     }
+}
 
-    /// Global index of the core on the `m`-th uplink of agg `a` in `pod`.
-    fn core_of(k: usize, pod: usize, a: usize, m: usize) -> usize {
-        let half = k / 2;
-        match Self::pod_type_of(pod) {
-            PodType::A => a * half + m,
-            PodType::B => m * half + a,
-        }
+impl Deref for F10Topology {
+    type Target = FatTree;
+
+    fn deref(&self) -> &FatTree {
+        &self.0
     }
+}
 
-    fn pod_type_of(pod: usize) -> PodType {
-        if pod.is_multiple_of(2) {
-            PodType::A
-        } else {
-            PodType::B
-        }
-    }
-
-    /// Striping type of `pod`.
-    pub fn pod_type(&self, pod: usize) -> PodType {
-        Self::pod_type_of(pod)
-    }
-
-    /// Fat-tree parameter `k`.
-    pub fn k(&self) -> usize {
-        self.cfg.k
-    }
-
-    /// Node id of the host at `addr`.
-    pub fn host(&self, addr: HostAddr) -> NodeId {
-        self.hosts[addr.to_index(self.cfg.k)]
-    }
-
-    /// All host node ids in global-index order.
-    pub fn hosts(&self) -> &[NodeId] {
-        &self.hosts
-    }
-
-    /// Edge switch E_{pod,j}.
-    pub fn edge(&self, pod: usize, j: usize) -> NodeId {
-        self.edges[pod][j]
-    }
-
-    /// Aggregation switch A_{pod,j}.
-    pub fn agg(&self, pod: usize, j: usize) -> NodeId {
-        self.aggs[pod][j]
-    }
-
-    /// Core switch C_j.
-    pub fn core(&self, j: usize) -> NodeId {
-        self.cores[j]
-    }
-
-    /// All cores in index order.
-    pub fn cores(&self) -> &[NodeId] {
-        &self.cores
-    }
-
-    /// The address of a host node.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a host.
-    pub fn addr_of(&self, n: NodeId) -> HostAddr {
-        let node = self.net.node(n);
-        assert_eq!(node.kind, NodeKind::Host, "{n:?} is not a host");
-        HostAddr::from_index(node.index, self.cfg.k)
-    }
-
-    /// Global indices of the cores reachable from agg `a` of `pod`.
-    pub fn cores_of_agg(&self, pod: usize, a: usize) -> Vec<usize> {
-        (0..self.cfg.k / 2)
-            .map(|m| Self::core_of(self.cfg.k, pod, a, m))
-            .collect()
-    }
-
-    /// In-pod index of the aggregation switch that core `c` connects to in
-    /// `pod`. Every core reaches exactly one agg per pod.
-    pub fn agg_for_core(&self, pod: usize, c: usize) -> usize {
-        let half = self.cfg.k / 2;
-        match self.pod_type(pod) {
-            PodType::A => c / half,
-            PodType::B => c % half,
-        }
-    }
-
-    /// Number of equal-cost shortest paths between two hosts (see
-    /// [`crate::FatTree::host_path_count`]).
-    ///
-    /// # Panics
-    /// Panics if `src == dst` or either is not a host.
-    pub fn host_path_count(&self, src: NodeId, dst: NodeId) -> usize {
-        assert!(src != dst, "src == dst");
-        shortest_path_count(self.addr_of(src), self.addr_of(dst), self.cfg.k)
-    }
-
-    /// The `i`-th equal-cost shortest path between two hosts (see
-    /// [`crate::FatTree::host_path`] for the path-shape conventions).
-    ///
-    /// Across pods, path `i` climbs through agg `a = i / (k/2)` and that
-    /// agg's `m = i % (k/2)`-th core under the source pod's striping, then
-    /// descends through whichever agg that core reaches in the destination
-    /// pod.
-    ///
-    /// # Panics
-    /// Panics if `i >= host_path_count(src, dst)`.
-    pub fn host_path(&self, src: NodeId, dst: NodeId, i: usize) -> Vec<NodeId> {
-        let mut path = Vec::with_capacity(7);
-        self.host_path_into(src, dst, i, &mut path);
-        path
-    }
-
-    /// [`F10Topology::host_path`] written into `out` (cleared first).
-    pub fn host_path_into(&self, src: NodeId, dst: NodeId, i: usize, out: &mut Vec<NodeId>) {
-        let half = self.cfg.k / 2;
-        let s = self.addr_of(src);
-        let d = self.addr_of(dst);
-        assert!(src != dst, "src == dst");
-        assert!(
-            i < shortest_path_count(s, d, self.cfg.k),
-            "path index {i} out of range"
-        );
-        out.clear();
-        out.push(src);
-        out.push(self.edges[s.pod][s.edge]);
-        if s.pod != d.pod {
-            let a = i / half;
-            let c = Self::core_of(self.cfg.k, s.pod, a, i % half);
-            out.push(self.aggs[s.pod][a]);
-            out.push(self.cores[c]);
-            out.push(self.aggs[d.pod][self.agg_for_core(d.pod, c)]);
-        } else if s.edge != d.edge {
-            out.push(self.aggs[s.pod][i]);
-        }
-        if (s.pod, s.edge) != (d.pod, d.edge) {
-            out.push(self.edges[d.pod][d.edge]);
-        }
-        out.push(dst);
-    }
-
-    /// All equal-cost shortest paths between two hosts, in
-    /// [`F10Topology::host_path`] order.
-    pub fn host_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
-        (0..self.host_path_count(src, dst))
-            .map(|i| self.host_path(src, dst, i))
-            .collect()
+impl DerefMut for F10Topology {
+    fn deref_mut(&mut self) -> &mut FatTree {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fattree::{HostAddr, PodType};
+    use crate::graph::NodeKind;
+    use crate::ids::NodeId;
 
     #[test]
     fn counts_match_fattree() {
@@ -356,6 +143,43 @@ mod tests {
                 }
             }
             assert!(found, "no 3-hop detour for core {c} into pod {target_pod}");
+        }
+    }
+
+    #[test]
+    fn ab_tree_differs_from_fattree_only_in_odd_pod_cores() {
+        for k in [4, 6, 8] {
+            let half = k / 2;
+            let ft = FatTree::build(FatTreeConfig::new(k));
+            let f10 = F10Topology::build(FatTreeConfig::new(k));
+            let node = |net: &crate::Network, n: NodeId| {
+                let n = net.node(n);
+                (n.kind, n.pod, n.index)
+            };
+            assert_eq!(ft.net.node_count(), f10.net.node_count(), "k={k}");
+            for n in ft.net.node_ids() {
+                assert_eq!(node(&ft.net, n), node(&f10.net, n), "k={k} {n:?}");
+            }
+            assert_eq!(ft.net.link_count(), f10.net.link_count(), "k={k}");
+            let mut transposed = 0;
+            for l in ft.net.link_ids() {
+                let (fl, al) = (ft.net.link(l), f10.net.link(l));
+                assert_eq!(fl.capacity_bps, al.capacity_bps, "k={k} {l:?}");
+                assert_eq!(fl.a, al.a, "k={k} {l:?}");
+                let (kind, pod, a) = node(&ft.net, fl.a);
+                let c = ft.net.node(fl.b).index;
+                let odd_pod_uplink =
+                    kind == NodeKind::Agg && pod.is_some_and(|p| !p.is_multiple_of(2));
+                if odd_pod_uplink {
+                    assert_eq!(c / half, a, "k={k}: fat-tree agg {a} reaches core {c}");
+                    let m = c % half;
+                    assert_eq!(al.b, f10.core(m * half + a), "k={k} {l:?}");
+                    transposed += 1;
+                } else {
+                    assert_eq!(fl.b, al.b, "k={k} {l:?}");
+                }
+            }
+            assert_eq!(transposed, (k / 2) * half * half, "k={k}");
         }
     }
 }

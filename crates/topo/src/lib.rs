@@ -10,7 +10,9 @@
 //!   base architecture ShareBackup augments and one of the two rerouting
 //!   baselines of the paper's §2.2 failure study.
 //! * [`f10`] — the F10 AB fat-tree of Liu et al. (NSDI'13), the second
-//!   baseline, whose alternating striping enables local 3-hop rerouting.
+//!   baseline: a [`FatTree`] whose odd pods take the transposed agg–core
+//!   striping that enables local 3-hop rerouting. One builder and one path
+//!   enumerator serve both trees.
 //! * [`circuit`] — the configurable circuit-switch crossbar (electrical
 //!   crosspoint or 2D-MEMS optical), the paper's §3 enabling technology.
 //! * [`sharebackup`] — the ShareBackup physical architecture: a fat-tree
@@ -33,8 +35,8 @@ pub mod sharebackup;
 
 pub use cabling::CablingReport;
 pub use circuit::{Attachment, CircuitSwitch, CircuitTech, CsPort};
-pub use f10::{F10Topology, PodType};
-pub use fattree::{FatTree, FatTreeConfig, HostAddr};
+pub use f10::F10Topology;
+pub use fattree::{FatTree, FatTreeConfig, HostAddr, PodType};
 pub use graph::{Network, NodeKind};
 pub use ids::{GroupId, GroupKind, LinkId, NodeId, PhysId, SlotId};
 pub use sharebackup::{CsId, DiagConfig, ReplaceReport, ShareBackup, ShareBackupConfig};

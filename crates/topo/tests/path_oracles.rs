@@ -34,7 +34,7 @@ fn old_fat_tree_paths(ft: &FatTree, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>
     let mut paths = Vec::with_capacity(half * half);
     for a in 0..half {
         for m in 0..half {
-            let core = ft.core(ft.core_index(a, m));
+            let core = ft.core(ft.core_index(s.pod, a, m));
             paths.push(vec![
                 src,
                 se,
@@ -235,7 +235,7 @@ proptest! {
         pairs in prop::collection::vec((0usize..100_000, 0usize..100_000), 1..32),
     ) {
         let cfg = FatTreeConfig::new(k);
-        let mut net = if f10 { F10Topology::build(cfg).net } else { FatTree::build(cfg).net };
+        let mut net = if f10 { F10Topology::build(cfg).net.clone() } else { FatTree::build(cfg).net };
         for &n in &nodes {
             net.set_node_up(NodeId::from_index(n % net.node_count()), false);
         }
