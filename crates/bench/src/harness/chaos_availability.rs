@@ -31,7 +31,7 @@
 
 use super::Output;
 use crate::report::Format::{Fixed, Int, Text};
-use crate::report::{self, Column};
+use crate::report::{self, Check, Column};
 use crate::{parallel_map_indexed, write_trace_files, Cli};
 use minijson::Value;
 use sharebackup_core::failover::{FailoverConfig, FailoverPlane, RecoveryPhase};
@@ -745,10 +745,9 @@ pub fn run(cli: &mut Cli) -> Output {
          prints every row with all controller counters."
     );
     if demo {
-        demo_lines(&mut text, &rows);
-    } else {
-        crash_summary(&mut text, &rows);
+        return Output::checked(text, demo_claims(&rows));
     }
+    crash_summary(&mut text, &rows);
     Output {
         text,
         claims: Vec::new(),
@@ -789,35 +788,58 @@ fn crash_summary(text: &mut String, rows: &[Row]) {
     );
 }
 
-/// What the demo rows show, computed from them.
-fn demo_lines(text: &mut String, rows: &[Row]) {
-    text.push('\n');
-    for r in rows {
+/// The demo's two facts, checked on its rows.
+fn demo_claims(rows: &[Row]) -> Vec<Check> {
+    let burst = |mode: DegradedMode| {
+        let row = rows
+            .iter()
+            .find(|r| r.scn.name == "pool-burst" && r.t.mode == mode);
+        &row.expect("a pool-burst row per mode").agg
+    };
+    let (stall, reroute) = (burst(DegradedMode::Stall), burst(DegradedMode::Reroute));
+    let crash: Vec<&Row> = rows
+        .iter()
+        .filter(|r| r.scn.name == "forced-crash")
+        .collect();
+    let exact = |r: &&Row| {
         let a = &r.agg;
-        let _ = match (r.scn.name, r.t.mode) {
-            ("pool-burst", DegradedMode::Stall) => writeln!(text,
-                "pool-burst: stall leaves {} of {} flows late on the dead slot (the old unrecovered behavior);",
-                a.late, a.flows
-            ),
-            ("pool-burst", DegradedMode::Reroute) => writeln!(text,
-                "pool-burst: reroute completes {} of {} flows, {} late, {} of them on explicit fallback paths for {:.1} s total.",
-                a.completed,
-                a.flows,
-                a.late,
-                a.stats.degraded_flows,
-                a.degraded_time.as_secs_f64()
-            ),
-            _ => writeln!(text,
-                "{}: election {} ms — dwell {} ms vs closed-form blackout {} ms (heartbeat worst case + election), {} recovered, {} resumed by the successor.",
-                r.scn.name,
+        a.dwell_max == r.t.plane.blackout() && a.recovered == 1 && a.stats.recoveries_resumed == 1
+    };
+    let dwells: Vec<String> = crash
+        .iter()
+        .map(|r| {
+            format!(
+                "election {} ms: dwell {} ms vs blackout {} ms, {} resumed",
                 ms(r.t.plane.election_time),
-                a.dwell_max.as_millis_f64(),
+                r.agg.dwell_max.as_millis_f64(),
                 r.t.plane.blackout().as_millis_f64(),
-                a.recovered,
-                a.stats.recoveries_resumed
+                r.agg.stats.recoveries_resumed
+            )
+        })
+        .collect();
+    vec![
+        Check::new(
+            "§5.1",
+            "past an exhausted pool, stall strands flows on the dead slot and reroute completes them all",
+            stall.late > 0 && reroute.late == 0 && reroute.completed == reroute.flows,
+            format!(
+                "stall: {} of {} flows late; reroute: {} of {} complete, {} late, {} on fallback paths for {:.1} s",
+                stall.late,
+                stall.flows,
+                reroute.completed,
+                reroute.flows,
+                reroute.late,
+                reroute.stats.degraded_flows,
+                reroute.degraded_time.as_secs_f64()
             ),
-        };
-    }
+        ),
+        Check::new(
+            "§5.1",
+            "a primary crashing mid-recovery delays it by exactly the blackout (heartbeat worst case + election)",
+            !crash.is_empty() && crash.iter().all(exact),
+            dwells.join("; "),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -107,7 +107,7 @@ pub fn run(cli: &mut Cli) -> Output {
     let mut sd_sb: Vec<f64> = Vec::new();
     let mut stranded = [0usize; 3];
 
-    for (trial, t) in outcomes.into_iter().enumerate() {
+    for t in outcomes {
         let (s, st) = t.ft;
         sd_ft.extend(s);
         stranded[0] += st;
@@ -117,13 +117,6 @@ pub fn run(cli: &mut Cli) -> Output {
         let (s, st) = t.sb;
         sd_sb.extend(s);
         stranded[2] += st;
-        eprintln!(
-            "trial {trial}: {:?} -> coflows ft={} f10={} sb={}",
-            failures[trial],
-            sd_ft.len(),
-            sd_f10.len(),
-            sd_sb.len()
-        );
     }
 
     let quantiles = [0.5, 0.9, 0.99, 0.999, 1.0];

@@ -14,7 +14,6 @@ use crate::report::{self, Check};
 use crate::Cli;
 use minijson::Value;
 
-pub mod ablation_circuit_tech;
 pub mod ablation_diagnosis;
 pub mod ablation_nonuniform;
 pub mod ablation_pool_size;
@@ -61,7 +60,7 @@ pub type Run = fn(&mut Cli) -> Output;
 
 /// Every harness by binary name, in the paper's order (§2 to §5, then the
 /// runs beyond it). The scorecard lists their claims in this order.
-pub const ALL: [(&str, Run); 16] = [
+pub const ALL: [(&str, Run); 15] = [
     ("fig1_affected", fig1_affected::run),
     ("fig1c_cct", fig1c_cct::run),
     ("table2_cost", table2_cost::run),
@@ -75,7 +74,6 @@ pub const ALL: [(&str, Run); 16] = [
     ("longrun_availability", longrun_availability::run),
     ("ablation_pool_size", ablation_pool_size::run),
     ("ablation_diagnosis", ablation_diagnosis::run),
-    ("ablation_circuit_tech", ablation_circuit_tech::run),
     ("ablation_nonuniform", ablation_nonuniform::run),
     ("chaos_availability", chaos_availability::run),
 ];

@@ -22,11 +22,7 @@ const ALL_FLAGS: [(&str, Option<&str>); 8] = [
 /// Each harness with the flags it reads, in `--help` order, and their
 /// defaults (`None`: no default — a switch or an optional path).
 type Flags = &'static [(&'static str, Option<&'static str>)];
-const HARNESSES: [(&str, Flags); 17] = [
-    (
-        env!("CARGO_BIN_EXE_ablation_circuit_tech"),
-        &[("jobs", Some("1")), ("json", None)],
-    ),
+const HARNESSES: [(&str, Flags); 16] = [
     (
         env!("CARGO_BIN_EXE_ablation_diagnosis"),
         &[
@@ -187,7 +183,7 @@ fn help_lists_exactly_the_flags_each_harness_reads() {
         assert_eq!(help(bin), expected, "{bin}");
         accepted += flags.len();
     }
-    assert_eq!(accepted, 60);
+    assert_eq!(accepted, 58);
 }
 
 #[test]

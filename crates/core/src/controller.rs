@@ -41,6 +41,10 @@ use crate::chaos::ChaosConfig;
 use crate::diagnosis::{diagnose, DiagnosisReport, Verdict};
 use crate::latency::{RecoveryLatencyModel, RecoveryScheme};
 
+/// Link-failure reports attributable to one circuit switch within the
+/// reporting window before recovery stops and humans are paged (§5.1).
+const CS_REPORT_THRESHOLD: u32 = 4;
+
 /// Controller tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
@@ -50,9 +54,6 @@ pub struct ControllerConfig {
     pub switch_repair_time: Duration,
     /// Time to trouble-shoot a host whose NIC is at fault.
     pub host_repair_time: Duration,
-    /// Link-failure reports attributable to one circuit switch within the
-    /// reporting window before recovery stops and humans are paged (§5.1).
-    pub cs_report_threshold: u32,
     /// Whether offline diagnosis (§4.2) runs after link failures. Disabled
     /// only by the diagnosis ablation: without it, both suspects are
     /// convicted and sit out the full repair time.
@@ -70,7 +71,6 @@ impl Default for ControllerConfig {
             latency: RecoveryLatencyModel::default(),
             switch_repair_time: Duration::from_secs(180), // "a few minutes"
             host_repair_time: Duration::from_secs(300),
-            cs_report_threshold: 4,
             diagnosis_enabled: true,
             retry_exhausted_on_repair: false,
         }
@@ -684,7 +684,7 @@ impl Controller {
     pub fn report_cs_suspicion(&mut self, cs: CsId, reports: u32) -> bool {
         let count = self.cs_reports.entry(cs).or_insert(0);
         *count += reports;
-        if *count >= self.cfg.cs_report_threshold && !self.halted {
+        if *count >= CS_REPORT_THRESHOLD && !self.halted {
             self.halted = true;
             self.stats.escalations += 1;
         }

@@ -87,6 +87,11 @@ impl fmt::Display for ReplicaOutOfRange {
 
 impl std::error::Error for ReplicaOutOfRange {}
 
+/// Per-attempt timeout before a lost control message is retried.
+const CONTROL_TIMEOUT: Duration = Duration::from_millis(1);
+/// Extra propagation delay charged to a chaos-delayed control message.
+const CONTROL_DELAY: Duration = Duration::from_millis(1);
+
 /// Tuning knobs of the replicated control plane.
 #[derive(Clone, Copy, Debug)]
 pub struct FailoverConfig {
@@ -97,10 +102,6 @@ pub struct FailoverConfig {
     /// Replica-to-replica heartbeat parameters (§4.1 keep-alive machinery
     /// applied to the controllers themselves).
     pub heartbeat: DetectionConfig,
-    /// Per-attempt timeout before a lost control message is retried.
-    pub control_timeout: Duration,
-    /// Extra propagation delay charged to a chaos-delayed control message.
-    pub control_delay: Duration,
     /// Transmission attempts per control message before the sender gives
     /// up for now (the journal entry stays pending and is retried at the
     /// next poll past its backoff horizon).
@@ -113,8 +114,6 @@ impl Default for FailoverConfig {
             replicas: 3,
             election_time: Duration::from_millis(50),
             heartbeat: DetectionConfig::default(),
-            control_timeout: Duration::from_millis(1),
-            control_delay: Duration::from_millis(1),
             max_control_attempts: 4,
         }
     }
@@ -489,7 +488,7 @@ impl FailoverPlane {
         for attempt in 1..=attempts {
             if self.roll(self.chaos.control_loss_rate) {
                 ctl.stats.control_losses += 1;
-                penalty += self.cfg.control_timeout + ctl.cfg.latency.retry_backoff(attempt);
+                penalty += CONTROL_TIMEOUT + ctl.cfg.latency.retry_backoff(attempt);
                 if attempt == attempts {
                     ctl.stats.control_exhausted += 1;
                     ctl.tracer.instant(now, "failover", "control-exhausted");
@@ -502,7 +501,7 @@ impl FailoverPlane {
             if self.roll(self.chaos.control_delay_rate) {
                 ctl.stats.control_delays += 1;
                 ctl.tracer.instant(now, "failover", "control-delay");
-                penalty += self.cfg.control_delay;
+                penalty += CONTROL_DELAY;
             }
             return Ok(penalty);
         }
