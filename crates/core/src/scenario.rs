@@ -2,8 +2,8 @@
 //!
 //! The Fig. 1-style experiments run the same trace through three worlds:
 //!
-//! * [`FatTreeWorld`] — plain fat-tree; on failure, global rerouting
-//!   (hash-based or load-aware "optimal") over the surviving paths.
+//! * [`FatTreeWorld`] — plain fat-tree; on failure, load-aware global
+//!   ("optimal") rerouting over the surviving paths.
 //! * [`F10World`] — the AB fat-tree with F10's local rerouting.
 //! * [`ShareBackupWorld`] — the slot fat-tree under the recovery
 //!   [`Controller`]: failures briefly down a slot, the controller swaps in
@@ -30,10 +30,6 @@ use crate::failover::{CompletedRecovery, FailoverConfig, FailoverPlane, FailureR
 /// How a fat-tree world reacts to failures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecoveryMode {
-    /// No rerouting: flows on broken paths stall (lower bound).
-    None,
-    /// Hash-based rerouting over surviving shortest paths.
-    GlobalHash,
     /// Load-aware global assignment over surviving paths ("global optimal
     /// rerouting", the paper's fat-tree baseline).
     GlobalOptimal,
@@ -79,19 +75,18 @@ fn apply_topo_event(net: &mut Network, failures_active: &mut usize, ev: TopoEven
 pub struct FatTreeWorld {
     /// The topology (failure state lives in `ft.net`).
     pub ft: FatTree,
-    /// Recovery policy.
-    pub mode: RecoveryMode,
     /// Event applied at epoch `i`.
     pub events: Vec<TopoEvent>,
     failures_active: usize,
 }
 
 impl FatTreeWorld {
-    /// A world over `ft` with the given recovery mode and epoch events.
+    /// A world over `ft` with the given epoch events, rerouting by `mode`
+    /// (global optimal rerouting, the only one the baseline has).
     pub fn new(ft: FatTree, mode: RecoveryMode, events: Vec<TopoEvent>) -> FatTreeWorld {
+        let RecoveryMode::GlobalOptimal = mode;
         FatTreeWorld {
             ft,
-            mode,
             events,
             failures_active: 0,
         }
@@ -103,24 +98,16 @@ impl Environment for FatTreeWorld {
         self.ft.net.link(l).capacity_bps
     }
     fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.ft.net.link_between(a, b)
+        self.ft.link_between(a, b)
     }
     fn route(&mut self, flow: &FlowKey) -> Option<Vec<NodeId>> {
         if self.failures_active == 0 {
             return Some(ecmp_path(&self.ft, flow));
         }
-        match self.mode {
-            RecoveryMode::None => {
-                let p = ecmp_path(&self.ft, flow);
-                self.ft.net.path_usable(&p).then_some(p)
-            }
-            RecoveryMode::GlobalHash | RecoveryMode::GlobalOptimal => {
-                GlobalReroute::route(&self.ft, flow)
-            }
-        }
+        GlobalReroute::route(&self.ft, flow)
     }
     fn route_all(&mut self, flows: &[FlowKey]) -> Vec<Option<Vec<NodeId>>> {
-        if self.failures_active > 0 && self.mode == RecoveryMode::GlobalOptimal {
+        if self.failures_active > 0 {
             GlobalReroute::route_all(&self.ft, flows)
         } else {
             flows.iter().map(|f| self.route(f)).collect()
@@ -160,7 +147,7 @@ impl Environment for F10World {
         self.f10.net.link(l).capacity_bps
     }
     fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.f10.net.link_between(a, b)
+        self.f10.link_between(a, b)
     }
     fn route(&mut self, flow: &FlowKey) -> Option<Vec<NodeId>> {
         if self.failures_active == 0 {
@@ -306,14 +293,14 @@ impl Environment for ShareBackupWorld {
         self.sb().slots.net.link(l).capacity_bps
     }
     fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.sb().slots.net.link_between(a, b)
+        self.sb().slots.link_between(a, b)
     }
     fn route(&mut self, flow: &FlowKey) -> Option<Vec<NodeId>> {
         // ShareBackup never reroutes: the static ECMP path, usable or not.
         // During the (sub-3ms) recovery window the path is down and the
         // flow stalls; after recovery the *same* path works again.
         let p = ecmp_path(&self.sb().slots, flow);
-        if self.sb().slots.net.path_usable(&p) {
+        if self.sb().slots.path_usable(&p) {
             self.tracker.mark_normal(flow.id, self.now);
             return Some(p);
         }
@@ -845,43 +832,6 @@ mod tests {
         assert_eq!(back, ecmp_path(&reroute.sb().slots, &flow));
         reroute.tracker.finalize(reroute.now);
         assert!(reroute.tracker.total_degraded_time() > Duration::ZERO);
-    }
-
-    #[test]
-    fn no_reroute_mode_stalls_until_repair() {
-        let ft = FatTree::build(FatTreeConfig::new(4));
-        let src = ft.host(HostAddr {
-            pod: 0,
-            edge: 0,
-            host: 0,
-        });
-        let dst = ft.host(HostAddr {
-            pod: 1,
-            edge: 0,
-            host: 0,
-        });
-        let flow = FlowKey::new(src, dst, 0);
-        let path = ecmp_path(&ft, &flow);
-        let core = path[3];
-        let flows = vec![FlowSpec {
-            key: flow,
-            bytes: 125_000_000, // 0.1 s at 10G
-            arrival: Time::ZERO,
-        }];
-        let mut world = FatTreeWorld::new(
-            ft,
-            RecoveryMode::None,
-            vec![TopoEvent::FailNode(core), TopoEvent::RepairNode(core)],
-        );
-        let out = FlowSim::new().run(
-            &mut world,
-            &flows,
-            &[Time::from_millis(10), Time::from_secs(60)],
-        );
-        // Stalled from 10ms to 60s, then finishes the remainder.
-        let t = out.flows[0].completed.expect("finishes after repair");
-        assert!(t > Time::from_secs(60));
-        assert!(out.flows[0].ever_stalled);
     }
 
     #[test]

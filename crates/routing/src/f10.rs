@@ -34,7 +34,7 @@ impl F10Router {
         let de = f10.edge(d.pod, d.edge);
 
         let usable = |a: NodeId, b: NodeId| -> bool {
-            net.link_between(a, b).is_some_and(|l| net.link_usable(l))
+            f10.link_between(a, b).is_some_and(|l| net.link_usable(l))
         };
         // Terminal hops have no alternative.
         if !usable(flow.src, se) || !usable(de, flow.dst) {
@@ -107,14 +107,12 @@ impl F10Router {
             alts[flow.pick_salted(alts.len(), 4)]
         };
         let a1 = f10.agg(s.pod, a);
-        let cores = f10.cores_of_agg(s.pod, a);
-        let c_orig = cores[m_orig];
+        let c_orig = f10.core_index(s.pod, a, m_orig);
         let c = if usable(a1, f10.core(c_orig)) {
             c_orig
         } else {
-            let alts: Vec<usize> = cores
-                .iter()
-                .copied()
+            let alts: Vec<usize> = (0..half)
+                .map(|m| f10.core_index(s.pod, a, m))
                 .filter(|&c| usable(a1, f10.core(c)))
                 .collect();
             if alts.is_empty() {
@@ -136,7 +134,6 @@ impl F10Router {
         // Core-level detour: core → via-agg in a third pod → alternate core
         // entering the destination pod at a different agg → dest edge.
         if !usable(core, a2) || !net.node(a2).up {
-            let mut salt = 0;
             let mut candidates = Vec::new();
             for p_via in (0..f10.k()).filter(|&p| p != s.pod && p != d.pod) {
                 let via_idx = f10.agg_for_core(p_via, c);
@@ -144,7 +141,7 @@ impl F10Router {
                 if !usable(core, via) {
                     continue;
                 }
-                for c2 in f10.cores_of_agg(p_via, via_idx) {
+                for c2 in (0..half).map(|m| f10.core_index(p_via, via_idx, m)) {
                     if c2 == c {
                         continue;
                     }
@@ -159,8 +156,6 @@ impl F10Router {
                             .push(vec![flow.src, se, a1, core, via, core2, a2b, de, flow.dst]);
                     }
                 }
-                salt += 1;
-                let _ = salt;
             }
             if !candidates.is_empty() {
                 let pick = flow.pick_salted(candidates.len(), 1);

@@ -17,9 +17,9 @@
 //! died) gets `None` — those are the unrecoverable casualties rerouting
 //! cannot save, which the affected-flow metric counts.
 //!
-//! Both modes scan the flow's shortest paths by index through one reused
-//! buffer ([`FatTree::host_path_into`]) and build a `Vec` only for the path
-//! they return.
+//! Both modes take the flow's surviving shortest paths by index
+//! ([`FatTree::usable_paths_into`], which checks each shared prefix once)
+//! and build a `Vec` only for the path they return.
 
 use sharebackup_topo::{FatTree, LinkId, NodeId};
 
@@ -38,15 +38,8 @@ impl GlobalReroute {
     /// would find; we extend the search with a BFS fallback so the baseline
     /// keeps connectivity whenever the graph allows it.
     pub fn route(ft: &FatTree, flow: &FlowKey) -> Option<Vec<NodeId>> {
-        let count = ft.host_path_count(flow.src, flow.dst);
-        let mut path = Vec::with_capacity(7);
-        let mut surviving = Vec::with_capacity(count);
-        for i in 0..count {
-            ft.host_path_into(flow.src, flow.dst, i, &mut path);
-            if ft.net.path_usable(&path) {
-                surviving.push(i);
-            }
-        }
+        let mut surviving = Vec::with_capacity(ft.host_path_count(flow.src, flow.dst));
+        ft.usable_paths_into(flow.src, flow.dst, &mut surviving);
         if surviving.is_empty() {
             return ft.net.bfs_path(flow.src, flow.dst);
         }
@@ -66,17 +59,16 @@ impl GlobalReroute {
             reason = "paths come from the topology, so every hop is adjacent"
         )]
         let link_of =
-            |a: NodeId, b: NodeId| -> LinkId { ft.net.link_between(a, b).expect("path link") };
+            |a: NodeId, b: NodeId| -> LinkId { ft.link_between(a, b).expect("path link") };
         let mut load = vec![0u64; ft.net.link_count()];
         let mut path = Vec::with_capacity(7);
+        let mut surviving = Vec::new();
         let mut out = Vec::with_capacity(flows.len());
         for flow in flows {
             let mut best: Option<(u64, u64, usize)> = None;
-            for i in 0..ft.host_path_count(flow.src, flow.dst) {
+            ft.usable_paths_into(flow.src, flow.dst, &mut surviving);
+            for &i in &surviving {
                 ft.host_path_into(flow.src, flow.dst, i, &mut path);
-                if !ft.net.path_usable(&path) {
-                    continue;
-                }
                 let (mut max, mut sum) = (0, 0);
                 for hop in path.windows(2) {
                     let l = load[link_of(hop[0], hop[1]).index()];
@@ -158,6 +150,41 @@ mod tests {
             assert_eq!(p.len(), 7);
             assert!(!p.contains(&c0));
         }
+    }
+
+    #[test]
+    fn rehash_moves_flows_the_failure_did_not_touch() {
+        // Hash-based rerouting re-picks over the *surviving* path set, so
+        // flows whose path avoided the failure can move too (the classic
+        // ECMP-rehash artifact, one more disruption ShareBackup avoids by
+        // never rerouting at all).
+        let mut ft = ft4();
+        let src = ft.host(HostAddr {
+            pod: 0,
+            edge: 0,
+            host: 0,
+        });
+        let dst = ft.host(HostAddr {
+            pod: 2,
+            edge: 0,
+            host: 0,
+        });
+        let flows: Vec<FlowKey> = (0..8).map(|id| FlowKey::new(src, dst, id)).collect();
+        let before: Vec<_> = flows
+            .iter()
+            .map(|f| GlobalReroute::route(&ft, f).expect("connected"))
+            .collect();
+        let c0 = ft.core(0);
+        ft.net.set_node_up(c0, false);
+        let mut moved_untouched = 0;
+        for (f, old) in flows.iter().zip(&before) {
+            let new = GlobalReroute::route(&ft, f).expect("recoverable");
+            assert!(ft.net.path_usable(&new) && !new.contains(&c0));
+            if !old.contains(&c0) && new != *old {
+                moved_untouched += 1;
+            }
+        }
+        assert!(moved_untouched >= 1, "no untouched flow moved");
     }
 
     #[test]

@@ -71,8 +71,10 @@ mod tests {
         let f10 = F10Topology::build(FatTreeConfig::new(8));
         assert_eq!(f10.pod_type(0), PodType::A);
         assert_eq!(f10.pod_type(1), PodType::B);
-        assert_eq!(f10.cores_of_agg(0, 1), vec![4, 5, 6, 7]); // consecutive
-        assert_eq!(f10.cores_of_agg(1, 1), vec![1, 5, 9, 13]); // strided
+        let cores_of_agg =
+            |pod, a| -> Vec<usize> { (0..4).map(|m| f10.core_index(pod, a, m)).collect() };
+        assert_eq!(cores_of_agg(0, 1), vec![4, 5, 6, 7]); // consecutive
+        assert_eq!(cores_of_agg(1, 1), vec![1, 5, 9, 13]); // strided
     }
 
     #[test]
@@ -135,7 +137,7 @@ mod tests {
             let mut found = false;
             'search: for b_pod in (0..6).filter(|p| f10.pod_type(*p) == PodType::B) {
                 let via = f10.agg_for_core(b_pod, c);
-                for c2 in f10.cores_of_agg(b_pod, via) {
+                for c2 in (0..3).map(|m| f10.core_index(b_pod, via, m)) {
                     if c2 != c && f10.agg_for_core(target_pod, c2) != blocked_agg {
                         found = true;
                         break 'search;

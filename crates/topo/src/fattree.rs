@@ -18,7 +18,7 @@
 //! down:up capacity ratio equal to `oversubscription`.
 
 use crate::graph::{Network, NodeKind};
-use crate::ids::NodeId;
+use crate::ids::{LinkId, NodeId};
 
 /// Parameters of a fat-tree instance.
 #[derive(Clone, Copy, Debug)]
@@ -182,6 +182,9 @@ impl FatTree {
             ab,
         };
         let uplink = cfg.uplink_bps();
+        // Link ids follow this order, which `FatTree::link_at` computes: per
+        // pod, (k/2)² host links, then (k/2)² edge–agg links, then (k/2)²
+        // agg–core links, each section row-major.
         for pod in 0..k {
             // Host <-> edge.
             for e in 0..half {
@@ -282,14 +285,6 @@ impl FatTree {
         }
     }
 
-    /// Global indices of the cores reachable from agg `a` of `pod`, in
-    /// uplink order.
-    pub fn cores_of_agg(&self, pod: usize, a: usize) -> Vec<usize> {
-        (0..self.cfg.k / 2)
-            .map(|m| self.core_index(pod, a, m))
-            .collect()
-    }
-
     /// In-pod index of the aggregation switch that core `c` connects to in
     /// `pod`. Every core reaches exactly one agg per pod.
     pub fn agg_for_core(&self, pod: usize, c: usize) -> usize {
@@ -298,6 +293,66 @@ impl FatTree {
             PodType::A => c / half,
             PodType::B => c % half,
         }
+    }
+
+    /// The uplink of its agg in `pod` by which core `c` is reached: the `m`
+    /// of [`FatTree::core_index`], the complement of
+    /// [`FatTree::agg_for_core`].
+    fn uplink_for_core(&self, pod: usize, c: usize) -> usize {
+        let half = self.cfg.k / 2;
+        match self.pod_type(pod) {
+            PodType::A => c % half,
+            PodType::B => c / half,
+        }
+    }
+
+    /// Id of link `(row, col)` of `section` in `pod`, by the build order:
+    /// each pod adds `3·(k/2)²` links in three row-major sections, host–edge
+    /// (edge, port), edge–agg (edge, agg) and agg–core (agg, uplink).
+    fn link_at(&self, pod: usize, section: usize, row: usize, col: usize) -> LinkId {
+        let half = self.cfg.k / 2;
+        LinkId::from_index(((pod * 3 + section) * half + row) * half + col)
+    }
+
+    /// The link between `u` and `v`, if the tree wires one (regardless of
+    /// state): [`Network::link_between`]'s answer, computed from the two
+    /// nodes' kind, pod and index instead of scanning an adjacency list.
+    pub fn link_between(&self, u: NodeId, v: NodeId) -> Option<LinkId> {
+        let (nu, nv) = (self.net.node(u), self.net.node(v));
+        let (lo, hi) = match (nu.kind, nv.kind) {
+            (NodeKind::Host, NodeKind::Edge)
+            | (NodeKind::Edge, NodeKind::Agg)
+            | (NodeKind::Agg, NodeKind::Core) => (nu, nv),
+            (NodeKind::Edge, NodeKind::Host)
+            | (NodeKind::Agg, NodeKind::Edge)
+            | (NodeKind::Core, NodeKind::Agg) => (nv, nu),
+            _ => return None,
+        };
+        let pod = lo.pod?;
+        match lo.kind {
+            NodeKind::Host => {
+                let h = HostAddr::from_index(lo.index, self.cfg.k);
+                (hi.pod == Some(pod) && hi.index == h.edge)
+                    .then(|| self.link_at(pod, 0, h.edge, h.host))
+            }
+            NodeKind::Edge => {
+                (hi.pod == Some(pod)).then(|| self.link_at(pod, 1, lo.index, hi.index))
+            }
+            _ => (self.agg_for_core(pod, hi.index) == lo.index)
+                .then(|| self.link_at(pod, 2, lo.index, self.uplink_for_core(pod, hi.index))),
+        }
+    }
+
+    /// [`Network::path_usable`], with each hop found by
+    /// [`FatTree::link_between`].
+    pub fn path_usable(&self, path: &[NodeId]) -> bool {
+        // Every node is checked up first, so a link is usable iff it is up.
+        !path.is_empty()
+            && path.iter().all(|&n| self.net.node(n).up)
+            && path.windows(2).all(|w| {
+                self.link_between(w[0], w[1])
+                    .is_some_and(|l| self.net.link(l).up)
+            })
     }
 
     /// Number of equal-cost shortest paths between two hosts.
@@ -364,6 +419,59 @@ impl FatTree {
             out.push(self.edges[d.pod][d.edge]);
         }
         out.push(dst);
+    }
+
+    /// The indices `i` of the usable paths among
+    /// [`FatTree::host_path`]`(src, dst, i)`, ascending, written into `out`
+    /// (cleared first): exactly those for which [`FatTree::path_usable`]
+    /// holds.
+    ///
+    /// Paths share prefixes, so each hop is checked once per prefix: the
+    /// host and edge hops once, each source agg once, then the upper hops
+    /// of each (agg, core) pair.
+    pub fn usable_paths_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<usize>) {
+        let half = self.cfg.k / 2;
+        let (s, d) = (self.addr_of(src), self.addr_of(dst));
+        assert!(src != dst, "src == dst");
+        out.clear();
+        let up = |n: NodeId| self.net.node(n).up;
+        // Every node a hop joins is checked up too, so a link is usable iff
+        // it is up.
+        let link_up =
+            |pod, section, row, col| self.net.link(self.link_at(pod, section, row, col)).up;
+        // Agg `a` of the host's pod and its link to the host's edge are up.
+        let agg_up =
+            |h: HostAddr, a: usize| up(self.aggs[h.pod][a]) && link_up(h.pod, 1, h.edge, a);
+        let ends_up = [(src, s), (dst, d)].iter().all(|&(n, h)| {
+            up(n) && up(self.edges[h.pod][h.edge]) && link_up(h.pod, 0, h.edge, h.host)
+        });
+        if !ends_up {
+            return;
+        }
+        if s.pod != d.pod {
+            let same_type = self.pod_type(s.pod) == self.pod_type(d.pod);
+            for a in 0..half {
+                if !agg_up(s, a) {
+                    continue;
+                }
+                for m in 0..half {
+                    // The core enters a pod of the source's type at agg `a`
+                    // by uplink `m`, and one of the other type at `m` by `a`.
+                    let (da, dm) = if same_type { (a, m) } else { (m, a) };
+                    if up(self.cores[self.core_index(s.pod, a, m)])
+                        && link_up(s.pod, 2, a, m)
+                        && link_up(d.pod, 2, da, dm)
+                        && agg_up(d, da)
+                    {
+                        out.push(a * half + m);
+                    }
+                }
+            }
+        } else if s.edge != d.edge {
+            out.extend((0..half).filter(|&a| agg_up(s, a) && link_up(d.pod, 1, d.edge, a)));
+        } else {
+            out.push(0);
+        }
     }
 
     /// All equal-cost shortest paths between two hosts, in

@@ -709,11 +709,7 @@ impl ShareBackup {
             // Slot-network links are created for every fat-tree edge at
             // build time; absence is a builder bug, not a runtime state.
             #[expect(clippy::expect_used, reason = "build-time structural invariant")]
-            let l = self
-                .slots
-                .net
-                .link_between(a, b)
-                .expect("slot link must exist");
+            let l = self.slots.link_between(a, b).expect("slot link must exist");
             self.slots.net.set_link_up(l, up);
         }
         // Every reconfiguration and fault-state change funnels through here,

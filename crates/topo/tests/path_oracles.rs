@@ -7,6 +7,11 @@
 //! * `bfs_path` answers `None` at once for an endpoint with no usable link.
 //!   The full search it short-cuts is kept here and must agree on random
 //!   failure sets.
+//! * `FatTree::link_between` computes a link id from the build order, and
+//!   `usable_paths_into` checks shared path prefixes once. The adjacency
+//!   scan (`Network::link_between`) and the per-path check
+//!   (`Network::path_usable` on every `host_path`) are their oracles, for
+//!   every node pair and under every single node or link failure.
 
 use std::collections::VecDeque;
 
@@ -66,7 +71,7 @@ fn old_f10_paths(f10: &F10Topology, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>
     }
     let mut paths = Vec::with_capacity(half * half);
     for a in 0..half {
-        for c in f10.cores_of_agg(s.pod, a) {
+        for c in (0..half).map(|m| f10.core_index(s.pod, a, m)) {
             let da = f10.agg_for_core(d.pod, c);
             paths.push(vec![
                 src,
@@ -188,6 +193,88 @@ fn host_path_rejects_an_index_past_the_count() {
     let ft = FatTree::build(FatTreeConfig::new(4));
     let (a, b) = (ft.hosts()[0], ft.hosts()[2]);
     ft.host_path(a, b, ft.host_path_count(a, b));
+}
+
+// ---- link ids and usable paths against the adjacency scan ------------------
+
+/// Both stripings of a k-ary tree: `FatTree::build` and the AB tree.
+fn both_trees(k: usize) -> [FatTree; 2] {
+    let cfg = FatTreeConfig::new(k);
+    [FatTree::build(cfg), (*F10Topology::build(cfg)).clone()]
+}
+
+#[test]
+fn link_between_matches_the_adjacency_scan_for_every_node_pair() {
+    for k in [4, 6] {
+        for ft in both_trees(k) {
+            for u in ft.net.node_ids() {
+                for v in ft.net.node_ids() {
+                    let expect = ft.net.link_between(u, v);
+                    assert_eq!(ft.link_between(u, v), expect, "k={k} {u:?}-{v:?}");
+                }
+            }
+        }
+    }
+}
+
+/// `usable_paths_into` against `path_usable` on every path, for each
+/// ordered pair in `pairs`, under no failure, then each single node
+/// failure, then each single link failure.
+fn check_usable_paths(ft: &mut FatTree, pairs: &[(NodeId, NodeId)]) {
+    let mut got = vec![usize::MAX; 3]; // junk, so a missing `clear` shows
+    let mut check = |ft: &FatTree, failed: &str| {
+        for &(src, dst) in pairs {
+            let mut expect = Vec::new();
+            for (i, p) in ft.host_paths(src, dst).iter().enumerate() {
+                let usable = ft.net.path_usable(p);
+                assert_eq!(ft.path_usable(p), usable, "{p:?}, {failed} down");
+                if usable {
+                    expect.push(i);
+                }
+            }
+            ft.usable_paths_into(src, dst, &mut got);
+            assert_eq!(got, expect, "{src:?} -> {dst:?}, {failed} down");
+        }
+    };
+    check(ft, "nothing");
+    for n in ft.net.node_ids().collect::<Vec<_>>() {
+        ft.net.set_node_up(n, false);
+        check(ft, &format!("{n:?}"));
+        ft.net.set_node_up(n, true);
+    }
+    for l in ft.net.link_ids().collect::<Vec<_>>() {
+        ft.net.set_link_up(l, false);
+        check(ft, &format!("{l:?}"));
+        ft.net.set_link_up(l, true);
+    }
+}
+
+#[test]
+fn usable_paths_match_path_usable_for_every_pair_at_k4() {
+    for mut ft in both_trees(4) {
+        let hosts = ft.hosts().to_vec();
+        let pairs: Vec<_> = hosts
+            .iter()
+            .flat_map(|&s| hosts.iter().map(move |&d| (s, d)))
+            .filter(|(s, d)| s != d)
+            .collect();
+        check_usable_paths(&mut ft, &pairs);
+    }
+}
+
+#[test]
+fn usable_paths_match_path_usable_for_sampled_pairs_at_k6() {
+    // A stride through the ordered pairs reaches same-edge and same-pod
+    // pairs, and cross-pod pairs of all four pod-type combinations.
+    for mut ft in both_trees(6) {
+        let hosts = ft.hosts().to_vec();
+        let pairs: Vec<_> = (0..hosts.len() * hosts.len())
+            .step_by(89)
+            .map(|i| (hosts[i / hosts.len()], hosts[i % hosts.len()]))
+            .filter(|(s, d)| s != d)
+            .collect();
+        check_usable_paths(&mut ft, &pairs);
+    }
 }
 
 // ---- bfs_path against the full search ---------------------------------------

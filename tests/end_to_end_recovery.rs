@@ -239,44 +239,6 @@ fn edge_failure_strands_reroute_but_not_sharebackup() {
 }
 
 #[test]
-fn global_hash_mode_also_recovers_fabric_failures() {
-    // The weaker (hash-based) rerouting baseline: flows re-hash onto
-    // surviving shortest paths without load awareness.
-    let ft_cfg = FatTreeConfig::new(4);
-    let ft = FatTree::build(ft_cfg);
-    let src = ft.host(HostAddr {
-        pod: 0,
-        edge: 0,
-        host: 0,
-    });
-    let dst = ft.host(HostAddr {
-        pod: 2,
-        edge: 0,
-        host: 0,
-    });
-    let core = ft.core(0);
-    let flows: Vec<FlowSpec> = (0..8)
-        .map(|id| FlowSpec {
-            key: FlowKey::new(src, dst, id),
-            bytes: 125_000_000,
-            arrival: Time::ZERO,
-        })
-        .collect();
-    let mut world = FatTreeWorld::new(
-        ft,
-        RecoveryMode::GlobalHash,
-        vec![TopoEvent::FailNode(core)],
-    );
-    let out = FlowSim::new().run(&mut world, &flows, &[Time::from_millis(1)]);
-    assert!(out.flows.iter().all(|f| f.completed.is_some()));
-    // Hash-based rerouting re-hashes over the *surviving* path set, so even
-    // unaffected flows can move (the classic ECMP-rehash artifact — one
-    // more disruption ShareBackup avoids by never rerouting at all).
-    let moved = out.flows.iter().filter(|f| f.rerouted).count();
-    assert!(moved >= 1, "the affected flows must move");
-}
-
-#[test]
 fn beyond_pool_failures_degrade_gracefully() {
     // Two concurrent failures in one group with n=1: the second is not
     // masked, but the first is, and repair eventually restores everything.
