@@ -370,11 +370,11 @@ impl Controller {
         self.cs_reports.clear();
     }
 
-    /// Under `strict-invariants`, re-verify the network's structural
-    /// invariants at the end of every controller transition. The topo layer
-    /// already checks after each `refresh_state`; this additionally covers
-    /// the quiescent state the controller leaves behind (after multi-step
-    /// recoveries and batched repairs).
+    /// Under `strict-invariants`, re-verify the network's invariants at the
+    /// end of every controller transition. The topo layer already checks
+    /// after each of its mutators; this additionally covers the quiescent
+    /// state the controller leaves behind (after multi-step recoveries and
+    /// batched repairs) and the controller's counters.
     fn check_invariants(&self) {
         if cfg!(feature = "strict-invariants") {
             self.sb.check_invariants();
@@ -630,34 +630,12 @@ impl Controller {
             unrecovered: Vec::new(),
             diagnosis: Vec::new(),
         };
-        // The host's edge slot: follow its (single) link.
-        let edge_node = {
-            let net = &self.sb.slots.net;
-            let l = net.incident(host)[0];
-            net.link(l).other(host)
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "hosts attach to edge slots by construction"
-        )]
-        let slot = self
-            .sb
-            .node_slot(edge_node)
-            .expect("host connects to an edge slot");
+        let (slot, _) = self.sb.host_edge_port(host);
         let suspect = self.sb.occupant(slot);
         self.try_replace(slot, now, &mut recovery);
         if !recovery.replaced.is_empty() {
-            // Did replacing the switch fix the link?
-            #[expect(
-                clippy::expect_used,
-                reason = "the host link was found above via incident()"
-            )]
-            let link = self
-                .sb
-                .slots
-                .net
-                .link_between(host, edge_node)
-                .expect("host link");
+            // Did replacing the switch fix the host's (single) link?
+            let link = self.sb.slots.net.incident(host)[0];
             if self.sb.slots.net.link_usable(link) {
                 // Switch was at fault: repair it.
                 self.sb.set_phys_healthy(suspect, false);

@@ -346,21 +346,7 @@ impl Environment for ShareBackupWorld {
             SbEvent::HostLinkFail { host, switch_side } => {
                 if switch_side {
                     // The host's edge slot occupant's down-port h breaks.
-                    let (slot, h) = {
-                        let net = &self.controller.sb.slots.net;
-                        let l = net.incident(host)[0];
-                        let edge_node = net.link(l).other(host);
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "hosts attach to edge slots by construction"
-                        )]
-                        let slot = self
-                            .controller
-                            .sb
-                            .node_slot(edge_node)
-                            .expect("host connects to an edge slot");
-                        (slot, net.node(host).index % (self.controller.sb.k() / 2))
-                    };
+                    let (slot, h) = self.controller.sb.host_edge_port(host);
                     let occ = self.controller.sb.occupant(slot);
                     self.controller.sb.set_iface_broken(occ, h, true);
                 } else {

@@ -27,12 +27,10 @@
 //! Fig. 4) uses the ring to connect a suspect interface to up to three test
 //! interfaces without touching the live network.
 
-use std::collections::BTreeMap;
-
 use crate::circuit::{Attachment, CircuitSwitch, CircuitTech, CsPort};
 use crate::fattree::{FatTree, FatTreeConfig, HostAddr};
 use crate::graph::NodeKind;
-use crate::ids::{GroupId, GroupKind, NodeId, PhysId, SlotId};
+use crate::ids::{GroupId, GroupKind, LinkId, NodeId, PhysId, SlotId};
 
 /// Parameters of a ShareBackup network.
 ///
@@ -172,25 +170,56 @@ pub struct DiagConfig {
 
 /// A built ShareBackup network: slots (a fat-tree), physical switches,
 /// occupancy, and the circuit-switch fabric.
+///
+/// Groups, slots and physical switches are dense indices: groups in
+/// [`ShareBackup::group_ids`] order, slot `j` of group `g` at
+/// `g·k/2 + j`, and each group's members numbered consecutively in that
+/// order.
 #[derive(Clone, Debug)]
 pub struct ShareBackup {
     /// The configuration.
     pub cfg: ShareBackupConfig,
-    /// The slot-level fat-tree: what routing and the data plane see. Node and
-    /// link up/down state is kept in sync with physical ground truth by
-    /// [`ShareBackup::refresh_state`].
+    /// The slot-level fat-tree: what routing and the data plane see. Its node
+    /// and link up/down state follows physical ground truth: every mutator
+    /// re-derives the slots its change touches, each link by one rule.
     pub slots: FatTree,
     phys: Vec<PhysSwitch>,
     /// Group → member-index-ordered physical switches.
-    groups: BTreeMap<GroupId, Vec<PhysId>>,
-    occupancy: BTreeMap<SlotId, PhysId>,
-    slot_of_phys: BTreeMap<PhysId, SlotId>,
-    node_slot: BTreeMap<NodeId, SlotId>,
+    groups: Vec<Vec<PhysId>>,
+    /// Slot → occupant.
+    occupancy: Vec<PhysId>,
+    /// Physical switch → the slot it occupies (`None` = spare).
+    slot_of_phys: Vec<Option<SlotId>>,
     cs1: Vec<CircuitSwitch>, // [pod * k/2 + m]
     cs2: Vec<CircuitSwitch>, // [pod * k/2 + m]
     cs3: Vec<CircuitSwitch>, // [pod * k/2 + u]
-    /// Host NICs with ground-truth faults.
-    host_nic_broken: BTreeMap<NodeId, bool>,
+    /// Host NICs with ground-truth faults, by host node id.
+    host_nic_broken: Vec<bool>,
+}
+
+/// Every failure group of a `k`-ary network, in the order of its dense
+/// index: pod `i`'s edge and agg groups at `2i` and `2i+1`, then the core
+/// groups.
+fn group_order(k: usize) -> impl Iterator<Item = GroupId> {
+    (0..k)
+        .flat_map(|pod| [GroupId::edge(pod), GroupId::agg(pod)])
+        .chain((0..k / 2).map(GroupId::core))
+}
+
+/// Chain a circuit switch at ring position `m` into its pod layer's ring of
+/// `half` switches: side port `side0` faces position m−1, `side0 + 1`
+/// faces m+1.
+fn attach_ring(cs: &mut CircuitSwitch, side0: usize, m: usize, half: usize) {
+    let prev = Attachment::Side {
+        cs: (m + half - 1) % half,
+        port: CsPort(side0 + 1),
+    };
+    cs.attach(CsPort(side0), prev);
+    let next = Attachment::Side {
+        cs: (m + 1) % half,
+        port: CsPort(side0),
+    };
+    cs.attach(CsPort(side0 + 1), next);
 }
 
 impl ShareBackup {
@@ -201,57 +230,26 @@ impl ShareBackup {
         let half = k / 2;
         let slots = FatTree::build(cfg.ft);
 
-        // --- Physical switch registry, group by group. ---
+        // --- Physical switches, group by group: members 0..k/2 occupy the
+        // group's slots, the rest are its spares. ---
         let mut phys = Vec::new();
-        let mut groups = BTreeMap::new();
-        let mut occupancy = BTreeMap::new();
-        let mut slot_of_phys = BTreeMap::new();
-        let mut make_group = |group: GroupId, phys: &mut Vec<PhysSwitch>| {
-            let ifaces = k; // every packet switch has k interfaces
-            let members: Vec<PhysId> = (0..cfg.group_size_for(group.kind))
-                .map(|member| {
-                    let id = PhysId::from_index(phys.len());
-                    phys.push(PhysSwitch {
-                        group,
-                        member,
-                        healthy: true,
-                        iface_broken: vec![false; ifaces],
-                    });
-                    id
-                })
-                .collect();
-            for (j, &p) in members.iter().enumerate().take(half) {
-                occupancy.insert(group.slot(j), p);
-                slot_of_phys.insert(p, group.slot(j));
+        let mut groups = Vec::with_capacity(2 * k + half);
+        let mut occupancy = Vec::with_capacity((2 * k + half) * half);
+        let mut slot_of_phys = Vec::new();
+        for group in group_order(k) {
+            let first = phys.len();
+            for member in 0..cfg.group_size_for(group.kind) {
+                phys.push(PhysSwitch {
+                    group,
+                    member,
+                    healthy: true,
+                    iface_broken: vec![false; k], // every packet switch has k interfaces
+                });
+                slot_of_phys.push((member < half).then(|| group.slot(member)));
             }
-            members
-        };
-        for pod in 0..k {
-            let g = GroupId::edge(pod);
-            let members = make_group(g, &mut phys);
-            groups.insert(g, members);
-            let g = GroupId::agg(pod);
-            let members = make_group(g, &mut phys);
-            groups.insert(g, members);
-        }
-        for u in 0..half {
-            let g = GroupId::core(u);
-            let members = make_group(g, &mut phys);
-            groups.insert(g, members);
-        }
-
-        // --- Node → slot reverse map over the slot fat-tree. ---
-        let mut node_slot = BTreeMap::new();
-        for pod in 0..k {
-            for j in 0..half {
-                node_slot.insert(slots.edge(pod, j), GroupId::edge(pod).slot(j));
-                node_slot.insert(slots.agg(pod, j), GroupId::agg(pod).slot(j));
-            }
-        }
-        for j in 0..half {
-            for u in 0..half {
-                node_slot.insert(slots.core(j * half + u), GroupId::core(u).slot(j));
-            }
+            let members: Vec<PhysId> = (first..phys.len()).map(PhysId::from_index).collect();
+            occupancy.extend_from_slice(&members[..half]);
+            groups.push(members);
         }
 
         // --- Circuit switches. Port layout (flat space):
@@ -262,56 +260,32 @@ impl ShareBackup {
         let edge_size = cfg.group_size_for(GroupKind::Edge);
         let agg_size = cfg.group_size_for(GroupKind::Agg);
         let core_size = cfg.group_size_for(GroupKind::Core);
-
-        let mut sb = ShareBackup {
-            cfg,
-            slots,
-            phys,
-            groups,
-            occupancy,
-            slot_of_phys,
-            node_slot,
-            cs1: Vec::with_capacity(k * half),
-            cs2: Vec::with_capacity(k * half),
-            cs3: Vec::with_capacity(k * half),
-            host_nic_broken: BTreeMap::new(),
-        };
-
+        let mut cs1 = Vec::with_capacity(k * half);
+        let mut cs2 = Vec::with_capacity(k * half);
+        let mut cs3 = Vec::with_capacity(k * half);
         for pod in 0..k {
+            let edge_members = &groups[2 * pod];
+            let agg_members = &groups[2 * pod + 1];
             for m in 0..half {
                 // CS_{1,pod,m}: north = edge group, south = host m of each edge.
-                let (side0, side1, south0) = (edge_size, edge_size + 1, edge_size + 2);
-                let mut cs = CircuitSwitch::new(sb.cfg.tech, south0 + half);
-                let edge_members = sb.groups[&GroupId::edge(pod)].clone();
+                let south0 = edge_size + 2;
+                let mut cs = CircuitSwitch::new(cfg.tech, south0 + half);
                 for (w, &p) in edge_members.iter().enumerate() {
                     cs.attach(CsPort(w), Attachment::Switch { switch: p, port: m });
                 }
-                cs.attach(
-                    CsPort(side0),
-                    Attachment::Side {
-                        cs: (m + half - 1) % half,
-                        port: CsPort(side1),
-                    },
-                );
-                cs.attach(
-                    CsPort(side1),
-                    Attachment::Side {
-                        cs: (m + 1) % half,
-                        port: CsPort(side0),
-                    },
-                );
+                attach_ring(&mut cs, edge_size, m, half);
                 for j in 0..half {
-                    let host = sb.slots.host(HostAddr {
+                    let host = slots.host(HostAddr {
                         pod,
                         edge: j,
                         host: m,
                     });
                     cs.attach(CsPort(south0 + j), Attachment::Host(host));
                 }
-                sb.cs1.push(cs);
+                cs1.push(cs);
 
                 // CS_{2,pod,m}: north = edge group, south = agg group.
-                let mut cs = CircuitSwitch::new(sb.cfg.tech, south0 + agg_size);
+                let mut cs = CircuitSwitch::new(cfg.tech, south0 + agg_size);
                 for (w, &p) in edge_members.iter().enumerate() {
                     cs.attach(
                         CsPort(w),
@@ -321,33 +295,19 @@ impl ShareBackup {
                         },
                     );
                 }
-                cs.attach(
-                    CsPort(side0),
-                    Attachment::Side {
-                        cs: (m + half - 1) % half,
-                        port: CsPort(side1),
-                    },
-                );
-                cs.attach(
-                    CsPort(side1),
-                    Attachment::Side {
-                        cs: (m + 1) % half,
-                        port: CsPort(side0),
-                    },
-                );
-                let agg_members = sb.groups[&GroupId::agg(pod)].clone();
+                attach_ring(&mut cs, edge_size, m, half);
                 for (w, &p) in agg_members.iter().enumerate() {
                     cs.attach(
                         CsPort(south0 + w),
                         Attachment::Switch { switch: p, port: m },
                     );
                 }
-                sb.cs2.push(cs);
+                cs2.push(cs);
 
                 // CS_{3,pod,u} with u = m: north = agg group, south = core group u.
                 let u = m;
-                let (side0, side1, south0) = (agg_size, agg_size + 1, agg_size + 2);
-                let mut cs = CircuitSwitch::new(sb.cfg.tech, south0 + core_size);
+                let south0 = agg_size + 2;
+                let mut cs = CircuitSwitch::new(cfg.tech, south0 + core_size);
                 for (w, &p) in agg_members.iter().enumerate() {
                     cs.attach(
                         CsPort(w),
@@ -357,22 +317,8 @@ impl ShareBackup {
                         },
                     );
                 }
-                cs.attach(
-                    CsPort(side0),
-                    Attachment::Side {
-                        cs: (u + half - 1) % half,
-                        port: CsPort(side1),
-                    },
-                );
-                cs.attach(
-                    CsPort(side1),
-                    Attachment::Side {
-                        cs: (u + 1) % half,
-                        port: CsPort(side0),
-                    },
-                );
-                let core_members = sb.groups[&GroupId::core(u)].clone();
-                for (w, &p) in core_members.iter().enumerate() {
+                attach_ring(&mut cs, agg_size, u, half);
+                for (w, &p) in groups[2 * k + u].iter().enumerate() {
                     cs.attach(
                         CsPort(south0 + w),
                         Attachment::Switch {
@@ -381,23 +327,32 @@ impl ShareBackup {
                         },
                     );
                 }
-                sb.cs3.push(cs);
+                cs3.push(cs);
             }
         }
 
-        // --- Default circuits: straight-through / rotational wiring. ---
-        for pod in 0..k {
+        let mut sb = ShareBackup {
+            cfg,
+            host_nic_broken: vec![false; slots.net.node_count()],
+            slots,
+            phys,
+            groups,
+            occupancy,
+            slot_of_phys,
+            cs1,
+            cs2,
+            cs3,
+        };
+        // --- Default circuits: straight-through / rotational wiring. The
+        // fresh slot network is all up and nothing is broken yet, so its
+        // state already matches ground truth. ---
+        for g in group_order(k) {
             for j in 0..half {
-                sb.reconnect_slot(GroupId::edge(pod).slot(j));
-                sb.reconnect_slot(GroupId::agg(pod).slot(j));
+                sb.reconnect_slot(g.slot(j));
             }
         }
-        for u in 0..half {
-            for j in 0..half {
-                sb.reconnect_slot(GroupId::core(u).slot(j));
-            }
-        }
-        sb.refresh_state();
+        #[cfg(feature = "strict-invariants")]
+        sb.check_invariants();
         sb
     }
 
@@ -412,6 +367,20 @@ impl ShareBackup {
 
     fn half(&self) -> usize {
         self.cfg.ft.k / 2
+    }
+
+    /// Dense index of a group, in [`ShareBackup::group_ids`] order.
+    fn group_index(&self, g: GroupId) -> usize {
+        match g.kind {
+            GroupKind::Edge => 2 * g.index,
+            GroupKind::Agg => 2 * g.index + 1,
+            GroupKind::Core => 2 * self.k() + g.index,
+        }
+    }
+
+    /// Dense index of a slot: slot `j` of group `g` at `g·k/2 + j`.
+    fn slot_index(&self, slot: SlotId) -> usize {
+        self.group_index(slot.group) * self.half() + slot.slot
     }
 
     /// Number of circuit switches in the network (`3·k·k/2 = 3k²/2`).
@@ -465,37 +434,27 @@ impl ShareBackup {
 
     /// Member switches of a failure group, in member-index order.
     pub fn group_members(&self, g: GroupId) -> &[PhysId] {
-        &self.groups[&g]
+        &self.groups[self.group_index(g)]
     }
 
     /// All failure groups, in a canonical deterministic order.
     pub fn group_ids(&self) -> Vec<GroupId> {
-        let k = self.k();
-        let half = self.half();
-        let mut ids = Vec::with_capacity(2 * k + half);
-        for pod in 0..k {
-            ids.push(GroupId::edge(pod));
-            ids.push(GroupId::agg(pod));
-        }
-        for u in 0..half {
-            ids.push(GroupId::core(u));
-        }
-        ids
+        group_order(self.k()).collect()
     }
 
     /// The physical switch currently occupying `slot`.
     pub fn occupant(&self, slot: SlotId) -> PhysId {
-        self.occupancy[&slot]
+        self.occupancy[self.slot_index(slot)]
     }
 
     /// The slot occupied by `p`, if any (`None` = spare).
     pub fn slot_of(&self, p: PhysId) -> Option<SlotId> {
-        self.slot_of_phys.get(&p).copied()
+        self.slot_of_phys[p.index()]
     }
 
     /// Healthy, non-occupying members of a group — the available backups.
     pub fn spares(&self, g: GroupId) -> Vec<PhysId> {
-        self.groups[&g]
+        self.group_members(g)
             .iter()
             .copied()
             .filter(|p| self.slot_of(*p).is_none() && self.phys(*p).healthy)
@@ -512,9 +471,27 @@ impl ShareBackup {
         }
     }
 
-    /// The slot a slot-network switch node corresponds to.
+    /// The slot a slot-network switch node corresponds to (`None` for a
+    /// host), from the node's kind, pod and index.
     pub fn node_slot(&self, n: NodeId) -> Option<SlotId> {
-        self.node_slot.get(&n).copied()
+        let half = self.half();
+        let node = self.slots.net.node(n);
+        match node.kind {
+            NodeKind::Host => None,
+            NodeKind::Edge => node.pod.map(|pod| GroupId::edge(pod).slot(node.index)),
+            NodeKind::Agg => node.pod.map(|pod| GroupId::agg(pod).slot(node.index)),
+            NodeKind::Core => Some(GroupId::core(node.index % half).slot(node.index / half)),
+        }
+    }
+
+    /// The edge slot a host hangs off and the port of that slot's occupant
+    /// its link uses (also the index `m` of the `CS_{1,pod,m}` it crosses).
+    ///
+    /// # Panics
+    /// Panics if `host` is not a host.
+    pub fn host_edge_port(&self, host: NodeId) -> (SlotId, usize) {
+        let addr = self.slots.addr_of(host);
+        (GroupId::edge(addr.pod).slot(addr.edge), addr.host)
     }
 
     // ------------------------------------------------------------------
@@ -530,13 +507,13 @@ impl ShareBackup {
                 *b = false;
             }
         }
-        self.refresh_state();
+        self.refresh(self.slot_of(p));
     }
 
     /// Break or repair one interface of a physical switch.
     pub fn set_iface_broken(&mut self, p: PhysId, iface: usize, broken: bool) {
         self.phys[p.0 as usize].iface_broken[iface] = broken;
-        self.refresh_state();
+        self.refresh(self.slot_of(p));
     }
 
     /// Whether an interface is broken (ground truth; diagnosis discovers it).
@@ -545,16 +522,25 @@ impl ShareBackup {
     }
 
     /// Break or repair a host NIC.
+    ///
+    /// # Panics
+    /// Panics if `host` is not a host.
     pub fn set_host_nic_broken(&mut self, host: NodeId, broken: bool) {
-        assert_eq!(self.slots.net.node(host).kind, NodeKind::Host);
-        self.host_nic_broken.insert(host, broken);
-        self.refresh_state();
+        let (edge, _) = self.host_edge_port(host);
+        self.host_nic_broken[host.index()] = broken;
+        self.refresh([edge]);
     }
 
     /// Mark a circuit switch up/down and propagate to the slot network.
     pub fn set_circuit_switch_up(&mut self, id: CsId, up: bool) {
         self.circuit_switch_mut(id).set_up(up);
-        self.refresh_state();
+        // Every link through it has a slot of the switch's north side as
+        // its upper end: the pod's edge slots for CS1/CS2, agg for CS3.
+        let north = match id {
+            CsId::HostEdge { pod, .. } | CsId::EdgeAgg { pod, .. } => GroupId::edge(pod),
+            CsId::AggCore { pod, .. } => GroupId::agg(pod),
+        };
+        self.refresh((0..self.half()).map(|j| north.slot(j)));
     }
 
     // ------------------------------------------------------------------
@@ -579,12 +565,12 @@ impl ShareBackup {
             self.slot_of(replacement).is_none(),
             "{replacement:?} already occupies a slot"
         );
-        let old = self.occupancy[&slot];
-        self.slot_of_phys.remove(&old);
-        self.occupancy.insert(slot, replacement);
-        self.slot_of_phys.insert(replacement, slot);
+        let i = self.slot_index(slot);
+        let old = std::mem::replace(&mut self.occupancy[i], replacement);
+        self.slot_of_phys[old.index()] = None;
+        self.slot_of_phys[replacement.index()] = Some(slot);
         let report = self.reconnect_slot(slot);
-        self.refresh_state();
+        self.refresh([slot]);
         report
     }
 
@@ -598,8 +584,7 @@ impl ShareBackup {
         // north-agged.
         let south0_12 = self.cfg.group_size_for(GroupKind::Edge) + 2;
         let south0_3 = self.cfg.group_size_for(GroupKind::Agg) + 2;
-        let occ = self.occupancy[&slot];
-        let w = self.phys(occ).member;
+        let w = self.phys(self.occupant(slot)).member;
         let mut touched = 0;
         let mut ops = 0;
         match slot.group.kind {
@@ -612,7 +597,7 @@ impl ShareBackup {
                     touched += 1;
                     // CS2: occupant ↔ member occupying agg slot (j+m) % k/2.
                     let agg_slot = GroupId::agg(pod).slot((j + m) % half);
-                    let aw = self.phys(self.occupancy[&agg_slot]).member;
+                    let aw = self.phys(self.occupant(agg_slot)).member;
                     ops += self.cs2[pod * half + m].connect(CsPort(w), CsPort(south0_12 + aw));
                     touched += 1;
                 }
@@ -623,12 +608,12 @@ impl ShareBackup {
                 for m in 0..half {
                     // CS2: edge slot (a-m) mod k/2 ↔ occupant (south side).
                     let edge_slot = GroupId::edge(pod).slot((a + half - m) % half);
-                    let ew = self.phys(self.occupancy[&edge_slot]).member;
+                    let ew = self.phys(self.occupant(edge_slot)).member;
                     ops += self.cs2[pod * half + m].connect(CsPort(ew), CsPort(south0_12 + w));
                     touched += 1;
                     // CS3 (u = m): occupant (north) ↔ core-group-u slot a.
                     let core_slot = GroupId::core(m).slot(a);
-                    let cw = self.phys(self.occupancy[&core_slot]).member;
+                    let cw = self.phys(self.occupant(core_slot)).member;
                     ops += self.cs3[pod * half + m].connect(CsPort(w), CsPort(south0_3 + cw));
                     touched += 1;
                 }
@@ -639,7 +624,7 @@ impl ShareBackup {
                 for pod in 0..self.k() {
                     // CS3 in every pod: agg slot j (north) ↔ occupant (south).
                     let agg_slot = GroupId::agg(pod).slot(j);
-                    let aw = self.phys(self.occupancy[&agg_slot]).member;
+                    let aw = self.phys(self.occupant(agg_slot)).member;
                     ops += self.cs3[pod * half + u].connect(CsPort(aw), CsPort(south0_3 + w));
                     touched += 1;
                 }
@@ -655,67 +640,61 @@ impl ShareBackup {
     // Slot-network state derivation.
     // ------------------------------------------------------------------
 
-    /// Recompute the slot network's node/link up state from physical ground
-    /// truth: occupant health, broken interfaces, host NICs, and circuit
-    /// switch health.
-    pub fn refresh_state(&mut self) {
-        let k = self.k();
-        let half = self.half();
-        // Slot nodes: up iff occupant healthy.
-        let slot_states: Vec<(NodeId, bool)> = self
-            .occupancy
-            .iter()
-            .map(|(&slot, &p)| (self.slot_node(slot), self.phys(p).healthy))
-            .collect();
-        for (node, up) in slot_states {
-            self.slots.net.set_node_up(node, up);
+    /// Re-derive the slots a change touched, then, under
+    /// `strict-invariants`, check the whole network.
+    fn refresh(&mut self, slots: impl IntoIterator<Item = SlotId>) {
+        for slot in slots {
+            self.refresh_slot(slot);
         }
-        // Links.
-        let mut updates: Vec<(NodeId, NodeId, bool)> = Vec::new();
-        for pod in 0..k {
-            for j in 0..half {
-                let edge_occ = self.occupancy[&GroupId::edge(pod).slot(j)];
-                for m in 0..half {
-                    // Host link: host(pod, j, m) ↔ edge slot j via CS1[pod][m].
-                    let host = self.slots.host(HostAddr {
-                        pod,
-                        edge: j,
-                        host: m,
-                    });
-                    let up = self.cs1[pod * half + m].is_up()
-                        && !self.iface_broken(edge_occ, m)
-                        && !self.host_nic_broken.get(&host).copied().unwrap_or(false);
-                    updates.push((host, self.slots.edge(pod, j), up));
-                    // Edge j ↔ agg (j+m)%half via CS2[pod][m].
-                    let a = (j + m) % half;
-                    let agg_occ = self.occupancy[&GroupId::agg(pod).slot(a)];
-                    let up = self.cs2[pod * half + m].is_up()
-                        && !self.iface_broken(edge_occ, half + m)
-                        && !self.iface_broken(agg_occ, m);
-                    updates.push((self.slots.edge(pod, j), self.slots.agg(pod, a), up));
-                }
-                // Agg j ↔ core j*half+u via CS3[pod][u].
-                let agg_occ = self.occupancy[&GroupId::agg(pod).slot(j)];
-                for u in 0..half {
-                    let core_occ = self.occupancy[&GroupId::core(u).slot(j)];
-                    let up = self.cs3[pod * half + u].is_up()
-                        && !self.iface_broken(agg_occ, half + u)
-                        && !self.iface_broken(core_occ, pod);
-                    updates.push((self.slots.agg(pod, j), self.slots.core(j * half + u), up));
-                }
-            }
-        }
-        for (a, b, up) in updates {
-            // Slot-network links are created for every fat-tree edge at
-            // build time; absence is a builder bug, not a runtime state.
-            #[expect(clippy::expect_used, reason = "build-time structural invariant")]
-            let l = self.slots.link_between(a, b).expect("slot link must exist");
-            self.slots.net.set_link_up(l, up);
-        }
-        // Every reconfiguration and fault-state change funnels through here,
-        // so this one hook re-verifies the structure after each transition.
         #[cfg(feature = "strict-invariants")]
         self.check_invariants();
+    }
+
+    /// Set a slot's node up iff its occupant is healthy, and each of its
+    /// links by [`ShareBackup::link_up`]. A link's state depends only on its
+    /// two ends' slots, so refreshing every slot a change touched leaves the
+    /// whole slot network consistent with ground truth.
+    fn refresh_slot(&mut self, slot: SlotId) {
+        let node = self.slot_node(slot);
+        let up = self.phys(self.occupant(slot)).healthy;
+        self.slots.net.set_node_up(node, up);
+        for i in 0..self.slots.net.incident(node).len() {
+            let l = self.slots.net.incident(node)[i];
+            let up = self.link_up(l);
+            self.slots.net.set_link_up(l, up);
+        }
+    }
+
+    /// Whether slot-network link `l` is up, from physical ground truth: the
+    /// circuit switch realizing it is up, both occupants' ports on it work,
+    /// and a host link's NIC works.
+    fn link_up(&self, l: LinkId) -> bool {
+        let half = self.half();
+        let link = self.slots.net.link(l);
+        let works = |slot: SlotId, port: usize| !self.iface_broken(self.occupant(slot), port);
+        // The fat-tree builder adds every link lower end first.
+        match (self.node_slot(link.a), self.node_slot(link.b)) {
+            // Host m of edge slot j, through CS1[pod][m].
+            (None, _) => {
+                let (edge, m) = self.host_edge_port(link.a);
+                self.cs1[edge.group.index * half + m].is_up()
+                    && works(edge, m)
+                    && !self.host_nic_broken[link.a.index()]
+            }
+            // Edge slot j ↔ agg slot a through CS2[pod][m], m = (a − j) mod k/2.
+            (Some(edge), Some(agg)) if agg.group.kind == GroupKind::Agg => {
+                let m = (agg.slot + half - edge.slot) % half;
+                self.cs2[edge.group.index * half + m].is_up()
+                    && works(edge, half + m)
+                    && works(agg, m)
+            }
+            // Agg slot ↔ core group u's slot through CS3[pod][u].
+            (Some(agg), Some(core)) => {
+                let (pod, u) = (agg.group.index, core.group.index);
+                self.cs3[pod * half + u].is_up() && works(agg, half + u) && works(core, pod)
+            }
+            (Some(_), None) => unreachable!("a host is the lower end of its link"),
+        }
     }
 
     /// Derive (endpoint, endpoint) logical links by walking circuit-switch
@@ -749,12 +728,14 @@ impl ShareBackup {
     // Structural invariants.
     // ------------------------------------------------------------------
 
-    /// Assert the architecture's structural invariants: slot-occupancy
-    /// bijectivity, crossbar matching validity, and circuit realization of
-    /// the slot fat-tree. Cheap relative to a reconfiguration, but O(network)
-    /// — under the `strict-invariants` feature it runs automatically after
-    /// every [`ShareBackup::refresh_state`]; callers (tests, the controller)
-    /// may also invoke it directly at any quiescent point.
+    /// Assert the architecture's invariants: slot-occupancy bijectivity,
+    /// crossbar matching validity, circuit realization of the slot fat-tree,
+    /// and slot-network state matching ground truth (every slot node up iff
+    /// its occupant is healthy, every link up iff its one derivation rule
+    /// says so — the per-slot refresh must not have missed a slot).
+    /// O(network) — under the `strict-invariants` feature it runs at the end
+    /// of every public mutator and of [`ShareBackup::build`]; callers (tests,
+    /// the controller) may also invoke it directly at any quiescent point.
     ///
     /// # Panics
     /// Panics with a description of the violated invariant.
@@ -762,6 +743,28 @@ impl ShareBackup {
         self.check_occupancy();
         self.check_matchings();
         self.check_circuit_realization();
+        self.check_state();
+    }
+
+    /// Every slot node and link holds the state ground truth gives it.
+    fn check_state(&self) {
+        for g in group_order(self.k()) {
+            for j in 0..self.half() {
+                let slot = g.slot(j);
+                assert_eq!(
+                    self.slots.net.node(self.slot_node(slot)).up,
+                    self.phys(self.occupant(slot)).healthy,
+                    "{slot:?}'s node state disagrees with its occupant's health"
+                );
+            }
+        }
+        for l in self.slots.net.link_ids() {
+            assert_eq!(
+                self.slots.net.link(l).up,
+                self.link_up(l),
+                "{l:?}'s state disagrees with ground truth"
+            );
+        }
     }
 
     /// Occupancy bijectivity: every slot has exactly one occupant, every
@@ -783,21 +786,14 @@ impl ShareBackup {
                     occupying += 1;
                 }
             }
+            // k/2 members each naming a distinct slot of `g` that names
+            // them back: slot → occupant and switch → slot are inverse.
             assert_eq!(occupying, half, "every slot of {g:?} must be occupied");
             let spares = self.spares(g).len();
             assert!(
                 spares <= members.len() - half,
                 "{g:?} reports {spares} spares with only {} backups",
                 members.len() - half
-            );
-        }
-        // Global view: the two occupancy maps are inverse bijections.
-        assert_eq!(self.occupancy.len(), self.slot_of_phys.len());
-        for (&slot, &p) in &self.occupancy {
-            assert_eq!(
-                self.slot_of_phys.get(&p),
-                Some(&slot),
-                "slot_of_phys is not the inverse of occupancy at {slot:?}"
             );
         }
     }
@@ -1108,21 +1104,7 @@ mod tests {
     #[test]
     fn circuit_layer_realizes_exactly_the_fat_tree() {
         let sb = build(4, 1);
-        let mut expected: Vec<(NodeId, NodeId)> = sb
-            .slots
-            .net
-            .link_ids()
-            .map(|l| {
-                let link = sb.slots.net.link(l);
-                if link.a <= link.b {
-                    (link.a, link.b)
-                } else {
-                    (link.b, link.a)
-                }
-            })
-            .collect();
-        expected.sort();
-        assert_eq!(sb.derived_links(), expected);
+        sb.check_invariants();
     }
 
     #[test]
@@ -1137,21 +1119,7 @@ mod tests {
         }
         // After replacing a slot in every group, the circuit layer must
         // still realize exactly the fat-tree.
-        let mut expected: Vec<(NodeId, NodeId)> = sb
-            .slots
-            .net
-            .link_ids()
-            .map(|l| {
-                let link = sb.slots.net.link(l);
-                if link.a <= link.b {
-                    (link.a, link.b)
-                } else {
-                    (link.b, link.a)
-                }
-            })
-            .collect();
-        expected.sort();
-        assert_eq!(sb.derived_links(), expected);
+        sb.check_invariants();
     }
 
     #[test]
@@ -1312,21 +1280,7 @@ mod tests {
         let spare = sb.spares(GroupId::agg(3))[0];
         sb.replace(GroupId::agg(3).slot(2), spare);
         // The circuit layer still realizes exactly the fat-tree.
-        let mut expected: Vec<(NodeId, NodeId)> = sb
-            .slots
-            .net
-            .link_ids()
-            .map(|l| {
-                let link = sb.slots.net.link(l);
-                if link.a <= link.b {
-                    (link.a, link.b)
-                } else {
-                    (link.b, link.a)
-                }
-            })
-            .collect();
-        expected.sort();
-        assert_eq!(sb.derived_links(), expected);
+        sb.check_invariants();
     }
 
     #[test]
@@ -1355,20 +1309,6 @@ mod tests {
         sb.replace(slot, spare);
         sb.replace(slot, first);
         assert_eq!(sb.occupant(slot), first);
-        let mut expected: Vec<(NodeId, NodeId)> = sb
-            .slots
-            .net
-            .link_ids()
-            .map(|l| {
-                let link = sb.slots.net.link(l);
-                if link.a <= link.b {
-                    (link.a, link.b)
-                } else {
-                    (link.b, link.a)
-                }
-            })
-            .collect();
-        expected.sort();
-        assert_eq!(sb.derived_links(), expected);
+        sb.check_invariants();
     }
 }

@@ -9,23 +9,6 @@ use sharebackup::routing::{ecmp_path, FlowKey};
 use sharebackup::sim::Time;
 use sharebackup::topo::{GroupId, GroupKind, NodeId, ShareBackup, ShareBackupConfig};
 
-/// Every slot always has exactly one occupant; every physical switch
-/// occupies at most one slot; spares + occupants = all members per group.
-///
-/// These checks are now library code — [`ShareBackup::check_invariants`]
-/// covers occupancy bijectivity, crossbar matching validity, and circuit
-/// realization of the slot fat-tree (and under the `strict-invariants`
-/// feature runs automatically after every reconfiguration); this wrapper
-/// keeps the property tests exercising them explicitly in default builds.
-fn occupancy_invariants(sb: &ShareBackup) {
-    sb.check_invariants();
-}
-
-/// The circuit layer must realize exactly the slot fat-tree's links.
-fn circuit_realization_invariant(sb: &ShareBackup) {
-    sb.check_invariants();
-}
-
 fn group_for(idx: usize, k: usize) -> GroupId {
     let half = k / 2;
     match idx % 3 {
@@ -69,8 +52,7 @@ proptest! {
                 prop_assert!(r.fully_recovered());
                 prop_assert!(ctl.sb.slots.net.node(ctl.sb.slot_node(slot)).up);
             }
-            occupancy_invariants(&ctl.sb);
-            circuit_realization_invariant(&ctl.sb);
+            ctl.sb.check_invariants();
         }
         // Drain all repairs: the network must return to full health.
         while let Some(due) = ctl.next_repair_due() {
@@ -86,8 +68,7 @@ proptest! {
                 }
             }
         }
-        occupancy_invariants(&ctl.sb);
-        circuit_realization_invariant(&ctl.sb);
+        ctl.sb.check_invariants();
         for node in ctl.sb.slots.net.node_ids() {
             prop_assert!(ctl.sb.slots.net.node(node).up);
         }
@@ -116,7 +97,7 @@ proptest! {
         }
         let after = ecmp_path(&sb.slots, &flow);
         prop_assert_eq!(before, after);
-        circuit_realization_invariant(&sb);
+        sb.check_invariants();
     }
 
     /// The impact metric is monotone: adding failures never decreases the
