@@ -1,9 +1,12 @@
 //! Golden outcomes: the exact per-flow results and drop counts of fixed
 //! packet-level scenarios, pinned bit for bit.
 //!
-//! The table was recorded before the RTO timer moved to one queued entry per
-//! flow, so it pins that every drop, retransmit, timeout and completion
-//! instant is unchanged by how timers are queued. Any change to these
+//! The first five scenarios were recorded before the RTO timer moved to one
+//! queued entry per flow, so they pin that every drop, retransmit, timeout
+//! and completion instant is unchanged by how timers are queued. The sixth
+//! was recorded before wire times, lane handles and link state were
+//! computed once per run; it is the one that fails a link and routes over
+//! a hop between non-adjacent nodes. Any change to these
 //! numbers is a behaviour change of the simulator and must say why.
 
 use sharebackup_packet::{PacketNetConfig, PacketSim, PktEvent, PktFlowOutcome, PktFlowSpec};
@@ -155,6 +158,46 @@ fn k8_32_flows_core_fail() -> (Vec<PktFlowOutcome>, u64) {
     run(rto_2ms(), &ft.net, &flows, events)
 }
 
+/// k=4 at 2:1 oversubscription (10 Gbps host links, 5 Gbps uplinks), three
+/// flows of a byte count that leaves a tail segment. The agg–core link
+/// under flow 0 fails at 1 ms and is repaired at 2.5 ms; flow 1 moves at
+/// 1.5 ms onto a path whose core–agg hop joins nodes that share no link
+/// (every packet meeting it is dropped) and gets its own path back at 4 ms.
+fn k4_link_fail_and_broken_hop() -> (Vec<PktFlowOutcome>, u64) {
+    let ft = FatTree::build(FatTreeConfig::new(4).with_oversubscription(2.0));
+    let flows = ecmp_flows(&ft, &[(0, 12), (3, 9), (5, 14)], 1_500_001);
+    let up = ft
+        .link_between(flows[0].path[2], flows[0].path[3])
+        .expect("agg–core link on flow 0's path");
+    // Flow 1 descends through the other agg of the destination pod, which
+    // its core does not reach.
+    let mut broken = flows[1].path.clone();
+    let agg = ft.net.node(broken[4]);
+    let (pod, j) = (agg.pod.expect("agg has a pod"), agg.index);
+    broken[4] = ft.agg(pod, 1 - j);
+    assert!(ft.link_between(broken[3], broken[4]).is_none());
+    assert!(ft.link_between(broken[4], broken[5]).is_some());
+    let events = vec![
+        (Time::from_millis(1), PktEvent::FailLink(up)),
+        (
+            Time::from_micros(1_500),
+            PktEvent::SetPath {
+                flow: 1,
+                path: Some(broken),
+            },
+        ),
+        (Time::from_micros(2_500), PktEvent::RepairLink(up)),
+        (
+            Time::from_millis(4),
+            PktEvent::SetPath {
+                flow: 1,
+                path: Some(flows[1].path.clone()),
+            },
+        ),
+    ];
+    run(rto_2ms(), &ft.net, &flows, events)
+}
+
 fn rows(out: &[PktFlowOutcome]) -> Vec<Row> {
     out.iter()
         .map(|o| {
@@ -271,6 +314,20 @@ fn k8_32_flows_core_fail_is_pinned() {
             (Some(498_365), 200_000, 0, 0),
             (Some(2_635_436), 200_000, 0, 1),
             (Some(6_704_432), 200_000, 0, 2),
+        ],
+    );
+}
+
+#[test]
+fn k4_link_fail_and_broken_hop_is_pinned() {
+    check(
+        "k4_link_fail_and_broken_hop",
+        k4_link_fail_and_broken_hop(),
+        297,
+        &[
+            (Some(6_694_867), 1_500_001, 38, 1),
+            (Some(10_796_687), 1_500_001, 44, 2),
+            (Some(6_796_687), 1_500_001, 44, 1),
         ],
     );
 }
