@@ -9,10 +9,17 @@
 //! Failure realism: packets are dropped when they meet a down link (at
 //! enqueue or at transmission end), when a drop-tail queue overflows, and
 //! when they belong to a stale path version after a re-route.
+//!
+//! What never changes within a run is worked out once, at set-up: each
+//! direction's wire time of a full segment and of an ACK (and the engine
+//! lanes they take), each hop's direction index, and each link's usability,
+//! refreshed only by topology events. A packet's hop then reads an index,
+//! a flag and a lane handle; only a flow's tail segment converts a wire
+//! time on the fly.
 
 use std::collections::VecDeque;
 
-use sharebackup_sim::{Duration, Engine, Slot, Time, World};
+use sharebackup_sim::{Duration, Engine, LaneId, Slot, Time, World};
 use sharebackup_topo::{LinkId, Network, NodeId};
 
 use crate::transport::{Receiver, RenoFlow};
@@ -93,33 +100,52 @@ pub struct PktFlowOutcome {
     pub timeouts: u64,
 }
 
+/// A packet in a queue or on the wire. Its wire size follows from `ack`
+/// and `len`: [`PacketNetConfig::ack_bytes`] for an ACK, `len` plus the
+/// header for data.
 #[derive(Clone, Debug)]
 struct QPacket {
-    flow: usize,
     seq: u64,
+    flow: u32,
     len: u32,
-    wire: u32,
-    ack: bool,
-    hop: usize,
     ver: u32,
+    /// Hops crossed so far; [`Route::new`] bounds a path's hop count.
+    hop: u16,
+    ack: bool,
 }
 
+/// One direction of a link: its output queue and the engine lanes of the
+/// wire times that recur on it.
 struct DirState {
     queue: VecDeque<QPacket>,
     busy: bool,
+    /// The lane of a full segment's wire time.
+    seg_lane: LaneId,
+    /// The lane of an ACK's wire time.
+    ack_lane: LaneId,
 }
+
+/// A hop between nodes that share no link.
+const NO_LINK: u32 = u32::MAX;
 
 /// A flow's path as the direction index of each hop: `fwd` carries data,
 /// `rev` (the path reversed) carries ACKs. A hop between nodes that share
-/// no link is `None`; a packet meeting it is dropped. Which links exist
-/// never changes during a run, so the indices are fixed per path.
+/// no link is [`NO_LINK`]; a packet meeting it is dropped. Which links
+/// exist never changes during a run, so the indices are fixed per path.
 struct Route {
-    fwd: Vec<Option<usize>>,
-    rev: Vec<Option<usize>>,
+    fwd: Vec<u32>,
+    rev: Vec<u32>,
 }
 
 impl Route {
+    /// # Panics
+    /// Panics if the path has more hops than a packet's hop count holds.
     fn new(net: &Network, path: &[NodeId]) -> Route {
+        assert!(
+            path.len() <= usize::from(u16::MAX),
+            "path of {} nodes is too long",
+            path.len()
+        );
         Route {
             fwd: path
                 .windows(2)
@@ -133,7 +159,7 @@ impl Route {
         }
     }
 
-    fn hops(&self, ack: bool) -> &[Option<usize>] {
+    fn hops(&self, ack: bool) -> &[u32] {
         if ack {
             &self.rev
         } else {
@@ -142,11 +168,19 @@ impl Route {
     }
 }
 
-/// Index of the `from → to` direction of the link between them.
-fn dir_index(net: &Network, from: NodeId, to: NodeId) -> Option<usize> {
-    let l = net.link_between(from, to)?;
+/// Index of the `from → to` direction of the link between them, or
+/// [`NO_LINK`]. [`PacketSim::run`] checks that every index fits below it.
+fn dir_index(net: &Network, from: NodeId, to: NodeId) -> u32 {
+    let Some(l) = net.link_between(from, to) else {
+        return NO_LINK;
+    };
     let d = if net.link(l).a == from { 0 } else { 1 };
-    Some((l.0 as usize) * 2 + d)
+    l.0 * 2 + d
+}
+
+/// Wire time of `wire` bytes on a link of `capacity_bps`.
+fn wire_time(capacity_bps: f64, wire: u32) -> Duration {
+    Duration::from_secs_f64(wire as f64 * 8.0 / capacity_bps)
 }
 
 struct FlowState {
@@ -164,24 +198,26 @@ struct FlowState {
 
 impl FlowState {
     /// Queue flow `flow`'s live RTO entry (this state) under `slot`.
-    fn queue_rto(&mut self, engine: &mut Engine<Ev>, flow: usize, slot: Slot) {
+    fn queue_rto(&mut self, engine: &mut Engine<Ev>, flow: u32, slot: Slot) {
         self.queued = Some(slot);
         let token = slot.seq();
         engine.schedule_slot(slot, Ev::Rto { flow, token });
     }
 }
 
+/// Flow, direction and topology-event indices are `u32`, which
+/// [`PacketSim::run`] checks they fit.
 enum Ev {
-    Start(usize),
-    TxDone(usize),
+    Start(u32),
+    TxDone(u32),
     Arrive(QPacket),
     /// A flow's RTO entry, queued under the slot whose sequence number is
     /// `token`.
     Rto {
-        flow: usize,
+        flow: u32,
         token: u64,
     },
-    Topo(usize),
+    Topo(u32),
 }
 
 /// The packet-level simulator.
@@ -193,6 +229,12 @@ pub struct PacketSim {
 struct NetWorld {
     cfg: PacketNetConfig,
     net: Network,
+    /// `usable[l]` is `net.link_usable(l)`, refreshed by [`apply_topo`].
+    ///
+    /// [`apply_topo`]: NetWorld::apply_topo
+    usable: Vec<bool>,
+    /// The lane of the propagation delay.
+    prop_lane: LaneId,
     dirs: Vec<DirState>,
     flows: Vec<FlowState>,
     events: Vec<Option<PktEvent>>,
@@ -210,6 +252,10 @@ impl PacketSim {
     /// Run flows over (a clone of) `net` until `horizon`, applying
     /// `events[i].1` at `events[i].0`. Returns one outcome per flow plus
     /// the total packet-drop count.
+    ///
+    /// # Panics
+    /// Panics if the flows, the events or the link directions outnumber
+    /// what a `u32` index holds.
     pub fn run(
         &self,
         net: &Network,
@@ -217,22 +263,35 @@ impl PacketSim {
         events: Vec<(Time, PktEvent)>,
         horizon: Time,
     ) -> (Vec<PktFlowOutcome>, u64) {
+        let most = flows.len().max(events.len()).max(net.link_count() * 2);
+        assert!(
+            most < NO_LINK as usize,
+            "{most} flows, events or link directions overflow a u32 index"
+        );
         let mut engine: Engine<Ev> = Engine::new();
         engine.set_horizon(horizon);
+        let cfg = self.cfg;
         let mut world = NetWorld {
-            cfg: self.cfg,
+            cfg,
             net: net.clone(),
+            usable: net.link_ids().map(|l| net.link_usable(l)).collect(),
+            prop_lane: engine.lane(cfg.prop_delay),
             dirs: (0..net.link_count() * 2)
-                .map(|_| DirState {
-                    queue: VecDeque::new(),
-                    busy: false,
+                .map(|dir| {
+                    let cap = net.link(LinkId::from_index(dir / 2)).capacity_bps;
+                    DirState {
+                        queue: VecDeque::new(),
+                        busy: false,
+                        seg_lane: engine.lane(wire_time(cap, cfg.mss + cfg.header_bytes)),
+                        ack_lane: engine.lane(wire_time(cap, cfg.ack_bytes)),
+                    }
                 })
                 .collect(),
             flows: flows
                 .iter()
                 .map(|s| FlowState {
                     route: Some(Route::new(net, &s.path)),
-                    sender: RenoFlow::new(s.bytes, self.cfg.mss),
+                    sender: RenoFlow::new(s.bytes, cfg.mss),
                     receiver: Receiver::new(),
                     completed: None,
                     armed: None,
@@ -240,15 +299,16 @@ impl PacketSim {
                     ver: 0,
                 })
                 .collect(),
-            events: events.iter().map(|(_, e)| Some(e.clone())).collect(),
+            events: Vec::with_capacity(events.len()),
             drops: 0,
             sends: Vec::new(),
         };
-        for (i, s) in flows.iter().enumerate() {
+        for (i, s) in (0..).zip(flows) {
             engine.schedule(s.start, Ev::Start(i));
         }
-        for (i, (t, _)) in events.iter().enumerate() {
-            engine.schedule(*t, Ev::Topo(i));
+        for (i, (t, ev)) in (0..).zip(events) {
+            engine.schedule(t, Ev::Topo(i));
+            world.events.push(Some(ev));
         }
         engine.run(&mut world);
         let outcomes = world
@@ -266,73 +326,69 @@ impl PacketSim {
 }
 
 impl NetWorld {
-    fn link_of_dir(&self, dir: usize) -> LinkId {
-        LinkId::from_index(dir / 2)
-    }
-
-    /// Wire time of a packet on a link.
-    fn tx_time(&self, dir: usize, wire: u32) -> Duration {
-        let cap = self.net.link(self.link_of_dir(dir)).capacity_bps;
-        Duration::from_secs_f64(wire as f64 * 8.0 / cap)
-    }
-
     /// Enqueue `pkt` for its next hop; drops on down links / full queues.
     fn forward(&mut self, engine: &mut Engine<Ev>, pkt: QPacket) {
-        let flow = &self.flows[pkt.flow];
+        let flow = &self.flows[pkt.flow as usize];
         if pkt.ver != flow.ver {
             self.drops += 1;
             return;
         }
-        let Some(dir) = flow.route.as_ref().and_then(|r| r.hops(pkt.ack)[pkt.hop]) else {
-            self.drops += 1;
-            return;
-        };
-        if !self.net.link_usable(self.link_of_dir(dir)) {
-            self.drops += 1;
-            return;
-        }
-        if self.dirs[dir].queue.len() >= self.cfg.queue_packets {
+        let dir = flow
+            .route
+            .as_ref()
+            .map_or(NO_LINK, |r| r.hops(pkt.ack)[usize::from(pkt.hop)]);
+        if dir == NO_LINK || !self.usable[(dir / 2) as usize] {
             self.drops += 1;
             return;
         }
-        self.dirs[dir].queue.push_back(pkt);
-        if !self.dirs[dir].busy {
+        let d = &mut self.dirs[dir as usize];
+        if d.queue.len() >= self.cfg.queue_packets {
+            self.drops += 1;
+            return;
+        }
+        d.queue.push_back(pkt);
+        if !d.busy {
             self.start_tx(engine, dir);
         }
     }
 
-    fn start_tx(&mut self, engine: &mut Engine<Ev>, dir: usize) {
+    /// Put the packet at the head of `dir`'s queue on the wire.
+    fn start_tx(&mut self, engine: &mut Engine<Ev>, dir: u32) {
+        let d = &self.dirs[dir as usize];
         #[expect(
             clippy::expect_used,
             reason = "callers check the queue before starting tx"
         )]
-        let wire = self.dirs[dir]
-            .queue
-            .front()
-            .expect("start_tx on empty queue")
-            .wire;
-        self.dirs[dir].busy = true;
-        engine.schedule_fixed(self.tx_time(dir, wire), Ev::TxDone(dir));
+        let head = d.queue.front().expect("start_tx on empty queue");
+        let lane = if head.ack {
+            d.ack_lane
+        } else if head.len == self.cfg.mss {
+            d.seg_lane
+        } else {
+            // A flow's tail segment: the one wire size not cached.
+            let cap = self.net.link(LinkId(dir / 2)).capacity_bps;
+            engine.lane(wire_time(cap, head.len + self.cfg.header_bytes))
+        };
+        self.dirs[dir as usize].busy = true;
+        engine.schedule_on(lane, Ev::TxDone(dir));
     }
 
     /// Send whatever the window permits and (re)arm the RTO.
-    fn pump(&mut self, engine: &mut Engine<Ev>, flow: usize) {
-        let ver = self.flows[flow].ver;
+    fn pump(&mut self, engine: &mut Engine<Ev>, flow: u32) {
+        let ver = self.flows[flow as usize].ver;
         let mut sends = std::mem::take(&mut self.sends);
         sends.clear();
-        self.flows[flow].sender.sends_into(&mut sends);
+        self.flows[flow as usize].sender.sends_into(&mut sends);
         for &(seq, len) in &sends {
-            let wire = len + self.cfg.header_bytes;
             self.forward(
                 engine,
                 QPacket {
-                    flow,
                     seq,
+                    flow,
                     len,
-                    wire,
-                    ack: false,
-                    hop: 0,
                     ver,
+                    hop: 0,
+                    ack: false,
                 },
             );
         }
@@ -344,8 +400,8 @@ impl NetWorld {
     /// the engine slot a timer scheduled now would take, but an entry is
     /// queued only if the flow has none due at or before it; a later
     /// deadline is reached by re-queueing that entry when it pops.
-    fn arm_rto(&mut self, engine: &mut Engine<Ev>, flow: usize) {
-        let f = &mut self.flows[flow];
+    fn arm_rto(&mut self, engine: &mut Engine<Ev>, flow: u32) {
+        let f = &mut self.flows[flow as usize];
         if f.sender.finished() {
             return;
         }
@@ -364,16 +420,28 @@ impl NetWorld {
 
     fn apply_topo(&mut self, ev: PktEvent) {
         match ev {
-            PktEvent::FailLink(l) => self.net.set_link_up(l, false),
-            PktEvent::RepairLink(l) => self.net.set_link_up(l, true),
-            PktEvent::FailNode(n) => self.net.set_node_up(n, false),
-            PktEvent::RepairNode(n) => self.net.set_node_up(n, true),
+            PktEvent::FailLink(l) => self.set_link_up(l, false),
+            PktEvent::RepairLink(l) => self.set_link_up(l, true),
+            PktEvent::FailNode(n) => self.set_node_up(n, false),
+            PktEvent::RepairNode(n) => self.set_node_up(n, true),
             PktEvent::SetPath { flow, path } => {
                 let route = path.map(|p| Route::new(&self.net, &p));
                 let f = &mut self.flows[flow];
                 f.route = route;
                 f.ver += 1; // in-flight packets of the old path are lost
             }
+        }
+    }
+
+    fn set_link_up(&mut self, l: LinkId, up: bool) {
+        self.net.set_link_up(l, up);
+        self.usable[l.0 as usize] = self.net.link_usable(l);
+    }
+
+    fn set_node_up(&mut self, n: NodeId, up: bool) {
+        self.net.set_node_up(n, up);
+        for &l in self.net.incident(n) {
+            self.usable[l.0 as usize] = self.net.link_usable(l);
         }
     }
 }
@@ -383,29 +451,28 @@ impl World<Ev> for NetWorld {
         match ev {
             Ev::Start(i) => self.pump(engine, i),
             Ev::TxDone(dir) => {
+                let d = &mut self.dirs[dir as usize];
                 #[expect(
                     clippy::expect_used,
                     reason = "a TxDone is scheduled only while a packet occupies the head"
                 )]
-                let pkt = self.dirs[dir]
-                    .queue
-                    .pop_front()
-                    .expect("TxDone with empty queue");
-                self.dirs[dir].busy = false;
+                let mut pkt = d.queue.pop_front().expect("TxDone with empty queue");
+                d.busy = false;
+                let more = !d.queue.is_empty();
                 // The packet survives only if the link is still up.
-                if self.net.link_usable(self.link_of_dir(dir)) {
-                    let mut pkt = pkt;
+                if self.usable[(dir / 2) as usize] {
                     pkt.hop += 1;
-                    engine.schedule_fixed(self.cfg.prop_delay, Ev::Arrive(pkt));
+                    engine.schedule_on(self.prop_lane, Ev::Arrive(pkt));
                 } else {
                     self.drops += 1;
                 }
-                if !self.dirs[dir].queue.is_empty() {
+                if more {
                     self.start_tx(engine, dir);
                 }
             }
             Ev::Arrive(pkt) => {
-                let flow_idx = pkt.flow;
+                let flow = pkt.flow;
+                let flow_idx = flow as usize;
                 // Stale-path packets are lost.
                 if pkt.ver != self.flows[flow_idx].ver {
                     self.drops += 1;
@@ -415,7 +482,7 @@ impl World<Ev> for NetWorld {
                     self.drops += 1;
                     return;
                 };
-                if pkt.hop < route.hops(pkt.ack).len() {
+                if usize::from(pkt.hop) < route.hops(pkt.ack).len() {
                     // Transit node: forward along the path.
                     self.forward(engine, pkt);
                     return;
@@ -430,7 +497,7 @@ impl World<Ev> for NetWorld {
                         }
                         return;
                     }
-                    self.pump(engine, flow_idx);
+                    self.pump(engine, flow);
                 } else {
                     // Data reached the receiver: emit a cumulative ACK.
                     let ackno = self.flows[flow_idx].receiver.on_segment(pkt.seq, pkt.len);
@@ -438,19 +505,18 @@ impl World<Ev> for NetWorld {
                     self.forward(
                         engine,
                         QPacket {
-                            flow: flow_idx,
                             seq: ackno,
+                            flow,
                             len: 0,
-                            wire: self.cfg.ack_bytes,
-                            ack: true,
-                            hop: 0,
                             ver,
+                            hop: 0,
+                            ack: true,
                         },
                     );
                 }
             }
             Ev::Rto { flow, token } => {
-                let f = &mut self.flows[flow];
+                let f = &mut self.flows[flow as usize];
                 let Some(due) = f.queued.filter(|q| q.seq() == token) else {
                     return; // superseded by an earlier deadline
                 };
@@ -475,7 +541,7 @@ impl World<Ev> for NetWorld {
                 self.pump(engine, flow);
             }
             Ev::Topo(i) => {
-                if let Some(ev) = self.events[i].take() {
+                if let Some(ev) = self.events[i as usize].take() {
                     self.apply_topo(ev);
                 }
             }

@@ -7,10 +7,11 @@
 //! Ties at the same instant are broken by scheduling order (FIFO), which makes
 //! runs fully deterministic.
 //!
-//! Pending events live in a binary heap, except those scheduled with
-//! [`Engine::schedule_fixed`]: each delay of that kind gets a FIFO lane of its
-//! own, already in delivery order, and [`Engine::pop`] takes the earliest of
-//! the heap head and the lane heads.
+//! Pending events live in a binary heap, except those scheduled on a
+//! fixed-delay lane ([`Engine::lane`], [`Engine::schedule_on`]): each lane is
+//! a FIFO already in delivery order, the engine keeps every lane's head key in
+//! one array, and [`Engine::pop`] takes the earliest of the heap head and that
+//! array.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -75,9 +76,24 @@ impl<E> PartialEq for Entry<E> {
 }
 impl<E> Eq for Entry<E> {}
 
+impl Slot {
+    /// The head key of an empty lane: after every real slot, since sequence
+    /// numbers never reach `u64::MAX`.
+    const EMPTY: Slot = Slot {
+        at: Time::MAX,
+        seq: u64::MAX,
+    };
+}
+
+/// A handle on one fixed-delay lane of an [`Engine`], from
+/// [`Engine::lane`]. It stays valid for the engine's lifetime; a handle from
+/// another engine names whatever lane has its index there, if any.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct LaneId(u32);
+
 /// The events scheduled `delay` after their scheduling instant, in delivery
 /// order: the clock never goes back and sequence numbers only grow, so each
-/// push lands behind the tail ([`Engine::schedule_fixed`] asserts it).
+/// push lands behind the tail ([`Engine::schedule_on`] asserts it).
 struct Lane<E> {
     delay: Duration,
     events: VecDeque<(Slot, E)>,
@@ -90,6 +106,8 @@ struct Lane<E> {
 pub struct Engine<E> {
     queue: BinaryHeap<Entry<E>>,
     lanes: Vec<Lane<E>>,
+    /// `heads[i]` is the slot at the front of `lanes[i]`, or [`Slot::EMPTY`].
+    heads: Vec<Slot>,
     now: Time,
     seq: u64,
     processed: u64,
@@ -108,6 +126,7 @@ impl<E> Engine<E> {
         Engine {
             queue: BinaryHeap::new(),
             lanes: Vec::new(),
+            heads: Vec::new(),
             now: Time::ZERO,
             seq: 0,
             processed: 0,
@@ -163,22 +182,15 @@ impl<E> Engine<E> {
         self.schedule(self.now + delay, event);
     }
 
-    /// Schedule `event` to occur `delay` after the current instant, like
-    /// [`schedule_in`](Engine::schedule_in) and at the same position in the
-    /// delivery order, but through a FIFO lane kept for `delay` instead of
-    /// the heap.
+    /// The lane for events scheduled `delay` after their scheduling
+    /// instant, created empty if the engine has none for `delay` yet. Asking
+    /// twice for one delay returns the same lane.
     ///
     /// Meant for delays drawn from a small fixed set (a link's propagation
     /// delay, a packet's wire time): each distinct delay adds a lane, and
-    /// every [`pop`](Engine::pop) looks at every lane head.
-    ///
-    /// # Panics
-    /// Panics if the event would be delivered before the lane's tail. The
-    /// clock never moves back ([`set_horizon`](Engine::set_horizon) refuses
-    /// a horizon below it), so this cannot happen; the check keeps the lane
-    /// from ever reordering silently.
-    pub fn schedule_fixed(&mut self, delay: Duration, event: E) {
-        let slot = self.reserve_in(delay);
+    /// every [`pop`](Engine::pop) compares every lane's head key. Look the
+    /// handle up once and keep it; this lookup is linear in the lane count.
+    pub fn lane(&mut self, delay: Duration) -> LaneId {
         let i = match self.lanes.iter().position(|l| l.delay == delay) {
             Some(i) => i,
             None => {
@@ -186,15 +198,35 @@ impl<E> Engine<E> {
                     delay,
                     events: VecDeque::new(),
                 });
+                self.heads.push(Slot::EMPTY);
                 self.lanes.len() - 1
             }
         };
-        let lane = &mut self.lanes[i];
-        assert!(
-            lane.events.back().is_none_or(|&(tail, _)| tail < slot),
-            "fixed-delay event before its lane's tail: {slot:?}"
-        );
-        lane.events.push_back((slot, event));
+        LaneId(u32::try_from(i).unwrap_or(u32::MAX))
+    }
+
+    /// Schedule `event` to occur the lane's delay after the current instant,
+    /// like [`schedule_in`](Engine::schedule_in) and at the same position in
+    /// the delivery order, but through the lane's FIFO instead of the heap.
+    ///
+    /// # Panics
+    /// Panics if `lane` is not a lane of this engine, or if the event would
+    /// be delivered before the lane's tail. The clock never moves back
+    /// ([`set_horizon`](Engine::set_horizon) refuses a horizon below it), so
+    /// the latter cannot happen; the check keeps the lane from ever
+    /// reordering silently.
+    pub fn schedule_on(&mut self, lane: LaneId, event: E) {
+        let i = lane.0 as usize;
+        let slot = self.reserve_in(self.lanes[i].delay);
+        let events = &mut self.lanes[i].events;
+        match events.back() {
+            None => self.heads[i] = slot,
+            Some(&(tail, _)) => assert!(
+                tail < slot,
+                "fixed-delay event before its lane's tail: {slot:?}"
+            ),
+        }
+        events.push_back((slot, event));
     }
 
     /// Reserve the position an event scheduled `delay` from now would take —
@@ -233,16 +265,25 @@ impl<E> Engine<E> {
     /// Returns `None` when the queue is empty or the next event lies beyond
     /// the horizon (in which case the clock advances to the horizon).
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        // The earliest head, and the lane holding it (`None`: the heap).
-        let mut next = self.queue.peek().map(|head| (head.slot, None));
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(&(slot, _)) = lane.events.front() {
-                if next.is_none_or(|(best, _)| slot < best) {
-                    next = Some((slot, Some(i)));
-                }
+        // The earliest lane head, then the heap head if it is earlier still
+        // (`lane` is `None`: the heap). Every real slot precedes an empty
+        // lane's `Slot::EMPTY`.
+        let mut lane = None;
+        let mut slot = Slot::EMPTY;
+        for (i, &head) in self.heads.iter().enumerate() {
+            if head < slot {
+                slot = head;
+                lane = Some(i);
             }
         }
-        let (slot, lane) = next?;
+        if let Some(head) = self.queue.peek() {
+            if head.slot < slot {
+                slot = head.slot;
+                lane = None;
+            }
+        } else if lane.is_none() {
+            return None;
+        }
         if slot.at > self.horizon {
             self.now = self.horizon;
             return None;
@@ -251,11 +292,10 @@ impl<E> Engine<E> {
         let event = match lane {
             None => self.queue.pop().expect("peeked entry vanished").event,
             Some(i) => {
-                self.lanes[i]
-                    .events
-                    .pop_front()
-                    .expect("lane head vanished")
-                    .1
+                let events = &mut self.lanes[i].events;
+                let (_, event) = events.pop_front().expect("lane head vanished");
+                self.heads[i] = events.front().map_or(Slot::EMPTY, |&(next, _)| next);
+                event
             }
         };
         // Time monotonicity: the queue must never yield an event earlier
@@ -416,10 +456,13 @@ mod tests {
     #[test]
     fn fixed_delay_events_keep_their_scheduling_position() {
         let mut engine: Engine<Ev> = Engine::new();
-        engine.schedule_fixed(Duration::from_secs(2), Ev::A(0));
+        let two = engine.lane(Duration::from_secs(2));
+        let one = engine.lane(Duration::from_secs(1));
+        assert_eq!(engine.lane(Duration::from_secs(2)), two);
+        engine.schedule_on(two, Ev::A(0));
         engine.schedule(Time::from_secs(2), Ev::A(1));
-        engine.schedule_fixed(Duration::from_secs(1), Ev::A(2));
-        engine.schedule_fixed(Duration::from_secs(2), Ev::A(3));
+        engine.schedule_on(one, Ev::A(2));
+        engine.schedule_on(two, Ev::A(3));
         assert_eq!(engine.pending(), 4);
         let mut seen = Vec::new();
         engine.run(&mut |_: &mut Engine<Ev>, now: Time, ev: Ev| {
@@ -439,10 +482,11 @@ mod tests {
         let mut engine: Engine<Ev> = Engine::new();
         engine.schedule(Time::from_secs(10), Ev::Stop);
         assert!(engine.pop().is_some());
-        engine.schedule_fixed(Duration::from_secs(1), Ev::A(11));
+        let one = engine.lane(Duration::from_secs(1));
+        engine.schedule_on(one, Ev::A(11));
         engine.set_horizon(Time::from_secs(5));
         assert!(engine.pop().is_none());
-        engine.schedule_fixed(Duration::from_secs(1), Ev::A(6));
+        engine.schedule_on(one, Ev::A(6));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, Slot, World};
+pub use engine::{Engine, LaneId, Slot, World};
 pub use rng::SimRng;
 pub use stats::{Cdf, Summary};
 pub use time::{Duration, Time};

@@ -2,14 +2,16 @@
 
 use proptest::prelude::*;
 
-use sharebackup_sim::{Cdf, Duration, Engine, SimRng, Summary, Time};
+use sharebackup_sim::{Cdf, Duration, Engine, LaneId, SimRng, Summary, Time};
 
 /// How the lane-vs-heap test queues one event.
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    /// `schedule_fixed` with the `k`-th delay of the case (modulo their
-    /// number); the all-heap engine calls `schedule_in` instead.
-    Fixed(usize),
+    /// `schedule_on` the lane of the `k`-th delay of the case (modulo their
+    /// number), through the handle kept since that delay was first used or,
+    /// if `fresh`, through a second handle asked for now; the all-heap
+    /// engine calls `schedule_in` instead.
+    Fixed(usize, bool),
     /// `schedule` at `now + t` ns.
     At(u64),
     /// `schedule_in` `t` ns.
@@ -20,8 +22,8 @@ enum Op {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..4, 0usize..4, 0u64..20).prop_map(|(kind, k, t)| match kind {
-        0 => Op::Fixed(k),
+    (0u8..4, 0usize..4, 0u64..20, any::<bool>()).prop_map(|(kind, k, t, fresh)| match kind {
+        0 => Op::Fixed(k, fresh),
         1 => Op::At(t),
         2 => Op::In(t),
         _ => Op::Reserved(t),
@@ -32,21 +34,31 @@ fn op() -> impl Strategy<Value = Op> {
 /// scheduled (index, `Some(j)`).
 type Ev = (usize, Option<usize>);
 
+/// The lane engine's handle for each delay of the case, taken the first time
+/// the delay is used, at the top level or inside a handler (a lane created
+/// mid-run); `None` runs the all-heap engine.
+type Handles = Option<Vec<Option<LaneId>>>;
+
 fn queue(
     engine: &mut Engine<Ev>,
-    lanes: bool,
+    handles: &mut Handles,
     delays: &[u64],
     batch: impl Iterator<Item = (Op, Ev)>,
 ) {
     let mut reserved = Vec::new();
     for (op, ev) in batch {
         match op {
-            Op::Fixed(k) => {
-                let delay = Duration::from_nanos(delays[k % delays.len()]);
-                if lanes {
-                    engine.schedule_fixed(delay, ev);
-                } else {
-                    engine.schedule_in(delay, ev);
+            Op::Fixed(k, fresh) => {
+                let k = k % delays.len();
+                let delay = Duration::from_nanos(delays[k]);
+                match handles {
+                    None => engine.schedule_in(delay, ev),
+                    Some(handles) => {
+                        let kept = *handles[k].get_or_insert_with(|| engine.lane(delay));
+                        let lane = if fresh { engine.lane(delay) } else { kept };
+                        assert_eq!(lane, kept, "two handles for one delay differ");
+                        engine.schedule_on(lane, ev);
+                    }
                 }
             }
             Op::At(t) => engine.schedule(engine.now() + Duration::from_nanos(t), ev),
@@ -70,9 +82,10 @@ fn run_ops(
 ) -> (Vec<(Time, Ev)>, u64, usize, Time) {
     let mut engine: Engine<Ev> = Engine::new();
     engine.set_horizon(Time::from_nanos(horizon));
+    let mut handles: Handles = lanes.then(|| vec![None; delays.len()]);
     queue(
         &mut engine,
-        lanes,
+        &mut handles,
         delays,
         roots
             .iter()
@@ -86,7 +99,7 @@ fn run_ops(
             let children = roots[ev.0].1.iter().enumerate();
             queue(
                 e,
-                lanes,
+                &mut handles,
                 delays,
                 children.map(|(j, op)| (*op, (ev.0, Some(j)))),
             );
@@ -157,7 +170,10 @@ proptest! {
     /// Fixed-delay lanes deliver exactly what an all-heap engine delivers:
     /// the same `(now, event)` sequence, mixed with `schedule`,
     /// `schedule_in` and reserved slots, at the top level and from inside
-    /// handlers, up to any horizon.
+    /// handlers, up to any horizon. Lanes are created on first use, often
+    /// mid-run; they drain and refill as roots and their children pop; and
+    /// a delay is reached through a second handle as often as through the
+    /// first.
     #[test]
     fn fixed_delay_lanes_match_an_all_heap_engine(
         delays in prop::collection::btree_set(0u64..20, 1..=4),
