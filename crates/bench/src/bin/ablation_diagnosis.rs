@@ -1,10 +1,7 @@
 //! The `ablation_diagnosis` harness: `sharebackup_bench::harness::ablation_diagnosis` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::ablation_diagnosis::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::ablation_diagnosis::run);
 }

@@ -1,10 +1,7 @@
 //! The `ablation_nonuniform` harness: `sharebackup_bench::harness::ablation_nonuniform` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::ablation_nonuniform::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::ablation_nonuniform::run);
 }

@@ -1,10 +1,7 @@
 //! The `ablation_pool_size` harness: `sharebackup_bench::harness::ablation_pool_size` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::ablation_pool_size::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::ablation_pool_size::run);
 }

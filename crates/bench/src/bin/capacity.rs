@@ -1,7 +1,7 @@
 //! The `capacity` harness: `sharebackup_bench::harness::capacity` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!("{}", harness::capacity::run(&mut Cli::from_env()).text);
+    harness::main(harness::capacity::run);
 }

@@ -1,10 +1,7 @@
 //! The `chaos_availability` harness: `sharebackup_bench::harness::chaos_availability` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::chaos_availability::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::chaos_availability::run);
 }

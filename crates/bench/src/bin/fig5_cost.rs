@@ -1,7 +1,7 @@
 //! The `fig5_cost` harness: `sharebackup_bench::harness::fig5_cost` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!("{}", harness::fig5_cost::run(&mut Cli::from_env()).text);
+    harness::main(harness::fig5_cost::run);
 }

@@ -1,10 +1,7 @@
 //! The `longrun_availability` harness: `sharebackup_bench::harness::longrun_availability` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::longrun_availability::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::longrun_availability::run);
 }

@@ -1,10 +1,7 @@
 //! The `recovery_latency` harness: `sharebackup_bench::harness::recovery_latency` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::recovery_latency::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::recovery_latency::run);
 }

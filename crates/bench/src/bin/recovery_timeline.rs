@@ -1,10 +1,7 @@
 //! The `recovery_timeline` harness: `sharebackup_bench::harness::recovery_timeline` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::recovery_timeline::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::recovery_timeline::run);
 }

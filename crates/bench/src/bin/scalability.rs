@@ -1,7 +1,7 @@
 //! The `scalability` harness: `sharebackup_bench::harness::scalability` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!("{}", harness::scalability::run(&mut Cli::from_env()).text);
+    harness::main(harness::scalability::run);
 }

@@ -1,15 +1,16 @@
-//! Reproduction scorecard: every claim of the paper the harnesses check,
-//! run in one shot. It runs each harness of `harness::ALL` in process at
-//! its defaults and lists the claims that harness prints, under its name,
-//! then eight checks of its own that no harness makes (the §3 inventory,
-//! §4.1 node-failure capacity, §4.2 diagnosis, the §5.1 crash and
-//! escalation paths, the §2.2 trace fingerprint). It exits 1 if any listed
-//! claim fails.
+//! Reproduction scorecard, the results pass: it makes each run of
+//! `results/COMMANDS` once, in process, prints whether each committed file
+//! reproduces (`results/fig1a.txt: reproduces`, or `differs at line N`),
+//! then lists each run's claims in the paper's order, and eight checks of
+//! its own that no harness makes (the §3 inventory, §4.1 node-failure
+//! capacity, §4.2 diagnosis, the §5.1 crash and escalation paths, the §2.2
+//! trace fingerprint). It exits 1 if a file differs or a claim fails.
 //!
-//! Usage: `scorecard [flags]`; `--help` lists the flags and their defaults.
+//! Usage: `scorecard`, from the repository root; it reads no flags.
 
 #![allow(clippy::cast_possible_truncation)] // bounded rack/salt arithmetic
 use sharebackup_bench::report::{self, Check};
+use sharebackup_bench::results;
 use sharebackup_bench::{harness, Cli};
 use sharebackup_core::{
     diagnose, ChaosConfig, Controller, ControllerConfig, FailoverConfig, FailoverPlane,
@@ -19,6 +20,7 @@ use sharebackup_flowsim::properties::total_usable_capacity;
 use sharebackup_sim::{SimRng, Time};
 use sharebackup_topo::{CsId, GroupId, ShareBackup, ShareBackupConfig};
 use sharebackup_workload::{CoflowTrace, TraceConfig, TraceShape};
+use std::path::Path;
 
 /// The scorecard's own checks: claims no harness prints.
 fn checks() -> Vec<Check> {
@@ -207,45 +209,39 @@ fn checks() -> Vec<Check> {
 }
 
 fn main() {
-    let mut cli = Cli::from_env();
-    let json = cli.switch("json");
-    cli.finish();
-    let mut listed: Vec<(&str, Vec<Check>)> = harness::ALL
-        .iter()
-        .map(|&(name, run)| (name, run(&mut Cli::new(name, std::iter::empty())).claims))
-        .collect();
-    listed.push(("scorecard", checks()));
-    let all = || {
-        listed
-            .iter()
-            .flat_map(|(name, checks)| checks.iter().map(move |c| (*name, c)))
-    };
-    let passed = all().filter(|(_, c)| c.pass).count();
+    Cli::from_env().finish();
+    let dir = Path::new("results");
+    let mut outcomes = results::check(dir);
+    let own = checks();
+    let all = || outcomes.iter().flat_map(|o| &o.claims).chain(&own);
+    let passed = all().filter(|c| c.pass).count();
     let total = all().count();
-
-    if json {
-        let rows: Vec<minijson::Value> = all()
-            .map(|(name, c)| {
-                minijson::json!({
-                    "harness": name,
-                    "section": c.section,
-                    "claim": c.claim,
-                    "measured": c.measured.as_str(),
-                    "pass": c.pass,
-                })
-            })
-            .collect();
-        print!("{}", report::json(&rows));
-    } else {
-        println!("ShareBackup reproduction scorecard — {passed}/{total} claims pass");
-        for (name, checks) in &listed {
-            println!();
-            let pass = checks.iter().filter(|c| c.pass).count();
-            println!("== {name}: {pass}/{} pass", checks.len());
-            print!("{}", report::claims(checks));
-        }
+    println!("ShareBackup reproduction scorecard — {passed}/{total} claims pass\n");
+    let files = || outcomes.iter().flat_map(|o| &o.files);
+    for (c, line) in files() {
+        let status = line.map_or("reproduces".to_string(), |n| format!("differs at line {n}"));
+        println!("{}: {status}", dir.join(&c.file).display());
     }
-    if passed != total {
+    let reproduced = files().all(|(_, line)| line.is_none());
+    outcomes.sort_by_key(|o| {
+        harness::ALL
+            .iter()
+            .position(|h| h.0 == o.files[0].0.harness)
+    });
+    let section = |name: String, checks: &[Check]| {
+        let pass = checks.iter().filter(|c| c.pass).count();
+        println!("\n== {name}: {pass}/{} pass", checks.len());
+        print!("{}", report::claims(checks));
+    };
+    for o in outcomes.iter().filter(|o| !o.claims.is_empty()) {
+        let files: Vec<&str> = o.files.iter().map(|(c, _)| c.file.as_str()).collect();
+        let c = &o.files[0].0;
+        let command = format!("{} {}", c.harness, c.args.join(" "));
+        let name = format!("{} ({})", files.join(", "), command.trim_end());
+        section(name, &o.claims);
+    }
+    section("scorecard".to_string(), &own);
+    if passed != total || !reproduced {
         std::process::exit(1);
     }
 }

@@ -1,7 +1,7 @@
 //! The `table2_cost` harness: `sharebackup_bench::harness::table2_cost` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!("{}", harness::table2_cost::run(&mut Cli::from_env()).text);
+    harness::main(harness::table2_cost::run);
 }

@@ -1,10 +1,7 @@
 //! The `table3_properties` harness: `sharebackup_bench::harness::table3_properties` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::table3_properties::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::table3_properties::run);
 }

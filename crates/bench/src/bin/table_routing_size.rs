@@ -1,10 +1,7 @@
 //! The `table_routing_size` harness: `sharebackup_bench::harness::table_routing_size` documents it.
 
-use sharebackup_bench::{harness, Cli};
+use sharebackup_bench::harness;
 
 fn main() {
-    print!(
-        "{}",
-        harness::table_routing_size::run(&mut Cli::from_env()).text
-    );
+    harness::main(harness::table_routing_size::run);
 }

@@ -1,76 +1,85 @@
 //! Ablation: offline failure diagnosis on vs. off.
 //!
-//! Usage: `ablation_diagnosis [flags]`; `--help` lists the flags and their defaults.
-//!
 //! A link failure replaces *both* suspect switches (§4.1). With diagnosis
 //! (§4.2) the innocent side is exonerated and returns to the pool at once;
-//! without it, both switches sit out the full repair time. Both arms run
-//! the identical failure schedule through the same controller — only the
-//! `diagnosis_enabled` knob differs — and we measure switches out of
-//! service and recovery fallbacks (pool exhaustion). An arm skips a
-//! failure whose switch is already out, and the arm without diagnosis has
-//! more out, so each row records the link failures it handled. Switches
-//! out of service are sampled at every trial's instant in both arms,
-//! handled or skipped, so the two means average the same instants.
+//! without it, both switches sit out the full repair time. The two arms
+//! are two controllers that differ only in the `diagnosis_enabled` knob,
+//! driven in one loop by one failure draw per trial, and we measure
+//! switches out of service and recovery fallbacks (pool exhaustion). A
+//! trial whose switch is still out in either arm is skipped in both, so
+//! both arms handle the same link failures; switches out of service are
+//! sampled at every trial's instant in both arms, handled or skipped.
 
 use super::Output;
 use crate::report::{
     self, num, Check, Column,
     Format::{Fixed, Int, Text},
 };
-use crate::{parallel_map_indexed, Cli};
+use crate::Cli;
 use minijson::Value;
 use sharebackup_core::{Controller, ControllerConfig};
 use sharebackup_sim::{Duration, SimRng, Time};
 use sharebackup_topo::{GroupId, ShareBackup, ShareBackupConfig};
 
-/// One arm's row: recovery counters and switches out of service.
-fn arm(k: usize, trials: usize, seed: u64, with_diagnosis: bool) -> Value {
-    let sb = ShareBackup::build(ShareBackupConfig::new(k, 2));
-    let cfg = ControllerConfig {
-        diagnosis_enabled: with_diagnosis,
-        ..ControllerConfig::default()
-    };
-    let mut ctl = Controller::new(sb, cfg);
+/// The two arms' rows, with diagnosis first: recovery counters and
+/// switches out of service.
+fn arms(k: usize, trials: usize, seed: u64) -> [Value; 2] {
+    let mut ctls = [true, false].map(|with_diagnosis| {
+        let cfg = ControllerConfig {
+            diagnosis_enabled: with_diagnosis,
+            ..ControllerConfig::default()
+        };
+        Controller::new(ShareBackup::build(ShareBackupConfig::new(k, 2)), cfg)
+    });
     let mut rng = SimRng::seed_from_u64(seed);
     let half = k / 2;
-    let mut out_samples = Vec::new();
-    let mut peak = 0usize;
+    let mut out_sum = [0.0; 2];
+    let mut peak = [0usize; 2];
     let mut now = Time::ZERO;
     for _ in 0..trials {
         now += Duration::from_secs(45);
-        ctl.poll_repairs(now);
         // Random edge-agg link failure: edge (pod, e) uplink m breaks.
         let pod = rng.range(0..k);
         let e = rng.range(0..half);
         let m = rng.range(0..half);
         let a = (e + m) % half;
-        let edge = ctl.sb.occupant(GroupId::edge(pod).slot(e));
-        let agg = ctl.sb.occupant(GroupId::agg(pod).slot(a));
-        // A slot already down from an unrecovered failure skips the trial.
-        if ctl.sb.phys(edge).healthy && ctl.sb.phys(agg).healthy {
-            ctl.sb.set_iface_broken(edge, half + m, true);
-            let _ = ctl.handle_link_failure((edge, half + m), (agg, m), now);
+        let slots = [GroupId::edge(pod).slot(e), GroupId::agg(pod).slot(a)];
+        for ctl in &mut ctls {
+            ctl.poll_repairs(now);
         }
-        let out = ctl
-            .sb
-            .group_ids()
-            .iter()
-            .flat_map(|&g| ctl.sb.group_members(g).to_vec())
-            .filter(|&p| !ctl.sb.phys(p).healthy)
-            .count();
-        peak = peak.max(out);
-        out_samples.push(out as f64);
+        // A slot down in either arm from an unrecovered failure skips the
+        // trial in both.
+        let up = |ctl: &Controller, slot| ctl.sb.phys(ctl.sb.occupant(slot)).healthy;
+        let handled = ctls.iter().all(|ctl| slots.iter().all(|&s| up(ctl, s)));
+        for (i, ctl) in ctls.iter_mut().enumerate() {
+            if handled {
+                let [edge, agg] = slots.map(|s| ctl.sb.occupant(s));
+                ctl.sb.set_iface_broken(edge, half + m, true);
+                let _ = ctl.handle_link_failure((edge, half + m), (agg, m), now);
+            }
+            let out = ctl
+                .sb
+                .group_ids()
+                .iter()
+                .flat_map(|&g| ctl.sb.group_members(g).to_vec())
+                .filter(|&p| !ctl.sb.phys(p).healthy)
+                .count();
+            peak[i] = peak[i].max(out);
+            out_sum[i] += out as f64;
+        }
     }
-    minijson::json!({
-        "diagnosis": with_diagnosis,
-        "link_failures": ctl.stats.link_failures,
-        "exonerated": ctl.stats.exonerations,
-        "convicted": ctl.stats.convictions,
-        "fallbacks": ctl.stats.fallbacks,
-        "samples": out_samples.len(),
-        "mean_switches_out": out_samples.iter().sum::<f64>() / out_samples.len().max(1) as f64,
-        "peak_switches_out": peak,
+    [0, 1].map(|i| {
+        let stats = &ctls[i].stats;
+        minijson::json!({
+            "diagnosis": i == 0,
+            "link_failures": stats.link_failures,
+            "exonerated": stats.exonerations,
+            "convicted": stats.convictions,
+            "fallbacks": stats.fallbacks,
+            "samples": trials,
+            "mean_switches_out": out_sum[i] / trials as f64,
+            "peak_switches_out": peak[i],
+        })
     })
 }
 
@@ -79,22 +88,15 @@ pub fn run(cli: &mut Cli) -> Output {
     let k = cli.k(8);
     let seed: u64 = cli.get("seed", 42);
     let trials = cli.trials(100);
-    let jobs = cli.jobs();
-    let json = cli.switch("json");
     cli.finish();
 
-    // The two arms replay the same failure schedule independently, so they
-    // can run on separate threads; index order keeps `with` first.
-    let rows = parallel_map_indexed(jobs, 2, |i| arm(k, trials, seed, i == 0));
-    if json {
-        return Output::json(&rows);
-    }
+    let rows = arms(k, trials, seed);
     let mut text = report::header(
         "Ablation — offline diagnosis on/off (one link failure per trial, one faulty side each, 180 s repair)",
         cli,
     );
     text += &report::table(&COLUMNS, &rows);
-    Output::checked(text, claims(&rows[0], &rows[1]))
+    Output::new(text, &rows, claims(&rows[0], &rows[1]))
 }
 
 const COLUMNS: [Column; 8] = [

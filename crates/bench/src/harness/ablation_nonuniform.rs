@@ -1,8 +1,6 @@
 //! Ablation (paper §6): non-uniform failure-group pools — "more backup on
 //! critical devices and less backup on unimportant ones".
 //!
-//! Usage: `ablation_nonuniform [flags]`; `--help` lists the flags and their defaults.
-//!
 //! Edge switches are the critical devices: an edge failure strands k/2
 //! hosts that *no* rerouting can save, while agg/core failures only cost
 //! bandwidth. This ablation compares backup allocations with the **same
@@ -69,7 +67,6 @@ pub fn run(cli: &mut Cli) -> Output {
     let seed: u64 = cli.get("seed", 42);
     let trials = cli.trials(400);
     let jobs = cli.jobs();
-    let json = cli.switch("json");
     cli.finish();
 
     // Same total budget (5k/2 backups at n=1 uniform): uniform vs
@@ -89,9 +86,6 @@ pub fn run(cli: &mut Cli) -> Output {
     let rows = parallel_map_indexed(jobs, allocations.len(), |i| {
         replay(allocations[i], k, trials, seed)
     });
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         "Ablation §6 — non-uniform pools at equal budget (one node failure per trial, MTBF 20 s)",
         cli,
@@ -112,7 +106,7 @@ pub fn run(cli: &mut Cli) -> Output {
         ee < ue && eo > uo,
         format!("edge-heavy vs uniform: edge fallbacks {ee} vs {ue}, other fallbacks {eo} vs {uo}"),
     );
-    Output::checked(text, vec![check])
+    Output::new(text, &rows, vec![check])
 }
 
 const COLUMNS: [Column; 4] = [

@@ -1,7 +1,5 @@
 //! Ablation: backup-pool size `n` under elevated failure pressure.
 //!
-//! Usage: `ablation_pool_size [flags]`; `--help` lists the flags and their defaults.
-//!
 //! The paper argues n=1 suffices at real failure rates (§5.1). This
 //! ablation cranks the failure rate far beyond reality and measures the
 //! fraction of failures ShareBackup cannot mask (pool exhausted at the
@@ -72,7 +70,6 @@ pub fn run(cli: &mut Cli) -> Output {
     let seed: u64 = cli.get("seed", 42);
     let trials = cli.trials(300);
     let jobs = cli.jobs();
-    let json = cli.switch("json");
     cli.finish();
 
     // Sweep failure pressure: mean time between failures from crazy (5 s)
@@ -104,9 +101,6 @@ pub fn run(cli: &mut Cli) -> Output {
         })
         .collect();
 
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         "Ablation — unmasked failure fraction vs. backup pool size (one node failure per trial, 180 s repair)",
         cli,
@@ -133,7 +127,7 @@ pub fn run(cli: &mut Cli) -> Output {
     }
     // §5.1's real-world rate: one failure a day in the whole network.
     let daily = unmasked_fraction(k, 1, trials, seed, Duration::from_secs(24 * 3600));
-    Output::checked(text, claims(&rows, daily))
+    Output::new(text, &rows, claims(&rows, daily))
 }
 
 /// `rows` are the MTBF x n grid; `daily` is n=1's fraction at an MTBF of a

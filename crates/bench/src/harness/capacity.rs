@@ -1,8 +1,6 @@
 //! §5.1: capacity to handle failures — backup ratios vs. the measured
 //! 0.01% switch failure rate, plus an empirical pool-exhaustion check.
 //!
-//! Usage: `capacity [flags]`; `--help` lists the flags and their defaults.
-//!
 //! The empirical part samples concurrent-failure scenarios at the paper's
 //! failure statistics and counts how often any failure group would need
 //! more than n backups — the event ShareBackup cannot mask.
@@ -47,7 +45,6 @@ fn exhaustion_probability(k: usize, n: usize, p: f64, trials: usize, seed: u64) 
 pub fn run(cli: &mut Cli) -> Output {
     let seed: u64 = cli.get("seed", 42);
     let trials = cli.trials(10_000);
-    let json = cli.switch("json");
     cli.finish();
     const FAILURE_RATE: f64 = 0.0001; // 99.99% availability (Gill et al.)
 
@@ -72,15 +69,12 @@ pub fn run(cli: &mut Cli) -> Output {
         })
         .collect();
 
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         "§5.1 — capacity to handle failures (0.01% instantaneous switch failure rate)",
         cli,
     );
     text += &report::table(&COLUMNS, &rows);
-    Output::checked(text, claims(&rows))
+    Output::new(text, &rows, claims(&rows))
 }
 
 const COLUMNS: [Column; 9] = [

@@ -2,8 +2,6 @@
 //! pitch when the *recovery machinery* — or the controller itself —
 //! misbehaves.
 //!
-//! Usage: `chaos_availability [flags]`; `--help` lists the flags and their defaults.
-//!
 //! A *scenario* is a failure schedule — correlated bursts inside a pod's
 //! fault domain, link flapping, Poisson singles, spurious keep-alive
 //! reports, controller-replica crashes — plus one [`ChaosConfig`] of
@@ -708,7 +706,6 @@ pub fn run(cli: &mut Cli) -> Output {
         cli.unread("trials");
     }
     let jobs = cli.jobs();
-    let json = cli.switch("json");
     let trace_out = cli.path("trace-out");
     cli.finish();
     let setup = Setup {
@@ -726,9 +723,6 @@ pub fn run(cli: &mut Cli) -> Output {
     };
     let rows = campaign(&setup, &scns, trials, stream);
     let items: Vec<Value> = rows.iter().map(Row::json).collect();
-    if json {
-        return Output::json(&items);
-    }
     let title = format!(
         "Availability campaign ({mode}){}",
         if demo { " — one trial per row" } else { "" }
@@ -745,13 +739,10 @@ pub fn run(cli: &mut Cli) -> Output {
          prints every row with all controller counters."
     );
     if demo {
-        return Output::checked(text, demo_claims(&rows));
+        return Output::new(text, &items, demo_claims(&rows));
     }
     crash_summary(&mut text, &rows);
-    Output {
-        text,
-        claims: Vec::new(),
-    }
+    Output::new(text, &items, Vec::new())
 }
 
 /// What the paired controller-crash rows show, computed from them.

@@ -1,7 +1,5 @@
 //! Fig. 1(a)/(b): percentage of flows and coflows affected by failures.
 //!
-//! Usage: `fig1_affected [flags]`; `--help` lists the flags and their defaults.
-//!
 //! Reproduces the paper's §2.2 observation: the coflow-level impact is
 //! 3.3×–90× the flow-level impact, and the coflow curve climbs steeply at
 //! small failure counts (the paper reports 29.6% of coflows affected by a
@@ -21,7 +19,6 @@ pub fn run(cli: &mut Cli) -> Output {
     let trials = cli.trials(20);
     let node_mode = cli.choice("mode", &["node", "link"]) == "node";
     let jobs = cli.jobs();
-    let json = cli.switch("json");
     cli.finish();
     let setup = Fig1Setup::paper(k, seed);
     let counts = [1usize, 2, 4, 8, 16, 32];
@@ -36,9 +33,6 @@ pub fn run(cli: &mut Cli) -> Output {
             })
         })
         .collect();
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         &format!(
             "Fig. 1({}) — affected flows/coflows vs. number of {} failures (oversubscription {})",
@@ -49,7 +43,7 @@ pub fn run(cli: &mut Cli) -> Output {
         cli,
     );
     text += &report::table(&COLUMNS, &rows);
-    Output::checked(text, claims(&rows, node_mode))
+    Output::new(text, &rows, claims(&rows, node_mode))
 }
 
 const COLUMNS: [Column; 4] = [

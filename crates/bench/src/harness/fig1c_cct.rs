@@ -2,8 +2,6 @@
 //! failure, for fat-tree (global optimal rerouting), F10 (local
 //! rerouting), and ShareBackup (hardware replacement).
 //!
-//! Usage: `fig1c_cct [flags]`; `--help` lists the flags and their defaults.
-//!
 //! With `--trace-out`, each trial's ShareBackup run records telemetry
 //! (flowsim solve spans + the controller's recovery span tree) into a
 //! per-trial buffer; the buffers are collected in trial order and written
@@ -40,7 +38,6 @@ pub fn run(cli: &mut Cli) -> Output {
     let trials = cli.trials(10);
     let mode = cli.choice("mode", &["both", "node", "link"]);
     let jobs = cli.jobs();
-    let json = cli.switch("json");
     let trace_out = cli.path("trace-out");
     cli.finish();
     // `None` (both) alternates node and link failures, starting with a node.
@@ -142,15 +139,12 @@ pub fn run(cli: &mut Cli) -> Output {
         report("ShareBackup", &sd_sb, stranded[2]),
     ];
 
-    if json {
-        return Output::json(&results);
-    }
     let mut text = report::header(
         "Fig. 1(c) — CCT slowdown under a single failure (CDF quantiles)",
         cli,
     );
     text += &report::table(&COLUMNS, &results);
-    Output::checked(text, claims(&results))
+    Output::new(text, &results, claims(&results))
 }
 
 const COLUMNS: [Column; 9] = [

@@ -1,8 +1,6 @@
 //! Fig. 5: additional cost of ShareBackup, Aspen Tree, and 1:1 backup
 //! relative to fat-tree, across network scales, for electrical (E-DC) and
 //! optical (O-DC) data centers.
-//!
-//! Usage: `fig5_cost [flags]`; `--help` lists the flags and their defaults.
 
 use super::Output;
 use crate::report::{self, num, Check};
@@ -13,7 +11,6 @@ use std::fmt::Write;
 
 /// Run the harness on `cli`'s flags.
 pub fn run(cli: &mut Cli) -> Output {
-    let json = cli.switch("json");
     cli.finish();
     let ks = [8usize, 16, 24, 32, 48, 64];
     let archs: [(&str, Architecture); 4] = [
@@ -38,10 +35,6 @@ pub fn run(cli: &mut Cli) -> Output {
         }
     }
 
-    if json {
-        return Output::json(&out);
-    }
-
     let mut text = report::header("Fig. 5 — additional cost relative to fat-tree (%)", cli);
     for medium in ["Electrical", "Optical"] {
         text.push('\n');
@@ -59,7 +52,7 @@ pub fn run(cli: &mut Cli) -> Output {
             text.push('\n');
         }
     }
-    Output::checked(text, claims(&out))
+    Output::new(text, &out, claims(&out))
 }
 
 /// The shape of Fig. 5, from its series.

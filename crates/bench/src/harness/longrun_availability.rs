@@ -1,8 +1,6 @@
 //! Longitudinal availability: a week of Poisson failures, ShareBackup vs a
 //! rerouting fat-tree, measured as capacity-hours and host-reachability.
 //!
-//! Usage: `longrun_availability [flags]`; `--help` lists the flags and their defaults.
-//!
 //! The paper's pitch in one number: under rerouting, every failure costs
 //! its *full outage duration* in lost capacity (and an edge failure
 //! strands k/2 hosts for minutes); under ShareBackup each failure costs
@@ -153,7 +151,6 @@ pub fn run(cli: &mut Cli) -> Output {
     let seed: u64 = cli.get("seed", 42);
     let mode = cli.choice("mode", &["hostile", "realistic"]);
     let jobs = cli.jobs();
-    let json = cli.switch("json");
     cli.finish();
     // Hostile: a failure every 2 hours somewhere in this little k=8 network
     // (per-device MTBF of ~12 days). Realistic would be weeks per device;
@@ -184,9 +181,6 @@ pub fn run(cli: &mut Cli) -> Output {
             })
         })
         .collect();
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         &format!("One week, MTBF {mtbf} per network, outages {outage} — capacity availability"),
         cli,
@@ -198,7 +192,7 @@ pub fn run(cli: &mut Cli) -> Output {
         "rerouting eats every outage in full; ShareBackup's cost is ~1.3 ms per\n\
          failure (plus any pool-exhaustion window)."
     );
-    Output::checked(text, vec![stranding(&rows, k)])
+    Output::new(text, &rows, vec![stranding(&rows, k)])
 }
 
 /// An edge failure strands its k/2 hosts until the slot is recovered, so

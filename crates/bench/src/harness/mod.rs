@@ -1,11 +1,11 @@
-//! The harnesses, one module per binary in `src/bin/`.
+//! The harnesses, one module per binary in `src/bin/`: harness `<name>`
+//! runs as `<name> [flags]`, and `--help` lists its flags and defaults.
 //!
 //! A harness's `run` reads its flags from a [`Cli`], calls [`Cli::finish`],
-//! builds its rows and returns an [`Output`]: the text its binary prints
-//! (the `--json` rows, or the title, table and claims of [`report`]) and
-//! the claims that text lists. Its binary prints `text` and nothing else;
-//! the scorecard runs every harness in [`ALL`] at its defaults and lists
-//! their claims, so each claim is computed by one piece of code.
+//! builds its rows and returns them as an [`Output`]. Each binary is
+//! [`main`] over its harness; the scorecard runs the harnesses in process
+//! with the arguments of `results/COMMANDS` and lists their claims, so each
+//! claim is computed by one piece of code.
 //!
 //! Writing to a `String` cannot fail, so the harnesses drop the
 //! `fmt::Result` of their `write!`/`writeln!` calls.
@@ -30,33 +30,44 @@ pub mod table2_cost;
 pub mod table3_properties;
 pub mod table_routing_size;
 
-/// What one harness run prints, and the paper's claims it checked.
+/// What one harness run prints, in both renderings, and the paper's claims
+/// it checked.
 pub struct Output {
-    /// The binary's whole stdout.
+    /// The binary's stdout: title, table and claims.
     pub text: String,
-    /// The claims `text` lists, in its order; none with `--json`.
+    /// Its stdout with `--json`: the rows as one pretty-printed array.
+    pub json: String,
+    /// The claims `text` lists, in its order.
     pub claims: Vec<Check>,
 }
 
 impl Output {
-    /// The `--json` output: `rows` as one pretty-printed array.
-    pub fn json(rows: &[Value]) -> Output {
-        Output {
-            text: report::json(rows),
-            claims: Vec::new(),
+    /// `text`, then (when there are any) a blank line and `claims` in the
+    /// scorecard's format; and `rows` as JSON.
+    pub fn new(mut text: String, rows: &[Value], claims: Vec<Check>) -> Output {
+        if !claims.is_empty() {
+            text.push('\n');
+            text.push_str(&report::claims(&claims));
         }
-    }
-
-    /// `text`, then a blank line and `claims` in the scorecard's format.
-    pub fn checked(mut text: String, claims: Vec<Check>) -> Output {
-        text.push('\n');
-        text.push_str(&report::claims(&claims));
-        Output { text, claims }
+        Output {
+            text,
+            json: minijson::to_string_pretty(rows).expect("json") + "\n",
+            claims,
+        }
     }
 }
 
 /// A harness's `run`: its command line in, what its binary prints out.
 pub type Run = fn(&mut Cli) -> Output;
+
+/// The `main` of every harness binary: `run` on the process's command line,
+/// printing its text, or its JSON rows with `--json`.
+pub fn main(run: Run) {
+    let mut cli = Cli::from_env();
+    let json = cli.switch("json");
+    let out = run(&mut cli);
+    print!("{}", if json { out.json } else { out.text });
+}
 
 /// Every harness by binary name, in the paper's order (§2 to §5, then the
 /// runs beyond it). The scorecard lists their claims in this order.

@@ -2,8 +2,6 @@
 //! from the analytical model *and* from a packet-level failover
 //! simulation.
 //!
-//! Usage: `recovery_latency [flags]`; `--help` lists the flags and their defaults.
-//!
 //! The packet-level part transfers a flow across a k=4 fat-tree, kills the
 //! core on its path, restores the path after each scheme's modeled
 //! recovery latency, and reports the instant the transfer completes (it
@@ -93,7 +91,6 @@ fn disrupted_transfer(recovery: Duration, reroute: bool) -> (Time, u64, u64) {
 
 /// Run the harness on `cli`'s flags.
 pub fn run(cli: &mut Cli) -> Output {
-    let json = cli.switch("json");
     cli.finish();
     let m = RecoveryLatencyModel::default();
 
@@ -152,9 +149,6 @@ pub fn run(cli: &mut Cli) -> Output {
         "timeouts": timeouts,
     }));
 
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         "§5.3 — recovery latency model + packet-level failover (10 MB transfer, core dies at 10 ms)",
         cli,
@@ -166,7 +160,7 @@ pub fn run(cli: &mut Cli) -> Output {
         "model constants (§5.3): ~1 ms probe interval (all schemes), 1 ms SDN rule\n\
          install, 70 ns crosspoint / 40 us MEMS circuit reset, sub-ms control messages."
     );
-    Output::checked(text, claims(&rows))
+    Output::new(text, &rows, claims(&rows))
 }
 
 const COLUMNS: [Column; 7] = [

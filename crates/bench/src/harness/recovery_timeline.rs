@@ -2,8 +2,6 @@
 //! controller → circuit-reset → ack sequence on the discrete-event engine,
 //! for each circuit technology and each failure-group kind.
 //!
-//! Usage: `recovery_timeline [flags]`; `--help` lists the flags and their defaults.
-//!
 //! With `--trace-out`, each (technology, failure) case records its engine
 //! events and recovery span tree onto its own chrome-trace track.
 
@@ -23,7 +21,6 @@ use std::fmt::Write;
 /// Run the harness on `cli`'s flags.
 pub fn run(cli: &mut Cli) -> Output {
     let k = cli.k(6);
-    let json = cli.switch("json");
     let trace_out = cli.path("trace-out");
     cli.finish();
 
@@ -77,9 +74,6 @@ pub fn run(cli: &mut Cli) -> Output {
         write_trace_files(path, &tracks);
     }
 
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header("§4.1 — event-driven recovery timelines (n=1)", cli);
     text += &report::table(&COLUMNS, &rows);
 
@@ -104,7 +98,7 @@ pub fn run(cli: &mut Cli) -> Output {
         };
         let _ = writeln!(text, "{rel:>14}  {ev:?}");
     }
-    Output::checked(text, claims(&rows))
+    Output::new(text, &rows, claims(&rows))
 }
 
 const COLUMNS: [Column; 5] = [

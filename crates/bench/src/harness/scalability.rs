@@ -1,7 +1,5 @@
 //! §5.3: scalability under circuit-switch port limits.
 //!
-//! Usage: `scalability [flags]`; `--help` lists the flags and their defaults.
-//!
 //! A ShareBackup circuit switch needs (k/2 + n + 2) ports per side; with
 //! 32-port 2D MEMS that caps k at 58 for n=1 (over 48k hosts) or n at 6
 //! for k=48 (25% backup ratio). 256-port crosspoint switches are nowhere
@@ -18,7 +16,6 @@ use std::fmt::Write;
 
 /// Run the harness on `cli`'s flags.
 pub fn run(cli: &mut Cli) -> Output {
-    let json = cli.switch("json");
     cli.finish();
     let mut rows = Vec::new();
     for tech in [CircuitTech::Mems2D, CircuitTech::Crosspoint] {
@@ -46,11 +43,8 @@ pub fn run(cli: &mut Cli) -> Output {
         }));
     }
 
-    if json {
-        return Output::json(&rows);
-    }
     let (sweep, fixed_k): (Vec<Value>, Vec<Value>) =
-        rows.into_iter().partition(|r| r.get("max_k").is_some());
+        rows.iter().cloned().partition(|r| r.get("max_k").is_some());
     let mut text = report::header("§5.3 — scalability under circuit-switch port limits", cli);
     text += &report::table(&SWEEP, &sweep);
     text.push('\n');
@@ -63,7 +57,7 @@ pub fn run(cli: &mut Cli) -> Output {
             num(r, "backup_ratio_pct"),
         );
     }
-    Output::checked(text, claims(&sweep, &fixed_k))
+    Output::new(text, &rows, claims(&sweep, &fixed_k))
 }
 
 const SWEEP: [Column; 7] = [

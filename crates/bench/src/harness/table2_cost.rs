@@ -1,7 +1,5 @@
 //! Table 2: cost equations of the compared architectures, evaluated at the
 //! market prices the paper quotes.
-//!
-//! Usage: `table2_cost [flags]`; `--help` lists the flags and their defaults.
 
 use super::Output;
 use crate::report::{self, num, Check};
@@ -16,7 +14,6 @@ use std::fmt::Write;
 pub fn run(cli: &mut Cli) -> Output {
     let k = cli.k(48);
     let n: usize = cli.get("n", 1);
-    let json = cli.switch("json");
     cli.finish();
 
     let mut rows = Vec::new();
@@ -38,10 +35,6 @@ pub fn run(cli: &mut Cli) -> Output {
             "one_to_one_total": base.total() + one.total(),
             "one_to_one_additional_pct": 100.0 * one.total() / base.total(),
         }));
-    }
-
-    if json {
-        return Output::json(&rows);
     }
 
     let mut text = report::header("Table 2 — architecture costs (dollars)", cli);
@@ -82,7 +75,7 @@ pub fn run(cli: &mut Cli) -> Output {
             num(r, "one_to_one_additional_pct"),
         );
     }
-    Output::checked(text, claims(&rows))
+    Output::new(text, &rows, claims(&rows))
 }
 
 /// The paper's headline at k=48, n=1; rows are electrical then optical.

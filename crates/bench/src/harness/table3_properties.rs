@@ -2,8 +2,6 @@
 //! dilation? no upstream repair? — *measured* on simulated failures rather
 //! than asserted.
 //!
-//! Usage: `table3_properties [flags]`; `--help` lists the flags and their defaults.
-//!
 //! Method: fail one agg→core link (the structural position every compared
 //! system can recover from), let each system handle it, then measure:
 //! usable capacity after handling vs. before, per-flow path-length change,
@@ -162,7 +160,6 @@ fn measure_sharebackup(k: usize) -> Measured {
 /// Run the harness on `cli`'s flags.
 pub fn run(cli: &mut Cli) -> Output {
     let k = cli.k(8);
-    let json = cli.switch("json");
     cli.finish();
 
     let rows = [
@@ -176,9 +173,6 @@ pub fn run(cli: &mut Cli) -> Output {
         })
         .row("F10"),
     ];
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         "Table 3 — measured performance characteristics (one agg-core link failure)",
         cli,
@@ -202,7 +196,7 @@ pub fn run(cli: &mut Cli) -> Output {
         ),
         claim(&rows[2], "F10 (local reroute): NO/NO/yes", "NO/NO/yes"),
     ];
-    Output::checked(text, claims)
+    Output::new(text, &rows, claims)
 }
 
 const COLUMNS: [Column; 5] = [

@@ -1,8 +1,6 @@
 //! §4.3 table-size check: the merged VLAN routing table of an edge failure
 //! group has k/2 in-bound + k²/4 out-bound entries and fits commodity TCAM
 //! (1056 entries at k=64).
-//!
-//! Usage: `table_routing_size [flags]`; `--help` lists the flags and their defaults.
 
 use super::Output;
 use crate::report::Format::Int;
@@ -12,7 +10,6 @@ use sharebackup_routing::impersonation::GroupTables;
 
 /// Run the harness on `cli`'s flags.
 pub fn run(cli: &mut Cli) -> Output {
-    let json = cli.switch("json");
     cli.finish();
     let ks = [8usize, 16, 32, 48, 64];
 
@@ -36,9 +33,6 @@ pub fn run(cli: &mut Cli) -> Output {
         })
         .collect();
 
-    if json {
-        return Output::json(&rows);
-    }
     let mut text = report::header(
         "§4.3 — merged impersonation-table sizes (entries per switch)",
         cli,
@@ -46,8 +40,9 @@ pub fn run(cli: &mut Cli) -> Output {
     text += &report::table(&COLUMNS, &rows);
     let r = report::row(&rows, "k", 64);
     let (entries, hosts) = (num(r, "total_entries"), num(r, "hosts"));
-    Output::checked(
+    Output::new(
         text,
+        &rows,
         vec![Check::new(
             "§4.3",
             "1056 entries for k=64 (over 65k hosts), within commodity TCAM",

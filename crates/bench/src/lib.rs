@@ -19,6 +19,7 @@ pub mod harness;
 pub mod parallel;
 pub mod racks;
 pub mod report;
+pub mod results;
 pub mod trace;
 
 pub use args::Cli;

@@ -194,11 +194,6 @@ pub fn header(title: &str, cli: &Cli) -> String {
     }
 }
 
-/// `rows` as the `--json` output: one pretty-printed array.
-pub fn json(rows: &[Value]) -> String {
-    minijson::to_string_pretty(rows).expect("json") + "\n"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

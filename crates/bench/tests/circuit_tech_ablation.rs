@@ -7,16 +7,15 @@ use sharebackup_bench::{harness, Cli};
 
 #[test]
 fn failure_rows_trail_the_reference_and_the_technologies_agree() {
-    let out =
-        harness::recovery_latency::run(&mut Cli::new("recovery_latency", ["--json".to_string()]));
-    let rows = minijson::from_str(&out.text).expect("JSON output");
+    let out = harness::recovery_latency::run(&mut Cli::new("recovery_latency", []));
+    let rows = minijson::from_str(&out.json).expect("JSON output");
     let rows = rows.as_array().expect("an array of rows");
     // (completion ms, drops, timeouts) of the row named `scheme`.
     let row = |scheme: &str| {
         let r = rows
             .iter()
             .find(|r| r["scheme"].as_str() == Some(scheme))
-            .unwrap_or_else(|| panic!("no {scheme} row in {}", out.text));
+            .unwrap_or_else(|| panic!("no {scheme} row in {}", out.json));
         (
             r["packet_sim_completion_ms"]
                 .as_f64()

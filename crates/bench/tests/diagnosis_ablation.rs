@@ -1,7 +1,8 @@
 //! `ablation_diagnosis` must account for every link failure each arm
 //! handled: without diagnosis each convicts both suspects, with it each
-//! convicts one and exonerates the other. Both arms must sample switches
-//! out of service at every trial's instant, so their means are paired.
+//! convicts one and exonerates the other. The arms are paired: both handle
+//! the same link failures, and both sample switches out of service at
+//! every trial's instant.
 
 use std::process::Command;
 
@@ -40,7 +41,10 @@ fn each_arm_convicts_per_handled_link_failure() {
     let (failures, exonerated, convicted) = arm(true);
     assert!(failures > 0, "{text}");
     assert_eq!((exonerated, convicted), (failures, failures), "{text}");
-    let (failures, exonerated, convicted) = arm(false);
-    assert!(failures > 0, "{text}");
+    let (failures_without, exonerated, convicted) = arm(false);
+    assert_eq!(
+        failures_without, failures,
+        "both arms handle the same failures: {text}"
+    );
     assert_eq!((exonerated, convicted), (0, 2 * failures), "{text}");
 }

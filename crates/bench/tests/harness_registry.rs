@@ -1,6 +1,6 @@
-//! Every harness binary is the thin `main` over its `harness` module, and
-//! `harness::ALL` lists every one, so the scorecard lists every claim a
-//! binary prints. Reads the sources only; runs nothing.
+//! Every harness binary is the shared `harness::main` over its `harness`
+//! module, and `harness::ALL` lists every one, so the scorecard can run
+//! every binary's command in process. Reads the sources only; runs nothing.
 
 use sharebackup_bench::harness;
 use std::path::Path;
@@ -16,9 +16,9 @@ fn thin_main(name: &str) -> String {
     format!(
         "//! The `{name}` harness: `sharebackup_bench::harness::{name}` documents it.\n\
          \n\
-         use sharebackup_bench::{{harness, Cli}};\n\
+         use sharebackup_bench::harness;\n\
          \n\
-         fn main() {{\n    print!(\"{{}}\", harness::{name}::run(&mut Cli::from_env()).text);\n}}\n"
+         fn main() {{\n    harness::main(harness::{name}::run);\n}}\n"
     )
 }
 

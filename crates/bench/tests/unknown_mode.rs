@@ -26,74 +26,73 @@ const HARNESSES: [(&str, Flags); 16] = [
     (
         env!("CARGO_BIN_EXE_ablation_diagnosis"),
         &[
+            ("json", None),
             ("k", Some("8")),
             ("seed", Some("42")),
             ("trials", Some("100")),
-            ("jobs", Some("1")),
-            ("json", None),
         ],
     ),
     (
         env!("CARGO_BIN_EXE_ablation_nonuniform"),
         &[
+            ("json", None),
             ("k", Some("8")),
             ("seed", Some("42")),
             ("trials", Some("400")),
             ("jobs", Some("1")),
-            ("json", None),
         ],
     ),
     (
         env!("CARGO_BIN_EXE_ablation_pool_size"),
         &[
+            ("json", None),
             ("k", Some("8")),
             ("seed", Some("42")),
             ("trials", Some("300")),
             ("jobs", Some("1")),
-            ("json", None),
         ],
     ),
     (
         env!("CARGO_BIN_EXE_capacity"),
         &[
+            ("json", None),
             ("seed", Some("42")),
             ("trials", Some("10000")),
-            ("json", None),
         ],
     ),
     (
         env!("CARGO_BIN_EXE_chaos_availability"),
         &[
+            ("json", None),
             ("k", Some("4")),
             ("n", Some("1")),
             ("seed", Some("42")),
             ("trials", Some("3")),
             ("mode", Some("sweep")),
             ("jobs", Some("1")),
-            ("json", None),
             ("trace-out", None),
         ],
     ),
     (
         env!("CARGO_BIN_EXE_fig1_affected"),
         &[
+            ("json", None),
             ("k", Some("16")),
             ("seed", Some("42")),
             ("trials", Some("20")),
             ("mode", Some("node")),
             ("jobs", Some("1")),
-            ("json", None),
         ],
     ),
     (
         env!("CARGO_BIN_EXE_fig1c_cct"),
         &[
+            ("json", None),
             ("k", Some("16")),
             ("seed", Some("42")),
             ("trials", Some("10")),
             ("mode", Some("both")),
             ("jobs", Some("1")),
-            ("json", None),
             ("trace-out", None),
         ],
     ),
@@ -101,28 +100,28 @@ const HARNESSES: [(&str, Flags); 16] = [
     (
         env!("CARGO_BIN_EXE_longrun_availability"),
         &[
+            ("json", None),
             ("k", Some("8")),
             ("n", Some("1")),
             ("seed", Some("42")),
             ("mode", Some("hostile")),
             ("jobs", Some("1")),
-            ("json", None),
         ],
     ),
     (env!("CARGO_BIN_EXE_recovery_latency"), &[("json", None)]),
     (
         env!("CARGO_BIN_EXE_recovery_timeline"),
-        &[("k", Some("6")), ("json", None), ("trace-out", None)],
+        &[("json", None), ("k", Some("6")), ("trace-out", None)],
     ),
     (env!("CARGO_BIN_EXE_scalability"), &[("json", None)]),
-    (env!("CARGO_BIN_EXE_scorecard"), &[("json", None)]),
+    (env!("CARGO_BIN_EXE_scorecard"), &[]),
     (
         env!("CARGO_BIN_EXE_table2_cost"),
-        &[("k", Some("48")), ("n", Some("1")), ("json", None)],
+        &[("json", None), ("k", Some("48")), ("n", Some("1"))],
     ),
     (
         env!("CARGO_BIN_EXE_table3_properties"),
-        &[("k", Some("8")), ("json", None)],
+        &[("json", None), ("k", Some("8"))],
     ),
     (env!("CARGO_BIN_EXE_table_routing_size"), &[("json", None)]),
 ];
@@ -183,7 +182,7 @@ fn help_lists_exactly_the_flags_each_harness_reads() {
         assert_eq!(help(bin), expected, "{bin}");
         accepted += flags.len();
     }
-    assert_eq!(accepted, 58);
+    assert_eq!(accepted, 56);
 }
 
 #[test]
