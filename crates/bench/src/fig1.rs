@@ -262,6 +262,18 @@ pub fn run_fattree_baseline(setup: &Fig1Setup, trace: &CoflowTrace) -> CctRun {
     ccts(trace, &out)
 }
 
+/// A rerouting baseline's failure run: `fail` at `setup.fail_at` and its
+/// repair an outage later, as world events and the epochs they fire at.
+fn outage(setup: &Fig1Setup, fail: TopoEvent) -> (Vec<TopoEvent>, [Time; 2]) {
+    let repair = match fail {
+        TopoEvent::FailNode(n) => TopoEvent::RepairNode(n),
+        TopoEvent::FailLink(l) => TopoEvent::RepairLink(l),
+        _ => unreachable!("failures only"),
+    };
+    let epochs = [setup.fail_at, setup.fail_at + setup.outage];
+    (vec![fail, repair], epochs)
+}
+
 /// Run a fat-tree trial with one failure, global optimal rerouting.
 pub fn run_fattree_failure(
     setup: &Fig1Setup,
@@ -269,14 +281,8 @@ pub fn run_fattree_failure(
     failure: AbstractFailure,
 ) -> CctRun {
     let ft = FatTree::build(setup.ft_config());
-    let fail_ev = failure.to_fattree(&ft);
-    let repair_ev = match fail_ev {
-        TopoEvent::FailNode(n) => TopoEvent::RepairNode(n),
-        TopoEvent::FailLink(l) => TopoEvent::RepairLink(l),
-        _ => unreachable!("failures only"),
-    };
-    let mut world = FatTreeWorld::new(ft, RecoveryMode::GlobalOptimal, vec![fail_ev, repair_ev]);
-    let epochs = [setup.fail_at, setup.fail_at + setup.outage];
+    let (events, epochs) = outage(setup, failure.to_fattree(&ft));
+    let mut world = FatTreeWorld::new(ft, RecoveryMode::GlobalOptimal, events);
     let out = FlowSim::new().run(&mut world, &trace.specs, &epochs);
     ccts(trace, &out)
 }
@@ -292,14 +298,8 @@ pub fn run_f10_baseline(setup: &Fig1Setup, trace: &CoflowTrace) -> CctRun {
 /// Run an F10 trial with one failure, local rerouting.
 pub fn run_f10_failure(setup: &Fig1Setup, trace: &CoflowTrace, failure: AbstractFailure) -> CctRun {
     let f10 = F10Topology::build(setup.ft_config());
-    let fail_ev = failure.to_f10(&f10);
-    let repair_ev = match fail_ev {
-        TopoEvent::FailNode(n) => TopoEvent::RepairNode(n),
-        TopoEvent::FailLink(l) => TopoEvent::RepairLink(l),
-        _ => unreachable!("failures only"),
-    };
-    let mut world = F10World::new(f10, vec![fail_ev, repair_ev]);
-    let epochs = [setup.fail_at, setup.fail_at + setup.outage];
+    let (events, epochs) = outage(setup, failure.to_f10(&f10));
+    let mut world = F10World::new(f10, events);
     let out = FlowSim::new().run(&mut world, &trace.specs, &epochs);
     ccts(trace, &out)
 }

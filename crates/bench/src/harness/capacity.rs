@@ -1,6 +1,10 @@
 //! §5.1: capacity to handle failures — backup ratios vs. the measured
 //! 0.01% switch failure rate, plus an empirical pool-exhaustion check.
 //!
+//! Each row builds its ShareBackup deployment, so the §3 inventory (failure
+//! groups, circuit switches, and the logical links the circuits realize)
+//! is counted from the topology rather than from a formula.
+//!
 //! The empirical part samples concurrent-failure scenarios at the paper's
 //! failure statistics and counts how often any failure group would need
 //! more than n backups — the event ShareBackup cannot mask.
@@ -12,6 +16,7 @@ use crate::Cli;
 use minijson::Value;
 use sharebackup_cost::CapacityAnalysis;
 use sharebackup_sim::SimRng;
+use sharebackup_topo::{ShareBackup, ShareBackupConfig};
 
 /// Probability that some group exceeds its n backups when each switch is
 /// independently down with probability `p` — estimated by sampling.
@@ -53,11 +58,15 @@ pub fn run(cli: &mut Cli) -> Output {
         .iter()
         .map(|&(k, n)| {
             let c = CapacityAnalysis::new(k, n);
+            let sb = ShareBackup::build(ShareBackupConfig::new(k, n));
             minijson::json!({
                 "k": k,
                 "n": n,
                 "hosts": c.hosts(),
-                "failure_groups": c.failure_groups(),
+                "failure_groups": sb.group_ids().len(),
+                "circuit_switches": sb.circuit_switch_count(),
+                "links": sb.slots.net.link_count(),
+                "derived_links": sb.derived_links().len(),
                 "backup_ratio_pct": 100.0 * c.backup_ratio(),
                 "headroom_over_0p01pct": c.headroom_over(FAILURE_RATE),
                 "switch_failures_per_group": c.switch_failures_per_group(),
@@ -77,11 +86,14 @@ pub fn run(cli: &mut Cli) -> Output {
     Output::new(text, &rows, claims(&rows))
 }
 
-const COLUMNS: [Column; 9] = [
+const COLUMNS: [Column; 12] = [
     Column::new("k", "k", Int),
     Column::new("n", "n", Int),
     Column::new("hosts", "hosts", Int),
     Column::new("groups", "failure_groups", Int),
+    Column::new("CS", "circuit_switches", Int),
+    Column::new("links", "links", Int),
+    Column::new("via CS", "derived_links", Int),
     Column::new("backup ratio", "backup_ratio_pct", Fixed(2, "%")),
     Column::new("headroom", "headroom_over_0p01pct", Fixed(0, "x")),
     Column::new("sw fail/grp", "switch_failures_per_group", Int),
@@ -95,6 +107,15 @@ fn claims(rows: &[Value]) -> Vec<Check> {
         .find(|r| num(r, "k") == 48.0 && num(r, "n") == 1.0)
         .expect("the k=48, n=1 row");
     let (ratio, headroom) = (num(r, "backup_ratio_pct"), num(r, "headroom_over_0p01pct"));
+    let inventory = rows
+        .iter()
+        .filter(|r| {
+            let k = num(r, "k");
+            num(r, "failure_groups") == 5.0 * k / 2.0
+                && num(r, "circuit_switches") == 3.0 * k * k / 2.0
+                && num(r, "derived_links") == num(r, "links")
+        })
+        .count();
     let tolerated = rows
         .iter()
         .filter(|r| {
@@ -103,6 +124,12 @@ fn claims(rows: &[Value]) -> Vec<Check> {
         })
         .count();
     vec![
+        Check::new(
+            "§3",
+            "5k/2 failure groups, 3k²/2 circuit switches, as many circuit-realized links as fat-tree links",
+            inventory == rows.len(),
+            format!("in {inventory} of {} configurations", rows.len()),
+        ),
         Check::new(
             "§5.1",
             "k=48, n=1 gives backup ratio 4.17%, >400x the failure rate",

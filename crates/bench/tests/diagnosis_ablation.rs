@@ -4,20 +4,12 @@
 //! the same link failures, and both sample switches out of service at
 //! every trial's instant.
 
-use std::process::Command;
+use sharebackup_bench::{harness, Cli};
 
 #[test]
 fn each_arm_convicts_per_handled_link_failure() {
-    let out = Command::new(env!("CARGO_BIN_EXE_ablation_diagnosis"))
-        .arg("--json")
-        .output()
-        .expect("the harness starts");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).expect("utf-8 output");
+    let out = harness::ablation_diagnosis::run(&mut Cli::new("ablation_diagnosis", []));
+    let text = out.json;
     let rows = minijson::from_str(&text).expect("JSON output");
     let rows = rows.as_array().expect("an array of rows");
     // (link_failures, exonerated, convicted) of the arm with or without diagnosis.

@@ -117,3 +117,41 @@ fn the_pass_names_a_file_that_drifted() {
     );
     assert_eq!(outcomes[0].claims.len(), 3, "the run's claims are kept");
 }
+
+#[test]
+fn every_scorecard_section_is_a_committed_run() {
+    // The pass lists the claims of the committed runs and nothing else, so
+    // each `== ` header names a run's files and command, and the title's
+    // count is the sum of the sections'.
+    let text = std::fs::read_to_string(results_dir().join("scorecard.txt"))
+        .expect("results/scorecard.txt");
+    let runs = results::runs(committed());
+    let header = |run: &[Command]| {
+        let files: Vec<&str> = run.iter().map(|c| c.file.as_str()).collect();
+        let command = format!("{} {}", run[0].harness, run[0].args.join(" "));
+        format!("== {} ({}): ", files.join(", "), command.trim_end())
+    };
+    let count = |tally: &str| -> (usize, usize) {
+        let (pass, total) = tally.split_once('/').expect("a p/n count");
+        (
+            pass.parse().expect("a count"),
+            total.parse().expect("a count"),
+        )
+    };
+    let (mut pass, mut total) = (0, 0);
+    for line in text.lines().filter(|l| l.starts_with("== ")) {
+        let tally = runs
+            .iter()
+            .find_map(|run| line.strip_prefix(&header(run)))
+            .unwrap_or_else(|| panic!("{line:?} names no run of results/COMMANDS"));
+        let (p, n) = count(tally.strip_suffix(" pass").expect("`p/n pass`"));
+        pass += p;
+        total += n;
+    }
+    let title = text.lines().next().expect("a title line");
+    let tally = title
+        .split_once(" — ")
+        .and_then(|(_, t)| t.strip_suffix(" claims pass"))
+        .unwrap_or_else(|| panic!("title {title:?} has no `p/n claims pass`"));
+    assert_eq!(count(tally), (pass, total), "{title}");
+}

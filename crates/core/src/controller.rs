@@ -729,6 +729,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharebackup_flowsim::properties::total_usable_capacity;
     use sharebackup_topo::{GroupId, ShareBackupConfig};
 
     fn controller(k: usize, n: usize) -> Controller {
@@ -871,21 +872,49 @@ mod tests {
 
     #[test]
     fn circuit_switch_suspicion_escalates_and_halts() {
-        let mut c = controller(4, 1);
-        let cs = CsId::EdgeAgg { pod: 0, m: 0 };
-        assert!(!c.report_cs_suspicion(cs, 3));
+        let mut c = controller(8, 1);
+        // A dead circuit switch shows up as a burst of link failures
+        // through it: one per edge uplink it carries.
+        let cs = CsId::EdgeAgg { pod: 1, m: 0 };
+        c.sb.set_circuit_switch_up(cs, false);
+        let net = &c.sb.slots.net;
+        let downed = net.link_ids().filter(|&l| !net.link_usable(l)).count();
+        assert_eq!(downed, 4);
+        for _ in 1..downed {
+            assert!(!c.report_cs_suspicion(cs, 1));
+        }
         assert!(c.report_cs_suspicion(cs, 1)); // threshold 4 reached
         assert!(c.is_halted());
         assert_eq!(c.stats.escalations, 1);
-        // Halted controller refuses replacements.
+        // Halted controller refuses replacements and leaves the pool alone.
         let slot = GroupId::edge(0).slot(0);
         let victim = c.sb.occupant(slot);
         c.sb.set_phys_healthy(victim, false);
+        let pool = c.sb.spares(slot.group).len();
         let r = c.handle_node_failure(victim, Time::ZERO);
         assert!(!r.fully_recovered());
-        // Human intervention resumes service.
+        assert_eq!(c.stats.halted_fallbacks, 1);
+        assert_eq!(c.sb.spares(slot.group).len(), pool);
+        // Human intervention reboots the circuit switch and resumes service.
+        c.sb.set_circuit_switch_up(cs, true);
         c.resume_after_intervention();
         assert!(!c.is_halted());
+        let r = c.handle_node_failure(victim, Time::from_secs(1));
+        assert!(r.fully_recovered());
+    }
+
+    #[test]
+    fn node_failure_recovery_restores_full_capacity() {
+        // §4.1: the replacement takes over the failed switch's slot, so the
+        // fabric's usable capacity is what it was before the failure.
+        let mut c = controller(8, 1);
+        let full = total_usable_capacity(&c.sb.slots.net);
+        let victim = c.sb.occupant(GroupId::agg(0).slot(0));
+        c.sb.set_phys_healthy(victim, false);
+        assert!(total_usable_capacity(&c.sb.slots.net) < full);
+        let r = c.handle_node_failure(victim, Time::ZERO);
+        assert!(r.fully_recovered());
+        assert_eq!(total_usable_capacity(&c.sb.slots.net), full);
     }
 
     #[test]

@@ -1036,7 +1036,11 @@ mod tests {
         // Act 3: the successor reconciles and completes.
         let t2 = t1 + plane.cfg.blackout();
         plane.poll(&mut ctl, t2);
-        assert_eq!(plane.take_completed().len(), 1);
+        let done = plane.take_completed();
+        assert_eq!(done.len(), 1);
+        assert!(done[0].recovery.fully_recovered());
+        assert_eq!(ctl.stats.elections, 1);
+        assert!(ctl.stats.recoveries_resumed >= 1);
 
         let buf = sink.borrow_mut().take();
         let marks = buf.marks_in("failover");

@@ -36,11 +36,6 @@ impl CapacityAnalysis {
         self.k * self.n
     }
 
-    /// Total failure groups: 5k/2 (k edge + k agg + k/2 core).
-    pub fn failure_groups(&self) -> usize {
-        5 * self.k / 2
-    }
-
     /// Hosts in the underlying fat-tree: k³/4.
     pub fn hosts(&self) -> usize {
         self.k * self.k * self.k / 4
@@ -71,7 +66,6 @@ mod tests {
     #[test]
     fn group_counts() {
         let c = CapacityAnalysis::new(16, 2);
-        assert_eq!(c.failure_groups(), 40);
         assert_eq!(c.switch_failures_per_group(), 2);
         assert_eq!(c.link_failures_per_group(), 32);
     }
